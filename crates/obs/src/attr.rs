@@ -235,10 +235,8 @@ pub fn reset_attr() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::MODE_LOCK as TEST_LOCK;
     use crate::MetricsMode;
-    use std::sync::Mutex as TestMutex;
-
-    static TEST_LOCK: TestMutex<()> = TestMutex::new(());
 
     fn with_attr_on(f: impl FnOnce()) {
         let _guard = TEST_LOCK.lock().expect("attr test lock poisoned");

@@ -590,10 +590,15 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
 
+    /// Serializes every test that forces the process-wide metrics mode or
+    /// resets a registry: the test threads share both.
+    pub(crate) static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// The whole suite shares one process; force metrics on and reset
     /// around each test body. Tests that need the off path force it
     /// explicitly and restore.
     fn with_metrics_on(f: impl FnOnce()) {
+        let _guard = MODE_LOCK.lock().expect("metrics test lock poisoned");
         force_mode(MetricsMode::On);
         reset();
         f();
@@ -620,6 +625,7 @@ mod tests {
 
     #[test]
     fn off_mode_records_nothing() {
+        let _guard = MODE_LOCK.lock().expect("metrics test lock poisoned");
         force_mode(MetricsMode::Off);
         reset();
         counter_inc("test.off.counter");
@@ -657,11 +663,15 @@ mod tests {
     #[test]
     fn worker_thread_shards_are_absorbed_on_exit() {
         with_metrics_on(|| {
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| counter_inc("test.threads.counter"));
-                }
-            });
+            // Plain threads, not scoped ones: `join` returns only after a
+            // thread's TLS destructors (which absorb its shard) have run,
+            // while a scope can end before them.
+            let threads: Vec<_> = (0..4)
+                .map(|_| std::thread::spawn(|| counter_inc("test.threads.counter")))
+                .collect();
+            for thread in threads {
+                thread.join().expect("counter thread panicked");
+            }
             assert_eq!(snapshot().counter("test.threads.counter"), Some(4));
         });
     }

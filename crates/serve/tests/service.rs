@@ -448,6 +448,46 @@ fn shutdown_drains_queued_jobs_and_survives_idle_connections() {
     );
 }
 
+/// A long-running daemon must not hold a descriptor for every connection
+/// it has ever accepted: each closed connection releases its stream once
+/// its handler exits, while the server keeps running.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    use std::time::{Duration, Instant};
+
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").unwrap().count()
+    }
+    // Other tests in this process open and close descriptors concurrently;
+    // the slack absorbs them and stays far below the 200 a leak would add.
+    const SLACK: usize = 64;
+
+    let (resolver, _runs) = counting_resolver();
+    let (addr, handle) = spawn_server(ServeConfig {
+        resolver,
+        ..ServeConfig::default()
+    });
+    let baseline = open_fds();
+    for _ in 0..200 {
+        // One answered request per connection: it was accepted and handled.
+        Client::connect(&addr).unwrap().list().unwrap();
+    }
+    // Handlers see EOF and exit asynchronously.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut open = open_fds();
+    while open > baseline + SLACK && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        open = open_fds();
+    }
+    assert!(
+        open <= baseline + SLACK,
+        "{open} descriptors open after 200 closed connections (baseline {baseline})"
+    );
+    shutdown(&addr);
+    handle.join().unwrap();
+}
+
 #[test]
 fn draining_server_refuses_new_submissions() {
     // Start a slow job, issue SHUTDOWN concurrently, then try to submit.

@@ -1,39 +1,394 @@
-//! Batched structure-of-arrays replay.
+//! The raw interpreter: one structure-of-arrays loop over the stripped
+//! tape, shared by every unobserved replay.
 //!
-//! The raw interpreter in [`crate::replay`] pays the tape walk — decode,
-//! dispatch, table reads — once per (input set × candidate). This module
-//! amortizes it two ways:
+//! When nothing observes the thread (no [`Recorder`], no installed
+//! backend), replay runs [`SoaState::run`]: values are plain `f64`s laid
+//! out as `vals[id * lanes + lane]` with one format slot per value id, and
+//! every operation inlines the emulated datapath ([`Emulated`]) — the
+//! arithmetic of the uninstalled `Fx` fast path (promotion rule, store
+//! rounding, RISC-V min/max, quiet comparisons) minus its per-op
+//! thread-local checks and statistics bookkeeping. Decode, dispatch and
+//! table reads happen once per tape entry; only the arithmetic is per
+//! lane. The loop is resumable over any tape range from a cloneable
+//! [`SoaState`]. Its three entry points:
 //!
-//! * [`Trace::replay_batch`]: all input sets of a kernel in **one pass**
-//!   over a shared decoded tape. Traces of the same kernel on different
-//!   inputs are structurally identical (same ops, slots, names — only
-//!   pool payloads and recorded branch outcomes differ; checked in O(1)
-//!   via [`Trace::same_shape`]), so the per-op decode/dispatch/table cost
-//!   is paid once and the arithmetic becomes column-wise loops over
-//!   `vals[id * lanes + lane]`. Divergence is **per lane**: a set whose
+//! * [`Trace::replay`] runs it with one lane. That lane count is the
+//!   compile-time constant [`One`], so single-trace replay gets its own
+//!   monomorphised copy of the loop with every per-lane loop folded away.
+//! * [`Trace::replay_batch`] runs all input sets of a kernel in one pass,
+//!   one lane per trace. Traces of the same kernel on different inputs are
+//!   structurally identical (same ops, slots, names — only pool payloads
+//!   and recorded branch outcomes differ; checked in O(1) via
+//!   [`Trace::same_shape`]). Divergence is **per lane**: a set whose
 //!   recorded comparison flips drops out of the batch (its result is
-//!   [`Replayed::Divergent`]); the remaining lanes keep going, and the
-//!   pass ends early when no lane is alive.
-//! * [`Trace::replay_candidates`]: several candidate configurations in
-//!   one call. The format-slot tables are resolved up front and diffed;
+//!   [`Replayed::Divergent`]); the remaining lanes keep going, and the pass
+//!   ends early when no lane is alive.
+//! * [`Trace::replay_candidates`] runs several candidate configurations of
+//!   one trace. The format-slot tables are resolved up front and diffed;
 //!   every tape entry before the first reference to a *differing* slot
-//!   computes bit-identically under every candidate (all slots it can
-//!   touch resolve equally, so every promotion/cast table cell it
-//!   consults is equal), so that prefix runs once and its value columns
-//!   are shared; per-candidate execution forks at the first difference.
+//!   computes bit-identically under every candidate (all slots it can touch
+//!   resolve equally, so every promotion/cast table cell it consults is
+//!   equal), so that prefix runs once with one lane and its state is cloned
+//!   per candidate for the suffix.
 //!
-//! Both entries fall back to per-trace [`Trace::replay`] whenever the
-//! thread is observed (a recorder or installed backend must see every
-//! event in recorded order) or shapes don't match — callers never need
-//! to pre-check.
+//! Observed threads get the `Fx`-driven interpreter of [`crate::replay`]
+//! instead (a recorder or installed backend must see every event in
+//! recorded order): every entry point then falls back to per-trace
+//! [`Trace::replay`], as [`Trace::replay_batch`] also does for traces of
+//! different shapes — callers never need to pre-check.
+
+use std::ops::Range;
 
 use flexfloat::backend::Emulated;
 use flexfloat::{BinOp, Engine, FpBackend, Recorder, TypeConfig};
 
-use crate::replay::{promoted, take_buf, with_scratch, Replayed, Scratch, Tables};
+use crate::replay::{with_scratch, CastSpec, Promo, Replayed, Scratch, Spare, Tables};
 use crate::tape::{OutputPlan, Packed, Tag, Trace};
 
+/// A lane count of the raw loop: `usize` for a batch, [`One`] for a
+/// single trace.
+pub(crate) trait Lanes: Copy {
+    /// The number of lanes.
+    fn get(self) -> usize;
+}
+
+impl Lanes for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// The lane count 1, known at compile time.
+#[derive(Clone, Copy)]
+pub(crate) struct One;
+
+impl Lanes for One {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
+    }
+}
+
+/// The raw loop's state after some prefix of the tape: everything it needs
+/// to resume at the next entry. Cloning it forks the replay.
+#[derive(Clone, Default)]
+pub(crate) struct SoaState {
+    /// Value table, `vals[id * lanes + lane]`; value id 0 is a dummy so
+    /// ids index directly.
+    vals: Vec<f64>,
+    /// Format slot of each value id (a parallel column rather than a padded
+    /// struct — the table is pure memory traffic).
+    vslot: Vec<u16>,
+    /// Arrays as (format slot, storage `data[idx * lanes + lane]`).
+    pub(crate) arrays: Vec<(u16, Vec<f64>)>,
+    /// Extracted outputs, `out[k * lanes + lane]`.
+    out: Vec<f64>,
+    /// Raw comparisons executed so far.
+    cmp_seq: usize,
+    /// Full-tape divergence site of each lane, once it has diverged.
+    diverged: Vec<Option<u32>>,
+    /// Lanes that have not diverged.
+    live: usize,
+}
+
+impl SoaState {
+    /// Resets to the state before the first entry of `leader`'s tape.
+    fn start(&mut self, leader: &Trace, lanes: usize, spare: &mut Spare) {
+        let ids = leader.n_values as usize + 1;
+        self.vals.clear();
+        self.vals.reserve(ids * lanes);
+        self.vals.resize(lanes, 0.0);
+        self.vslot.clear();
+        self.vslot.reserve(ids);
+        self.vslot.push(0);
+        self.arrays.push((0, spare.take()));
+        self.out.clear();
+        self.out.reserve(leader.outputs.len() * lanes);
+        self.cmp_seq = 0;
+        self.diverged.clear();
+        self.diverged.resize(lanes, None);
+        self.live = lanes;
+    }
+
+    /// Runs raw entries `range` of the tape shared by `traces` — one trace
+    /// per lane, `traces[0]` the leader whose tape is walked — against
+    /// `tables`. Lanes that diverge are marked and skipped at later
+    /// comparisons (elsewhere they compute harmlessly — f64 arithmetic
+    /// cannot fault). Returns `false`, stopping early, once every lane has
+    /// diverged.
+    #[allow(clippy::too_many_lines)]
+    fn run<L: Lanes>(
+        &mut self,
+        lanes: L,
+        traces: &[&Trace],
+        tables: &Tables,
+        spare: &mut Spare,
+        range: Range<usize>,
+    ) -> bool {
+        let lanes = lanes.get();
+        let traces = &traces[..lanes];
+        let SoaState {
+            vals,
+            vslot,
+            arrays,
+            out,
+            cmp_seq,
+            diverged,
+            live,
+        } = self;
+        let diverged = &mut diverged[..lanes];
+
+        for p in &traces[0].raw_ops[range] {
+            let Packed { tag, fmt, a, b } = *p;
+            match tag {
+                Tag::Leaf => {
+                    let f = tables.fmt(fmt);
+                    vals.extend(traces.iter().map(|t| f.sanitize_f64(t.pool[a as usize])));
+                    vslot.push(fmt);
+                }
+                Tag::ArrayNew => {
+                    let f = tables.fmt(fmt);
+                    let (a, b) = (a as usize, b as usize);
+                    let mut data = spare.take();
+                    data.reserve(b * lanes);
+                    for idx in a..a + b {
+                        data.extend(traces.iter().map(|t| f.sanitize_f64(t.pool[idx])));
+                    }
+                    arrays.push((fmt, data));
+                }
+                Tag::ArrayZeros => {
+                    let mut data = spare.take();
+                    data.resize(a as usize * lanes, 0.0);
+                    arrays.push((fmt, data));
+                }
+                Tag::ArrayDup => {
+                    let (slot, ref src) = arrays[usize::from(fmt)];
+                    let mut data = spare.take();
+                    data.extend_from_slice(src);
+                    arrays.push((slot, data));
+                }
+                Tag::Load => {
+                    let (slot, ref data) = arrays[usize::from(fmt)];
+                    let base = a as usize * lanes;
+                    vals.extend_from_slice(&data[base..base + lanes]);
+                    vslot.push(slot);
+                }
+                Tag::Store => {
+                    let sv = vslot[b as usize];
+                    let vbase = b as usize * lanes;
+                    let (slot, ref mut data) = arrays[usize::from(fmt)];
+                    let cs = tables.cast(slot, sv);
+                    let abase = a as usize * lanes;
+                    if cs.exact {
+                        data[abase..abase + lanes].copy_from_slice(&vals[vbase..vbase + lanes]);
+                    } else {
+                        for l in 0..lanes {
+                            data[abase + l] = cs.fmt.sanitize_f64(vals[vbase + l]);
+                        }
+                    }
+                }
+                Tag::Cast => {
+                    let cs = tables.cast(fmt, vslot[a as usize]);
+                    push_cast(vals, a as usize * lanes, lanes, cs);
+                    vslot.push(fmt);
+                }
+                Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
+                    let op = match tag {
+                        Tag::Add => BinOp::Add,
+                        Tag::Sub => BinOp::Sub,
+                        Tag::Mul => BinOp::Mul,
+                        _ => BinOp::Div,
+                    };
+                    let e = push_bin(vals, vslot, tables, op, a, b, lanes);
+                    vslot.push(e.result);
+                }
+                Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
+                    // Fused bin + cast-of-result: two values, one entry. The
+                    // cast side is one table cell keyed on the interned
+                    // (result-slot, dst-slot) pair.
+                    let op = match tag {
+                        Tag::AddCast => BinOp::Add,
+                        Tag::SubCast => BinOp::Sub,
+                        Tag::MulCast => BinOp::Mul,
+                        _ => BinOp::Div,
+                    };
+                    let e = push_bin(vals, vslot, tables, op, a, b, lanes);
+                    vslot.push(e.result);
+                    let cs = tables.cast(fmt, e.result);
+                    push_cast(vals, vals.len() - lanes, lanes, cs);
+                    vslot.push(fmt);
+                }
+                Tag::Sqrt => {
+                    let sv = vslot[a as usize];
+                    let f = tables.fmt(sv);
+                    let base = a as usize * lanes;
+                    for l in 0..lanes {
+                        let v = Emulated.sqrt(f, vals[base + l]);
+                        vals.push(v);
+                    }
+                    vslot.push(sv);
+                }
+                Tag::Min | Tag::Max => {
+                    let e = tables.promo(vslot[a as usize], vslot[b as usize]);
+                    let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
+                    for l in 0..lanes {
+                        let (va, vb) = promote(e, vals[abase + l], vals[bbase + l]);
+                        vals.push(if tag == Tag::Min {
+                            Emulated.min(e.fmt, va, vb)
+                        } else {
+                            Emulated.max(e.fmt, va, vb)
+                        });
+                    }
+                    vslot.push(e.result);
+                }
+                Tag::Neg => {
+                    let base = a as usize * lanes;
+                    for l in 0..lanes {
+                        let v = -vals[base + l];
+                        vals.push(v);
+                    }
+                    vslot.push(vslot[a as usize]);
+                }
+                Tag::Abs => {
+                    let base = a as usize * lanes;
+                    for l in 0..lanes {
+                        let v = vals[base + l].abs();
+                        vals.push(v);
+                    }
+                    vslot.push(vslot[a as usize]);
+                }
+                Tag::CmpLt | Tag::CmpLe => {
+                    let e = tables.promo(vslot[a as usize], vslot[b as usize]);
+                    let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
+                    let seq = *cmp_seq;
+                    *cmp_seq += 1;
+                    for (l, trace) in traces.iter().enumerate() {
+                        if diverged[l].is_some() {
+                            continue;
+                        }
+                        let (va, vb) = promote(e, vals[abase + l], vals[bbase + l]);
+                        let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
+                        // Each lane checks against its *own* recorded outcome
+                        // — branch decisions are input-data-dependent even on
+                        // a shared tape shape. The leader's is this entry's
+                        // `fmt`; the others sit at the full-tape site.
+                        let site = trace.cmp_sites[seq];
+                        let expected = if l == 0 {
+                            fmt != 0
+                        } else {
+                            trace.ops[site as usize].fmt != 0
+                        };
+                        if got != expected {
+                            diverged[l] = Some(site);
+                            *live -= 1;
+                        }
+                    }
+                    if *live == 0 {
+                        return false;
+                    }
+                }
+                Tag::Extract => {
+                    let base = a as usize * lanes;
+                    out.extend_from_slice(&vals[base..base + lanes]);
+                }
+                Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)].1),
+                Tag::ExtractElement => {
+                    let base = a as usize * lanes;
+                    out.extend_from_slice(&arrays[usize::from(fmt)].1[base..base + lanes]);
+                }
+                // Stripped from the raw view (nothing observes them).
+                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
+            }
+        }
+        true
+    }
+
+    /// The result of lane `lane`, whose trace is `trace`, once the run has
+    /// reached the end of the tape or every lane has diverged.
+    fn result(&mut self, lane: usize, trace: &Trace) -> Replayed {
+        if let Some(at) = self.diverged[lane] {
+            return Replayed::Divergent { at: at as usize };
+        }
+        let lanes = self.diverged.len();
+        Replayed::Output(match trace.plan {
+            OutputPlan::Verbatim => trace.outputs.clone(),
+            // A single lane owns the whole output column.
+            OutputPlan::FromExtracts if lanes == 1 => std::mem::take(&mut self.out),
+            OutputPlan::FromExtracts => {
+                self.out.iter().skip(lane).step_by(lanes).copied().collect()
+            }
+        })
+    }
+}
+
+/// One lane's operands re-rounded into the promoted format, as `e` says.
+#[inline(always)]
+fn promote(e: Promo, va: f64, vb: f64) -> (f64, f64) {
+    (
+        if e.san_a { e.fmt.sanitize_f64(va) } else { va },
+        if e.san_b { e.fmt.sanitize_f64(vb) } else { vb },
+    )
+}
+
+/// Pushes `op` over the promoted operand columns `a` and `b`, returning the
+/// promotion cell (the caller pushes the result slot).
+#[inline(always)]
+fn push_bin(
+    vals: &mut Vec<f64>,
+    vslot: &[u16],
+    tables: &Tables,
+    op: BinOp,
+    a: u32,
+    b: u32,
+    lanes: usize,
+) -> Promo {
+    let e = tables.promo(vslot[a as usize], vslot[b as usize]);
+    let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
+    for l in 0..lanes {
+        let (va, vb) = promote(e, vals[abase + l], vals[bbase + l]);
+        vals.push(Emulated.bin_op(e.fmt, op, va, vb));
+    }
+    e
+}
+
+/// Pushes the `lanes` values at `vals[base..]` re-rounded through `cs`.
+#[inline(always)]
+fn push_cast(vals: &mut Vec<f64>, base: usize, lanes: usize, cs: CastSpec) {
+    if cs.exact {
+        vals.extend_from_within(base..base + lanes);
+    } else {
+        for l in 0..lanes {
+            let v = cs.fmt.sanitize_f64(vals[base + l]);
+            vals.push(v);
+        }
+    }
+}
+
+impl Scratch {
+    /// Replays the whole tape shared by `traces` under `config`, one lane
+    /// per trace; the results are then read with [`SoaState::result`].
+    fn replay_lanes<L: Lanes>(&mut self, lanes: L, traces: &[&Trace], config: &TypeConfig) {
+        let leader = traces[0];
+        self.tables.rebuild(leader, config);
+        self.soa.start(leader, lanes.get(), &mut self.spare);
+        let end = leader.raw_ops.len();
+        self.soa
+            .run(lanes, traces, &self.tables, &mut self.spare, 0..end);
+    }
+}
+
 impl Trace {
+    /// The unobserved path of [`Trace::replay`]: the raw loop with one lane.
+    pub(crate) fn replay_one(&self, config: &TypeConfig) -> Replayed {
+        with_scratch(|scratch| {
+            scratch.replay_lanes(One, &[self], config);
+            let result = scratch.soa.result(0, self);
+            scratch.retire_arrays();
+            result
+        })
+    }
+
     /// Replays every trace in `traces` under `config` in one pass over the
     /// shared decoded tape, returning one [`Replayed`] per trace, in
     /// order. Each result is bit-identical to `traces[i].replay(config)` —
@@ -52,13 +407,19 @@ impl Trace {
             return Vec::new();
         };
         let observed = Recorder::is_enabled() || Engine::is_active();
-        if rest.is_empty() || observed || !rest.iter().all(|t| leader.same_shape(t)) {
+        if observed || !rest.iter().all(|t| leader.same_shape(t)) {
             return traces.iter().map(|t| t.replay(config)).collect();
         }
         with_scratch(|scratch| {
-            let result = batch_raw(traces, config, scratch);
+            let lanes = traces.len();
+            scratch.replay_lanes(lanes, traces, config);
+            let results = traces
+                .iter()
+                .enumerate()
+                .map(|(l, t)| scratch.soa.result(l, t))
+                .collect();
             scratch.retire_arrays();
-            result
+            results
         })
     }
 
@@ -70,28 +431,25 @@ impl Trace {
     /// bit-identical to `self.replay(configs[i])`.
     #[must_use]
     pub fn replay_candidates(&self, configs: &[&TypeConfig]) -> Vec<Replayed> {
-        let [_, rest @ ..] = configs else {
-            return Vec::new();
-        };
-        if rest.is_empty() || Recorder::is_enabled() || Engine::is_active() {
+        if Recorder::is_enabled() || Engine::is_active() {
             return configs.iter().map(|cfg| self.replay(cfg)).collect();
         }
-
-        let mut tables: Vec<Tables> = Vec::with_capacity(configs.len());
-        for cfg in configs {
-            let mut t = Tables::default();
-            t.rebuild(self, cfg);
-            tables.push(t);
-        }
+        let tables: Vec<Tables> = configs
+            .iter()
+            .map(|cfg| {
+                let mut t = Tables::default();
+                t.rebuild(self, cfg);
+                t
+            })
+            .collect();
+        let Some((last, forks)) = tables.split_last() else {
+            return Vec::new();
+        };
 
         // A slot "differs" when any candidate resolves it to another
-        // format than candidate 0 does.
-        let n = tables[0].n();
-        let differs: Vec<bool> = (0..n)
-            .map(|s| {
-                let f0 = tables[0].fmts[s];
-                tables[1..].iter().any(|t| t.fmts[s] != f0)
-            })
+        // format than the last one does.
+        let differs: Vec<bool> = (0..last.n())
+            .map(|s| forks.iter().any(|t| t.fmts[s] != last.fmts[s]))
             .collect();
 
         // The prefix ends at the first entry that *introduces* a value or
@@ -117,466 +475,34 @@ impl Trace {
                 introduces_slot && differs[usize::from(p.fmt)]
             })
             .unwrap_or(self.raw_ops.len());
+        let suffix = prefix_end..self.raw_ops.len();
 
-        let mut shared = CandState::new(self);
-        if let Some(at) = run_range(self, &tables[0], &mut shared, 0, prefix_end) {
-            // The prefix consults only equal table cells, so a prefix
-            // divergence is every candidate's divergence.
-            return vec![Replayed::Divergent { at }; configs.len()];
-        }
-
-        let last = configs.len() - 1;
-        (0..configs.len())
-            .map(|k| {
-                // The last candidate takes the shared prefix by move.
-                let mut st = if k == last {
-                    std::mem::take(&mut shared)
-                } else {
-                    shared.clone()
-                };
-                match run_range(self, &tables[k], &mut st, prefix_end, self.raw_ops.len()) {
-                    Some(at) => Replayed::Divergent { at },
-                    None => Replayed::Output(match self.plan {
-                        OutputPlan::FromExtracts => st.out,
-                        OutputPlan::Verbatim => self.outputs.clone(),
-                    }),
-                }
-            })
-            .collect()
-    }
-}
-
-/// The per-candidate interpreter state of [`Trace::replay_candidates`]:
-/// cloned at the fork point, so it owns plain buffers rather than
-/// borrowing the recycled scratch.
-#[derive(Clone, Default)]
-struct CandState {
-    vals: Vec<f64>,
-    vslot: Vec<u16>,
-    arrays: Vec<(u16, Vec<f64>)>,
-    out: Vec<f64>,
-    cmp_seq: usize,
-}
-
-impl CandState {
-    fn new(trace: &Trace) -> Self {
-        let mut st = CandState::default();
-        st.vals.reserve(trace.n_values as usize + 1);
-        st.vslot.reserve(trace.n_values as usize + 1);
-        st.vals.push(0.0);
-        st.vslot.push(0);
-        st.arrays.push((0, Vec::new()));
-        st.out.reserve(trace.outputs.len());
-        st
-    }
-}
-
-/// Runs raw entries `[start, end)` of `trace` against `tables`, mutating
-/// `st` in place. Returns the full-tape divergence site if a recorded
-/// comparison flips. Mirrors `Trace::replay_raw_in` operation for
-/// operation (the equivalence tests in `tests/replay_equivalence.rs` and
-/// `batch::tests` pin the pair).
-#[allow(clippy::too_many_lines)]
-fn run_range(
-    trace: &Trace,
-    tables: &Tables,
-    st: &mut CandState,
-    start: usize,
-    end: usize,
-) -> Option<usize> {
-    let CandState {
-        vals,
-        vslot,
-        arrays,
-        out,
-        cmp_seq,
-    } = st;
-    for p in &trace.raw_ops[start..end] {
-        let Packed { tag, fmt, a, b } = *p;
-        match tag {
-            Tag::Leaf => {
-                vals.push(tables.fmt(fmt).sanitize_f64(trace.pool[a as usize]));
-                vslot.push(fmt);
-            }
-            Tag::ArrayNew => {
-                let f = tables.fmt(fmt);
-                let raw = &trace.pool[a as usize..a as usize + b as usize];
-                arrays.push((fmt, raw.iter().map(|&x| f.sanitize_f64(x)).collect()));
-            }
-            Tag::ArrayZeros => {
-                arrays.push((fmt, vec![0.0; a as usize]));
-            }
-            Tag::ArrayDup => {
-                let dup = arrays[usize::from(fmt)].clone();
-                arrays.push(dup);
-            }
-            Tag::Load => {
-                let (slot, ref data) = arrays[usize::from(fmt)];
-                vals.push(data[a as usize]);
-                vslot.push(slot);
-            }
-            Tag::Store => {
-                let (v, sv) = (vals[b as usize], vslot[b as usize]);
-                let (slot, ref mut data) = arrays[usize::from(fmt)];
-                let cs = tables.cast(slot, sv);
-                data[a as usize] = if cs.exact { v } else { cs.fmt.sanitize_f64(v) };
-            }
-            Tag::Cast => {
-                let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                let cs = tables.cast(fmt, sv);
-                vals.push(if cs.exact { v } else { cs.fmt.sanitize_f64(v) });
-                vslot.push(fmt);
-            }
-            Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let op = match tag {
-                    Tag::Add => BinOp::Add,
-                    Tag::Sub => BinOp::Sub,
-                    Tag::Mul => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                vslot.push(e.result);
-            }
-            Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let op = match tag {
-                    Tag::AddCast => BinOp::Add,
-                    Tag::SubCast => BinOp::Sub,
-                    Tag::MulCast => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                let raw = Emulated.bin_op(e.fmt, op, va, vb);
-                vals.push(raw);
-                vslot.push(e.result);
-                let cs = tables.cast(fmt, e.result);
-                vals.push(if cs.exact {
-                    raw
-                } else {
-                    cs.fmt.sanitize_f64(raw)
-                });
-                vslot.push(fmt);
-            }
-            Tag::Sqrt => {
-                let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                vals.push(Emulated.sqrt(tables.fmt(sv), v));
-                vslot.push(sv);
-            }
-            Tag::Min | Tag::Max => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let val = if tag == Tag::Min {
-                    Emulated.min(e.fmt, va, vb)
-                } else {
-                    Emulated.max(e.fmt, va, vb)
-                };
-                vals.push(val);
-                vslot.push(e.result);
-            }
-            Tag::Neg => {
-                vals.push(-vals[a as usize]);
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::Abs => {
-                vals.push(vals[a as usize].abs());
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::CmpLt | Tag::CmpLe => {
-                let (va, vb, _) = promoted(tables, vals, vslot, a, b);
-                let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                let seq = *cmp_seq;
-                *cmp_seq += 1;
-                if got != (fmt != 0) {
-                    return Some(trace.cmp_sites[seq] as usize);
-                }
-            }
-            Tag::Extract => out.push(vals[a as usize]),
-            Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)].1),
-            Tag::ExtractElement => out.push(arrays[usize::from(fmt)].1[a as usize]),
-            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
-        }
-    }
-    None
-}
-
-/// The structure-of-arrays interpreter: one pass over `traces[0]`'s raw
-/// tape, values laid out as `vals[id * lanes + lane]` and arrays as
-/// `data[idx * lanes + lane]`. Per-op decode, dispatch and table reads
-/// happen once; only the arithmetic is per-lane. Lanes that diverge are
-/// marked dead and skipped at comparisons (elsewhere they compute
-/// harmlessly — f64 arithmetic cannot fault); the pass stops early when
-/// every lane is dead.
-#[allow(clippy::too_many_lines)]
-fn batch_raw(traces: &[&Trace], config: &TypeConfig, scratch: &mut Scratch) -> Vec<Replayed> {
-    let lanes = traces.len();
-    let leader = traces[0];
-    let Scratch {
-        vals,
-        vslot,
-        arrays,
-        spare,
-        spare_bytes,
-        tables,
-    } = scratch;
-    tables.rebuild(leader, config);
-
-    vals.clear();
-    vslot.clear();
-    vals.reserve((leader.n_values as usize + 1) * lanes);
-    vslot.reserve(leader.n_values as usize + 1);
-    vals.resize(lanes, 0.0);
-    vslot.push(0);
-    arrays.push((0, take_buf(spare, spare_bytes)));
-
-    let mut outs: Vec<Vec<f64>> = traces
-        .iter()
-        .map(|t| Vec::with_capacity(t.outputs.len()))
-        .collect();
-    let mut results: Vec<Option<Replayed>> = vec![None; lanes];
-    let mut alive: Vec<bool> = vec![true; lanes];
-    let mut alive_count = lanes;
-    let mut cmp_seq = 0usize;
-
-    'tape: for p in &leader.raw_ops {
-        let Packed { tag, fmt, a, b } = *p;
-        match tag {
-            Tag::Leaf => {
-                let f = tables.fmt(fmt);
-                vals.extend(traces.iter().map(|t| f.sanitize_f64(t.pool[a as usize])));
-                vslot.push(fmt);
-            }
-            Tag::ArrayNew => {
-                let f = tables.fmt(fmt);
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.reserve(b as usize * lanes);
-                for idx in 0..b as usize {
-                    data.extend(
-                        traces
-                            .iter()
-                            .map(|t| f.sanitize_f64(t.pool[a as usize + idx])),
-                    );
-                }
-                arrays.push((fmt, data));
-            }
-            Tag::ArrayZeros => {
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.resize(a as usize * lanes, 0.0);
-                arrays.push((fmt, data));
-            }
-            Tag::ArrayDup => {
-                let (slot, ref src) = arrays[usize::from(fmt)];
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.extend_from_slice(src);
-                arrays.push((slot, data));
-            }
-            Tag::Load => {
-                let (slot, ref data) = arrays[usize::from(fmt)];
-                let base = a as usize * lanes;
-                vals.extend_from_slice(&data[base..base + lanes]);
-                vslot.push(slot);
-            }
-            Tag::Store => {
-                let sv = vslot[b as usize];
-                let vbase = b as usize * lanes;
-                let (slot, ref mut data) = arrays[usize::from(fmt)];
-                let cs = tables.cast(slot, sv);
-                let abase = a as usize * lanes;
-                if cs.exact {
-                    data[abase..abase + lanes].copy_from_slice(&vals[vbase..vbase + lanes]);
-                } else {
-                    for l in 0..lanes {
-                        data[abase + l] = cs.fmt.sanitize_f64(vals[vbase + l]);
-                    }
-                }
-            }
-            Tag::Cast => {
-                let sv = vslot[a as usize];
-                let base = a as usize * lanes;
-                let cs = tables.cast(fmt, sv);
-                if cs.exact {
-                    vals.extend_from_within(base..base + lanes);
-                } else {
-                    for l in 0..lanes {
-                        let v = cs.fmt.sanitize_f64(vals[base + l]);
-                        vals.push(v);
-                    }
-                }
-                vslot.push(fmt);
-            }
-            Tag::Add
-            | Tag::Sub
-            | Tag::Mul
-            | Tag::Div
-            | Tag::AddCast
-            | Tag::SubCast
-            | Tag::MulCast
-            | Tag::DivCast => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let op = match tag {
-                    Tag::Add | Tag::AddCast => BinOp::Add,
-                    Tag::Sub | Tag::SubCast => BinOp::Sub,
-                    Tag::Mul | Tag::MulCast => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                for l in 0..lanes {
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                }
-                vslot.push(e.result);
-                let fused = matches!(
-                    tag,
-                    Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast
-                );
-                if fused {
-                    // Second value of the fused entry: the bin results we
-                    // just pushed, re-rounded through the interned
-                    // (result-slot, dst-slot) cast cell.
-                    let rbase = vals.len() - lanes;
-                    let cs = tables.cast(fmt, e.result);
-                    if cs.exact {
-                        vals.extend_from_within(rbase..rbase + lanes);
-                    } else {
-                        for l in 0..lanes {
-                            let v = cs.fmt.sanitize_f64(vals[rbase + l]);
-                            vals.push(v);
-                        }
-                    }
-                    vslot.push(fmt);
-                }
-            }
-            Tag::Sqrt => {
-                let sv = vslot[a as usize];
-                let f = tables.fmt(sv);
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = Emulated.sqrt(f, vals[base + l]);
-                    vals.push(v);
-                }
-                vslot.push(sv);
-            }
-            Tag::Min | Tag::Max => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                for l in 0..lanes {
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    vals.push(if tag == Tag::Min {
-                        Emulated.min(e.fmt, va, vb)
-                    } else {
-                        Emulated.max(e.fmt, va, vb)
-                    });
-                }
-                vslot.push(e.result);
-            }
-            Tag::Neg => {
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = -vals[base + l];
-                    vals.push(v);
-                }
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::Abs => {
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = vals[base + l].abs();
-                    vals.push(v);
-                }
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::CmpLt | Tag::CmpLe => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                let seq = cmp_seq;
-                cmp_seq += 1;
-                for (l, trace) in traces.iter().enumerate() {
-                    if !alive[l] {
-                        continue;
-                    }
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                    // Each lane checks against its *own* recorded outcome
-                    // — branch decisions are input-data-dependent even on
-                    // a shared tape shape.
-                    let expected = trace_cmp_outcome(trace, seq);
-                    if got != expected {
-                        results[l] = Some(Replayed::Divergent {
-                            at: trace.cmp_sites[seq] as usize,
-                        });
-                        alive[l] = false;
-                        alive_count -= 1;
-                    }
-                }
-                if alive_count == 0 {
-                    break 'tape;
-                }
-            }
-            Tag::Extract => {
-                let base = a as usize * lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.push(vals[base + l]);
-                }
-            }
-            Tag::ExtractArray => {
-                let (_, ref data) = arrays[usize::from(fmt)];
-                let len = data.len() / lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.extend((0..len).map(|idx| data[idx * lanes + l]));
-                }
-            }
-            Tag::ExtractElement => {
-                let (_, ref data) = arrays[usize::from(fmt)];
-                let base = a as usize * lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.push(data[base + l]);
-                }
-            }
-            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
-        }
-    }
-
-    results
-        .into_iter()
-        .zip(outs)
-        .zip(traces)
-        .map(|((r, out), trace)| match r {
-            Some(divergent) => divergent,
-            None => Replayed::Output(match trace.plan {
-                OutputPlan::FromExtracts => out,
-                OutputPlan::Verbatim => trace.outputs.clone(),
-            }),
+        with_scratch(|scratch| {
+            let Scratch { soa, spare, .. } = scratch;
+            soa.start(self, 1, spare);
+            let results = if soa.run(One, &[self], last, spare, 0..prefix_end) {
+                let mut results: Vec<Replayed> = forks
+                    .iter()
+                    .map(|t| {
+                        let mut fork = soa.clone();
+                        fork.run(One, &[self], t, spare, suffix.clone());
+                        spare.retire(&mut fork.arrays);
+                        fork.result(0, self)
+                    })
+                    .collect();
+                // The last candidate resumes the shared state in place.
+                soa.run(One, &[self], last, spare, suffix);
+                results.push(soa.result(0, self));
+                results
+            } else {
+                // The prefix consults only equal table cells, so a prefix
+                // divergence is every candidate's divergence.
+                vec![soa.result(0, self); configs.len()]
+            };
+            scratch.retire_arrays();
+            results
         })
-        .collect()
-}
-
-/// The `seq`-th recorded comparison outcome of `trace` (the `fmt` field of
-/// its raw `Cmp` entry at the full-tape site).
-#[inline]
-fn trace_cmp_outcome(trace: &Trace, seq: usize) -> bool {
-    trace.ops[trace.cmp_sites[seq] as usize].fmt != 0
+    }
 }
 
 #[cfg(test)]
@@ -661,6 +587,36 @@ mod tests {
         assert!(matches!(batched[1], Replayed::Divergent { .. }));
         assert!(matches!(batched[0], Replayed::Output(_)));
         assert!(matches!(batched[2], Replayed::Output(_)));
+    }
+
+    /// Same-shape lanes whose recorded branch outcomes differ: each lane
+    /// must be checked against its own outcome, not the leader's.
+    #[test]
+    fn lanes_check_their_own_recorded_outcomes() {
+        let taped = |x0: f64| {
+            let vars = vec![VarSpec::array("x", 2)];
+            Trace::record(&vars, move |cfg| {
+                let x = FxArray::from_f64s(cfg.format_of("x"), &[x0, 1.0]);
+                vec![f64::from(u8::from(x.get(0).lt(x.get(1))))]
+            })
+            .unwrap()
+        };
+        // Lane 0 records `true`, lane 1 `false`, lane 2 `true` but flips
+        // at binary8 (1 - 1/1024 rounds to 1.0).
+        let traces = [taped(0.5), taped(2.0), taped(1.0 - 1.0 / 1024.0)];
+        let refs: Vec<&Trace> = traces.iter().collect();
+        assert!(refs[1..].iter().all(|t| refs[0].same_shape(t)));
+        for cfg in [
+            TypeConfig::baseline(),
+            TypeConfig::baseline().with("x", BINARY8),
+        ] {
+            let sequential: Vec<Replayed> = traces.iter().map(|t| t.replay(&cfg)).collect();
+            assert_eq!(Trace::replay_batch(&refs, &cfg), sequential, "{cfg}");
+        }
+        let coarse = TypeConfig::baseline().with("x", BINARY8);
+        let outcomes = Trace::replay_batch(&refs, &coarse);
+        assert_eq!(outcomes[1], Replayed::Output(vec![0.0]));
+        assert!(matches!(outcomes[2], Replayed::Divergent { .. }));
     }
 
     #[test]

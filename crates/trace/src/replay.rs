@@ -1,33 +1,36 @@
 //! Tape replay under a candidate configuration.
 //!
-//! Two interpreters share the tape:
+//! The tape has two interpreters:
 //!
-//! * [`Trace::replay`] picks the **raw** interpreter when nothing is
-//!   observing the thread (no [`Recorder`], no installed backend): values
-//!   are plain `(f64, format)` pairs and every operation inlines the
-//!   emulated datapath ([`Emulated`]) directly — the same arithmetic the
+//! * [`Trace::replay`] runs the **raw** loop of [`crate::batch`] with one
+//!   lane when nothing is observing the thread (no [`Recorder`], no
+//!   installed backend): values are plain `f64`s plus format slots and
+//!   every operation inlines the emulated datapath — the arithmetic the
 //!   uninstalled `Fx` fast path executes, minus the per-op thread-local
-//!   checks and statistics bookkeeping. This is what makes a replayed
-//!   candidate evaluation cheaper than a live kernel run.
+//!   checks and statistics bookkeeping. That is what makes a replayed
+//!   candidate evaluation cheaper than a live kernel run. The same loop,
+//!   with more lanes or resumed from a shared prefix, serves
+//!   [`Trace::replay_batch`] and [`Trace::replay_candidates`].
 //! * When a `Recorder` is running or a backend is installed, replay drives
-//!   the real [`Fx`]/[`FxArray`] API instead, so recorded statistics and
-//!   backend dispatch are exact by construction.
+//!   the real [`Fx`]/[`FxArray`] API instead ([`Trace::replay_fx`] below),
+//!   so recorded statistics and backend dispatch are exact by
+//!   construction.
 //!
 //! Both interpreters are bit-identical in outputs and divergence decisions
-//! (`raw_path_matches_fx_path` below, and the kernel-level proptests in
-//! `tests/replay_equivalence.rs`, pin this).
+//! (`raw_path_matches_fx_path` below, and the kernel-level suites
+//! `tests/replay_equivalence.rs` and `tests/interpreter_equivalence.rs`,
+//! pin this).
 //!
-//! The batched structure-of-arrays variants — one pass over the tape for
-//! many input sets, or many candidate configurations — live in
-//! [`crate::batch`] and share this module's per-replay dispatch tables
-//! ([`Tables`]) and recycled scratch storage ([`Scratch`]).
+//! This module also holds what the raw loop reads and reuses: the
+//! per-replay dispatch tables ([`Tables`]) and the thread's recycled
+//! scratch storage ([`Scratch`]).
 
 use std::cell::RefCell;
 
-use flexfloat::backend::Emulated;
-use flexfloat::{BinOp, Engine, FpBackend, Fx, FxArray, Recorder, TypeConfig, VectorSection};
+use flexfloat::{Engine, Fx, FxArray, Recorder, TypeConfig, VectorSection};
 use tp_formats::{FpFormat, BINARY32};
 
+use crate::batch::SoaState;
 use crate::tape::{FmtRef, OutputPlan, Packed, Tag, Trace};
 
 /// One cell of the per-replay promotion table: what `Fx::promote` decides
@@ -165,29 +168,6 @@ impl Tables {
     }
 }
 
-/// Promotes the operands of a binary entry: reads the table cell for the
-/// operands' slots and re-rounds whichever side the cell says, returning
-/// the cell so the caller knows the result slot/format.
-#[inline]
-pub(crate) fn promoted(
-    t: &Tables,
-    vals: &[f64],
-    vslot: &[u16],
-    a: u32,
-    b: u32,
-) -> (f64, f64, Promo) {
-    let e = t.promo(vslot[a as usize], vslot[b as usize]);
-    let mut va = vals[a as usize];
-    let mut vb = vals[b as usize];
-    if e.san_a {
-        va = e.fmt.sanitize_f64(va);
-    }
-    if e.san_b {
-        vb = e.fmt.sanitize_f64(vb);
-    }
-    (va, vb, e)
-}
-
 /// Most retired array buffers a thread's scratch will keep for reuse.
 pub(crate) const MAX_SPARE_BUFFERS: usize = 16;
 
@@ -197,28 +177,41 @@ pub(crate) const MAX_SPARE_BUFFERS: usize = 16;
 /// has ever tuned, per thread.
 pub(crate) const MAX_SPARE_BYTES: usize = 4 << 20;
 
-/// Takes a recycled buffer (empty, capacity retained) or a fresh one.
-#[inline]
-pub(crate) fn take_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize) -> Vec<f64> {
-    match spare.pop() {
-        Some(buf) => {
-            *spare_bytes -= buf.capacity() * std::mem::size_of::<f64>();
-            buf
-        }
-        None => Vec::new(),
-    }
+/// Retired array storage, recycled into later replays' arrays. Bounded by
+/// [`MAX_SPARE_BUFFERS`] / [`MAX_SPARE_BYTES`].
+#[derive(Default)]
+pub(crate) struct Spare {
+    pub(crate) bufs: Vec<Vec<f64>>,
+    /// Total capacity bytes currently held in `bufs`.
+    pub(crate) bytes: usize,
 }
 
-/// Recycles a retired buffer into `spare`, unless either retention cap
-/// (count or bytes) would be exceeded — then the buffer is simply dropped.
-#[inline]
-pub(crate) fn recycle_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize, buf: Vec<f64>) {
-    let bytes = buf.capacity() * std::mem::size_of::<f64>();
-    if spare.len() >= MAX_SPARE_BUFFERS || *spare_bytes + bytes > MAX_SPARE_BYTES {
-        return;
+impl Spare {
+    /// Takes a recycled buffer (emptied, capacity retained) or a fresh one.
+    #[inline]
+    pub(crate) fn take(&mut self) -> Vec<f64> {
+        match self.bufs.pop() {
+            Some(mut buf) => {
+                self.bytes -= buf.capacity() * std::mem::size_of::<f64>();
+                buf.clear();
+                buf
+            }
+            None => Vec::new(),
+        }
     }
-    *spare_bytes += bytes;
-    spare.push(buf);
+
+    /// Recycles every array buffer of `arrays`, leaving it empty with its
+    /// capacity kept for the next replay. A buffer that would exceed either
+    /// retention cap (count or bytes) is simply dropped.
+    pub(crate) fn retire(&mut self, arrays: &mut Vec<(u16, Vec<f64>)>) {
+        for (_, buf) in arrays.drain(..) {
+            let bytes = buf.capacity() * std::mem::size_of::<f64>();
+            if self.bufs.len() < MAX_SPARE_BUFFERS && self.bytes + bytes <= MAX_SPARE_BYTES {
+                self.bytes += bytes;
+                self.bufs.push(buf);
+            }
+        }
+    }
 }
 
 /// Reusable raw-interpreter buffers. A tuning run replays the same tape
@@ -227,57 +220,44 @@ pub(crate) fn recycle_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize, bu
 /// page faults of first touch) per candidate. The scratch is thread-local:
 /// replays on pool workers each reuse their own.
 ///
-/// Invariant between replays: `arrays` is empty — every exit path of every
-/// interpreter (including early [`Replayed::Divergent`] returns) retires
-/// its arrays into `spare`, so no per-run state leaks into the next replay
-/// (or, in the batched interpreter, across input-set lanes).
+/// Invariant between replays: `soa.arrays` is empty — every exit path of
+/// every raw replay (including lanes that diverge) retires its arrays into
+/// `spare`, so no per-run state leaks into the next replay.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Value table, split into parallel columns (10 bytes per value
-    /// instead of a padded struct — the table is pure memory traffic).
-    pub(crate) vals: Vec<f64>,
-    /// Format slot of each value.
-    pub(crate) vslot: Vec<u16>,
-    /// Arrays as (format slot, storage).
-    pub(crate) arrays: Vec<(u16, Vec<f64>)>,
-    /// Retired array storage, recycled into the next replay's arrays.
-    /// Bounded by [`MAX_SPARE_BUFFERS`] / [`MAX_SPARE_BYTES`].
-    pub(crate) spare: Vec<Vec<f64>>,
-    /// Total capacity bytes currently held in `spare`.
-    pub(crate) spare_bytes: usize,
+    /// The raw loop's state.
+    pub(crate) soa: SoaState,
+    /// Retired array storage.
+    pub(crate) spare: Spare,
     /// Resolved dispatch tables of the current replay.
     pub(crate) tables: Tables,
 }
 
 impl Scratch {
     /// Retires every live array buffer into the (bounded) spare pool —
-    /// called on **every** interpreter exit path, divergent or not.
+    /// called on **every** raw replay exit path, divergent or not.
     pub(crate) fn retire_arrays(&mut self) {
-        let mut arrays = std::mem::take(&mut self.arrays);
-        for (_, data) in arrays.drain(..) {
-            recycle_buf(&mut self.spare, &mut self.spare_bytes, data);
-        }
-        // Keep the (empty) Vec so its capacity is reused next replay.
-        self.arrays = arrays;
+        self.spare.retire(&mut self.soa.arrays);
     }
 
     /// Debug-build check of the between-replays invariants.
     pub(crate) fn debug_assert_clean(&self) {
         debug_assert!(
-            self.arrays.is_empty(),
-            "scratch.arrays leaked across replays"
+            self.soa.arrays.is_empty(),
+            "scratch.soa.arrays leaked across replays"
         );
         debug_assert!(
-            self.spare.len() <= MAX_SPARE_BUFFERS,
+            self.spare.bufs.len() <= MAX_SPARE_BUFFERS,
             "spare count cap violated"
         );
         debug_assert!(
-            self.spare_bytes <= MAX_SPARE_BYTES,
+            self.spare.bytes <= MAX_SPARE_BYTES,
             "spare byte cap violated"
         );
         debug_assert_eq!(
-            self.spare_bytes,
+            self.spare.bytes,
             self.spare
+                .bufs
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<f64>())
                 .sum::<usize>(),
@@ -292,7 +272,7 @@ thread_local! {
 
 /// Runs `f` with the calling thread's replay scratch, asserting (in debug
 /// builds) the between-replays invariants on entry and exit. `f` must
-/// leave `scratch.arrays` retired.
+/// leave `scratch.soa.arrays` retired.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
@@ -358,7 +338,7 @@ impl Trace {
         if Recorder::is_enabled() || Engine::is_active() {
             self.replay_fx(config)
         } else {
-            self.replay_raw(config)
+            self.replay_one(config)
         }
     }
 
@@ -451,173 +431,6 @@ impl Trace {
                 FmtRef::Fixed(fmt) => fmt,
             })
             .collect()
-    }
-
-    /// The unobserved interpreter: plain `f64` values + format slots
-    /// through the inlined emulated datapath. Must mirror the uninstalled
-    /// `Fx` path operation for operation — promotion rule, store rounding,
-    /// RISC-V min/max, quiet comparisons — so its outputs are bit-identical
-    /// to [`Trace::replay_fx`] (and therefore to live execution).
-    pub(crate) fn replay_raw(&self, config: &TypeConfig) -> Replayed {
-        with_scratch(|scratch| {
-            let result = self.replay_raw_in(config, scratch);
-            scratch.retire_arrays();
-            result
-        })
-    }
-
-    /// The raw interpreter loop proper. Leaves its arrays in
-    /// `scratch.arrays` on every exit path — the caller retires them.
-    #[allow(clippy::too_many_lines)]
-    fn replay_raw_in(&self, config: &TypeConfig, scratch: &mut Scratch) -> Replayed {
-        let Scratch {
-            vals,
-            vslot,
-            arrays,
-            spare,
-            spare_bytes,
-            tables,
-        } = scratch;
-        tables.rebuild(self, config);
-
-        vals.clear();
-        vslot.clear();
-        vals.reserve(self.n_values as usize + 1);
-        vslot.reserve(self.n_values as usize + 1);
-        vals.push(0.0);
-        vslot.push(0);
-        arrays.push((0, take_buf(spare, spare_bytes)));
-        let mut out: Vec<f64> = Vec::with_capacity(self.outputs.len());
-        let mut cmp_seq = 0usize;
-
-        for p in &self.raw_ops {
-            let Packed { tag, fmt, a, b } = *p;
-            match tag {
-                Tag::Leaf => {
-                    vals.push(tables.fmt(fmt).sanitize_f64(self.pool[a as usize]));
-                    vslot.push(fmt);
-                }
-                Tag::ArrayNew => {
-                    let f = tables.fmt(fmt);
-                    let raw = &self.pool[a as usize..a as usize + b as usize];
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
-                    data.extend(raw.iter().map(|&x| f.sanitize_f64(x)));
-                    arrays.push((fmt, data));
-                }
-                Tag::ArrayZeros => {
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
-                    data.resize(a as usize, 0.0);
-                    arrays.push((fmt, data));
-                }
-                Tag::ArrayDup => {
-                    let (slot, ref src) = arrays[usize::from(fmt)];
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
-                    data.extend_from_slice(src);
-                    arrays.push((slot, data));
-                }
-                Tag::Load => {
-                    let (slot, ref data) = arrays[usize::from(fmt)];
-                    vals.push(data[a as usize]);
-                    vslot.push(slot);
-                }
-                Tag::Store => {
-                    let (v, sv) = (vals[b as usize], vslot[b as usize]);
-                    let (slot, ref mut data) = arrays[usize::from(fmt)];
-                    let cs = tables.cast(slot, sv);
-                    data[a as usize] = if cs.exact { v } else { cs.fmt.sanitize_f64(v) };
-                }
-                Tag::Cast => {
-                    let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                    let cs = tables.cast(fmt, sv);
-                    vals.push(if cs.exact { v } else { cs.fmt.sanitize_f64(v) });
-                    vslot.push(fmt);
-                }
-                Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                    let op = match tag {
-                        Tag::Add => BinOp::Add,
-                        Tag::Sub => BinOp::Sub,
-                        Tag::Mul => BinOp::Mul,
-                        _ => BinOp::Div,
-                    };
-                    vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                    vslot.push(e.result);
-                }
-                Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                    // Fused bin + cast-of-result: two values, one entry. The
-                    // cast side is one table cell keyed on the interned
-                    // (result-slot, dst-slot) pair.
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                    let op = match tag {
-                        Tag::AddCast => BinOp::Add,
-                        Tag::SubCast => BinOp::Sub,
-                        Tag::MulCast => BinOp::Mul,
-                        _ => BinOp::Div,
-                    };
-                    let raw = Emulated.bin_op(e.fmt, op, va, vb);
-                    vals.push(raw);
-                    vslot.push(e.result);
-                    let cs = tables.cast(fmt, e.result);
-                    vals.push(if cs.exact {
-                        raw
-                    } else {
-                        cs.fmt.sanitize_f64(raw)
-                    });
-                    vslot.push(fmt);
-                }
-                Tag::Sqrt => {
-                    let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                    vals.push(Emulated.sqrt(tables.fmt(sv), v));
-                    vslot.push(sv);
-                }
-                Tag::Min | Tag::Max => {
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                    let val = if tag == Tag::Min {
-                        Emulated.min(e.fmt, va, vb)
-                    } else {
-                        Emulated.max(e.fmt, va, vb)
-                    };
-                    vals.push(val);
-                    vslot.push(e.result);
-                }
-                Tag::Neg => {
-                    vals.push(-vals[a as usize]);
-                    vslot.push(vslot[a as usize]);
-                }
-                Tag::Abs => {
-                    vals.push(vals[a as usize].abs());
-                    vslot.push(vslot[a as usize]);
-                }
-                Tag::CmpLt | Tag::CmpLe => {
-                    let (va, vb, _) = promoted(tables, vals, vslot, a, b);
-                    let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                    let seq = cmp_seq;
-                    cmp_seq += 1;
-                    if got != (fmt != 0) {
-                        // Map the k-th raw comparison back to its
-                        // full-tape address. The caller retires the arrays
-                        // pushed so far — divergence must not leak state
-                        // into the next replay.
-                        return Replayed::Divergent {
-                            at: self.cmp_sites[seq] as usize,
-                        };
-                    }
-                }
-                Tag::Extract => out.push(vals[a as usize]),
-                Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)].1),
-                Tag::ExtractElement => out.push(arrays[usize::from(fmt)].1[a as usize]),
-                // Stripped from the raw view (nothing observes them).
-                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
-            }
-        }
-
-        match self.plan {
-            OutputPlan::FromExtracts => Replayed::Output(out),
-            OutputPlan::Verbatim => Replayed::Output(self.outputs.clone()),
-        }
     }
 }
 
@@ -876,12 +689,12 @@ mod tests {
             let s = s.borrow();
             s.debug_assert_clean();
             assert!(
-                s.spare_bytes <= MAX_SPARE_BYTES,
+                s.spare.bytes <= MAX_SPARE_BYTES,
                 "spare holds {} bytes",
-                s.spare_bytes
+                s.spare.bytes
             );
             assert!(
-                s.spare.iter().all(|b| b.capacity() < big_len),
+                s.spare.bufs.iter().all(|b| b.capacity() < big_len),
                 "the over-cap buffer was retained"
             );
         });
@@ -901,7 +714,11 @@ mod tests {
         SCRATCH.with(|s| {
             let s = s.borrow();
             s.debug_assert_clean();
-            assert!(s.spare.len() <= MAX_SPARE_BUFFERS, "{}", s.spare.len());
+            assert!(
+                s.spare.bufs.len() <= MAX_SPARE_BUFFERS,
+                "{}",
+                s.spare.bufs.len()
+            );
         });
     }
 
@@ -924,7 +741,7 @@ mod tests {
         assert!(matches!(trace.replay(&coarse), Replayed::Divergent { .. }));
         SCRATCH.with(|s| {
             let s = s.borrow();
-            assert!(s.arrays.is_empty(), "divergent exit leaked arrays");
+            assert!(s.soa.arrays.is_empty(), "divergent exit leaked arrays");
             s.debug_assert_clean();
         });
     }

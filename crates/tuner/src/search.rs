@@ -205,12 +205,14 @@ enum Served {
 /// replay; consumption pays debt down, so a group whose hit rate stays
 /// above `LANE_COST / HIT_CREDIT` batches indefinitely, while a
 /// never-hitting group wastes at most `LANE_DEBT_LIMIT / LANE_COST`
-/// lanes. The values are tuned empirically on the six straight-line
-/// kernels (see `BENCH_7.json`): a wider window or cheaper lane cost
-/// measured *slower*, because early speculative lanes — before any
-/// sibling search has demonstrated a coinciding trajectory — are mostly
-/// wasted. Performance-only: verdicts and tallies are identical on
-/// every path.
+/// lanes. Measured with the repository benchmark (`perfbench`, workload
+/// `straight`, 6 alternating pairs of 20 s runs, 2-vCPU Xeon host):
+/// removing this throttle together with the done-set mask raised the
+/// median `round_s` from 0.498 s to 0.624 s (+25%, slower in 6 of 6
+/// pairs); turning batching off altogether raised it from 0.490 s to
+/// 0.558 s (+14%, 6 of 6). Throttled speculation is the fastest of the
+/// three (DESIGN.md §10). Performance-only: verdicts and tallies are
+/// identical on every path.
 const LANE_DEBT_LIMIT: i64 = 16;
 /// Debt charged per speculative extra lane in a batched pass.
 const LANE_COST: i64 = 1;

@@ -1,0 +1,91 @@
+//! The two tape interpreters agree through every replay entry point.
+//!
+//! An unobserved [`Trace::replay`] runs the raw structure-of-arrays loop
+//! with one lane; [`Trace::replay_batch`] runs the same loop with one lane
+//! per input set; [`Trace::replay_candidates`] runs it over a shared
+//! prefix and forks per configuration; an observed replay (a running
+//! [`Recorder`]) drives the `Fx`-driven interpreter instead. For every
+//! kernel of the small suite, every input set's trace and a list of
+//! uniform, recorded and mixed configurations, all four must return the
+//! same [`Replayed`]: the same output bits, or a divergence at the same
+//! tape site. The observed replay's counts must equal the live run's.
+
+use flexfloat::{Recorder, TypeConfig};
+use tp_formats::ALL_KINDS;
+use tp_kernels::all_kernels_small;
+use tp_trace::{Replayed, Trace};
+use tp_tuner::{SearchParams, Tunable};
+
+/// A replay result with outputs as bit patterns, so `-0.0`/`0.0` and NaN
+/// payloads compare exactly.
+fn key(r: &Replayed) -> Result<Vec<u64>, usize> {
+    match r {
+        Replayed::Output(out) => Ok(out.iter().map(|x| x.to_bits()).collect()),
+        Replayed::Divergent { at } => Err(*at),
+    }
+}
+
+/// Each uniform `FormatKind` configuration, the recorded one, and mixed
+/// per-variable assignments cycling through the kinds.
+fn configs(app: &dyn Tunable, trace: &Trace) -> Vec<TypeConfig> {
+    let mut cfgs: Vec<TypeConfig> = ALL_KINDS
+        .iter()
+        .map(|kind| TypeConfig::uniform(kind.format()))
+        .collect();
+    cfgs.push(trace.recorded_config().clone());
+    for (stride, offset) in [(1, 0), (1, 1), (3, 2)] {
+        let mut cfg = TypeConfig::baseline();
+        for (i, spec) in app.variables().iter().enumerate() {
+            cfg.set(spec.name, ALL_KINDS[(i * stride + offset) % 4].format());
+        }
+        cfgs.push(cfg);
+    }
+    cfgs
+}
+
+#[test]
+fn every_entry_point_agrees_with_the_observed_interpreter() {
+    let sets = SearchParams::paper(1e-1).input_sets;
+    let (mut completed, mut diverged) = (0, 0);
+    for app in all_kernels_small() {
+        let app = app.as_ref();
+        let name = app.name();
+        let traces: Vec<Trace> = (0..sets)
+            .map(|set| {
+                Trace::record(&app.variables(), |cfg| app.run(cfg, set))
+                    .unwrap_or_else(|e| panic!("{name} set {set}: {e}"))
+            })
+            .collect();
+        let lanes: Vec<&Trace> = traces.iter().collect();
+
+        for (set, trace) in traces.iter().enumerate() {
+            let cfgs = configs(app, trace);
+            let refs: Vec<&TypeConfig> = cfgs.iter().collect();
+            let candidates = trace.replay_candidates(&refs);
+            assert_eq!(candidates.len(), cfgs.len(), "{name} set {set}");
+
+            for (cfg, candidate) in cfgs.iter().zip(&candidates) {
+                let raw = key(&trace.replay(cfg));
+                let (observed, counts) = Recorder::scoped(|| trace.replay(cfg));
+                assert_eq!(raw, key(&observed), "{name} set {set} observed {cfg}");
+                if raw.is_err() {
+                    diverged += 1;
+                } else {
+                    completed += 1;
+                    let (live, live_counts) = Recorder::scoped(|| app.run(cfg, set));
+                    let live_bits = live.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(raw, Ok(live_bits), "{name} set {set} live {cfg}");
+                    assert_eq!(counts, live_counts, "{name} set {set} counts {cfg}");
+                }
+                let batched = Trace::replay_batch(&lanes, cfg);
+                assert_eq!(raw, key(&batched[set]), "{name} set {set} batch {cfg}");
+                assert_eq!(raw, key(candidate), "{name} set {set} candidate {cfg}");
+            }
+        }
+    }
+    // Both outcomes are covered: outputs and divergence sites.
+    assert!(
+        completed > 0 && diverged > 0,
+        "{completed} completed, {diverged} diverged"
+    );
+}
