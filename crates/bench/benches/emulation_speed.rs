@@ -6,12 +6,14 @@
 //!
 //! Benchmarked on identical element-wise workloads; both back-ends produce
 //! bit-identical results (verified by the cross-backend test suite), so the
-//! measured difference is purely emulation overhead.
+//! measured difference is purely emulation overhead. The `fx` rows run the
+//! same sweep on the runtime-format [`Fx`]/[`FxArray`] types the precision
+//! tuner executes, where the format is a value rather than a type.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8};
+use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8, Fx, FxArray};
 use tp_formats::{RoundingMode, BINARY16, BINARY16ALT, BINARY32, BINARY8};
 use tp_softfloat::ops;
 
@@ -35,6 +37,17 @@ macro_rules! flexfloat_sweep {
         }
         acc.to_f64()
     }};
+}
+
+/// The same sweep on the runtime-format types: operands loaded from
+/// `FxArray`s (rounded into `fmt` when the arrays are built, outside the
+/// timed loop), accumulated in an `Fx`.
+fn fx_sweep(a: &FxArray, b: &FxArray) -> f64 {
+    let mut acc = Fx::zero(a.format());
+    for i in 0..a.len() {
+        acc = acc + a.get(i) * b.get(i);
+    }
+    acc.value()
 }
 
 fn softfloat_sweep(fmt: tp_formats::FpFormat, a: &[f64], b: &[f64]) -> f64 {
@@ -77,6 +90,17 @@ fn bench_backends(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("softfloat", "binary32"), |bch| {
         bch.iter(|| black_box(softfloat_sweep(BINARY32, &a, &b)))
     });
+    for (name, fmt) in [
+        ("binary8", BINARY8),
+        ("binary16", BINARY16),
+        ("binary16alt", BINARY16ALT),
+        ("binary32", BINARY32),
+    ] {
+        let (fa, fb) = (FxArray::from_f64s(fmt, &a), FxArray::from_f64s(fmt, &b));
+        group.bench_function(BenchmarkId::new("fx", name), |bch| {
+            bch.iter(|| black_box(fx_sweep(&fa, &fb)))
+        });
+    }
     // Native f32 as the absolute lower bound.
     group.bench_function(BenchmarkId::new("native", "f32"), |bch| {
         bch.iter(|| {

@@ -8,11 +8,10 @@
 //! [`FlexFloat`](crate::FlexFloat) operation dispatches through the
 //! *active* [`FpBackend`] (see DESIGN.md §6).
 //!
-//! * [`Emulated`] — today's fast path: compute on the host `f64` datapath,
-//!   sanitize once. This is semantically identical to having no backend
-//!   installed at all; the *uninstalled* state is the zero-overhead
-//!   default (a thread-local flag check per op, exactly like
-//!   [`Recorder::is_enabled`](crate::Recorder::is_enabled)).
+//! * [`Emulated`] — the native datapath: compute on the host `f64`
+//!   datapath, sanitize once. This is semantically identical to having no
+//!   backend installed at all, and both states run the same inlined fast
+//!   path in every op (see [`FpBackend::is_native`] and DESIGN.md §6).
 //! * [`SoftFloat`] — routes every operation through the pure-integer
 //!   `tp-softfloat` kernels and accumulates the IEEE exception flags the
 //!   hardware would raise ([`FlagSet`], surfaced via [`Engine::flags`]).
@@ -143,6 +142,16 @@ pub trait FpBackend: Send + Sync {
     /// Clears the accumulated exception flags.
     fn clear_flags(&self) {}
 
+    /// `true` if this backend *is* the native datapath: every method
+    /// computes exactly what [`Emulated`] computes, and the backend counts,
+    /// accumulates and records nothing. Ops may then skip the backend
+    /// entirely and run their inlined fast path, as if none were installed
+    /// ([`Engine::current`] still returns it). Only [`Emulated`] overrides
+    /// the default.
+    fn is_native(&self) -> bool {
+        false
+    }
+
     /// The backend's tape sink, if it records an operation tape.
     ///
     /// This is the hook surface the `tp-trace` recording backend plugs
@@ -262,19 +271,22 @@ pub trait TapeSink {
     fn vector_exit(&self);
 }
 
-/// Thread dispatch state, not yet resolved: the first dispatch folds the
+/// Thread dispatch state, not yet resolved: the first hooked op folds the
 /// process-wide `TP_BACKEND` default into the thread's `ACTIVE` slot and
 /// settles on one of the other two states.
 const BK_UNRESOLVED: u8 = 0;
-/// No backend anywhere: operations take the inlined emulated fast path.
-const BK_NONE: u8 = 1;
-/// `ACTIVE` holds a backend (scoped installation or the folded-in global).
-const BK_SOME: u8 = 2;
+/// The native datapath: `ACTIVE` is empty or holds a backend whose
+/// [`FpBackend::is_native`] is true. Ops take their inlined fast path
+/// (unless the `Recorder` is on) and never call the backend.
+const BK_NATIVE: u8 = 1;
+/// `ACTIVE` holds a non-native backend (scoped installation or the
+/// folded-in global): every op takes its hooked path and dispatches.
+const BK_HOOKED: u8 = 2;
 
 thread_local! {
-    /// Fast-path guard, checked on every op — a plain `Cell` so the
-    /// uninstalled case costs exactly one thread-local read (the
-    /// process-default lookup happens once per thread, not per op).
+    /// Fast-path guard, checked on every op — a `const` `Cell` so the
+    /// check is one thread-local load (the process-default lookup happens
+    /// once per thread, not per op).
     static STATE: Cell<u8> = const { Cell::new(BK_UNRESOLVED) };
     static ACTIVE: RefCell<Option<Arc<dyn FpBackend>>> = const { RefCell::new(None) };
 }
@@ -331,32 +343,33 @@ impl Engine {
             }
         }
 
+        let state = state_of(Some(&*backend));
         let saved_backend = ACTIVE.with(|a| a.borrow_mut().replace(backend));
-        let saved_state = STATE.with(|s| s.replace(BK_SOME));
+        let saved_state = STATE.with(|s| s.replace(state));
         let _restore = Restore(saved_state, saved_backend);
         f()
     }
 
     /// The effective backend of this thread: the scoped installation if one
     /// exists, else the process-wide `TP_BACKEND` default, else `None`
-    /// (the emulated fast path).
+    /// (the native datapath). An installed [`Emulated`] is returned too,
+    /// although ops run natively under it.
     ///
     /// Fan-out code captures this once per `parallel_map`/`join2` call and
     /// re-installs it on each worker thread with [`Engine::with`].
     #[must_use]
     pub fn current() -> Option<Arc<dyn FpBackend>> {
-        if resolved_state() == BK_NONE {
-            return None;
-        }
+        resolved_state(); // folds the `TP_BACKEND` default in on first use
         ACTIVE.with(|a| a.borrow().clone())
     }
 
-    /// `true` while any backend (scoped or process default) is active on
-    /// this thread — i.e. while operations are *not* taking the inlined
-    /// emulated fast path.
+    /// `true` while a non-native backend (scoped or process default) is
+    /// active on this thread — i.e. while every operation takes its hooked
+    /// path and dispatches to it. `false` with no backend or with
+    /// [`Emulated`] installed.
     #[must_use]
     pub fn is_active() -> bool {
-        resolved_state() == BK_SOME
+        resolved_state() == BK_HOOKED
     }
 
     /// Name of the effective backend (`"emulated"` when none is installed,
@@ -374,12 +387,21 @@ impl Engine {
     }
 }
 
+/// The dispatch state that installing `backend` (`None`: nothing) puts a
+/// thread in.
+fn state_of(backend: Option<&dyn FpBackend>) -> u8 {
+    match backend {
+        Some(b) if !b.is_native() => BK_HOOKED,
+        _ => BK_NATIVE,
+    }
+}
+
 /// The thread's dispatch state, resolving the `TP_BACKEND` process default
 /// into the thread-local slot on first use (cold; once per thread).
 #[cold]
 fn resolve_state() -> u8 {
     let global = global_backend().clone();
-    let state = if global.is_some() { BK_SOME } else { BK_NONE };
+    let state = state_of(global.as_deref());
     ACTIVE.with(|a| *a.borrow_mut() = global);
     STATE.with(|s| s.set(state));
     state
@@ -394,34 +416,64 @@ fn resolved_state() -> u8 {
     state
 }
 
-/// Runs `f` against the effective backend, or returns `None` when the
-/// thread is on the uninstalled fast path. This is the per-op dispatch
-/// point used by `Fx`/`FlexFloat`; the uninstalled case costs exactly one
-/// thread-local `Cell` read — the same as the `Recorder::is_enabled` check
-/// that already guards every op.
+/// The one predicate guarding every op's inlined fast path: `true` when
+/// the op must take its outlined hooked path instead — the `Recorder` is
+/// on, or the thread's datapath is not (yet known to be) native. Two
+/// `const` thread-local loads; the first op on a thread is hooked and
+/// resolves the `TP_BACKEND` default.
+#[inline(always)]
+pub(crate) fn hooked() -> bool {
+    crate::Recorder::is_enabled() | (STATE.with(Cell::get) != BK_NATIVE)
+}
+
+/// Runs `f` against the effective backend, or returns `None` on the native
+/// datapath (where the caller computes natively). Called from the hooked
+/// paths of `Fx`/`FlexFloat` ops only.
 #[inline]
 pub(crate) fn dispatch<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {
-    if resolved_state() == BK_NONE {
+    if resolved_state() == BK_NATIVE {
         return None;
     }
     ACTIVE.with(|a| a.borrow().as_deref().map(f))
 }
 
-/// Runs `f` against the active backend's tape sink, or returns `None` when
-/// no backend is installed or the backend does not record a tape. Like
-/// [`dispatch`], the uninstalled case costs exactly one thread-local `Cell`
-/// read; with an ordinary compute backend installed it adds one virtual
-/// call that returns `None`.
-#[inline]
+/// Runs `f` against the active backend's tape sink, or returns `None` on
+/// the native datapath or when the backend does not record a tape.
+///
+/// Ops that only report to the tape (literals, sign ops, extraction, array
+/// set-up) call this directly: its inlined part is the [`hooked`] check,
+/// and the lookup runs out of line. The hooked paths of the other ops,
+/// which have passed that check already, call [`tap_hooked`].
+#[inline(always)]
 pub(crate) fn tap<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
-    if resolved_state() == BK_NONE {
+    if hooked() {
+        tap_outlined(f)
+    } else {
+        None
+    }
+}
+
+/// The out-of-line call of [`tap`]; `tap_hooked` itself stays `#[inline]`
+/// so the hooked op bodies inline their lookup.
+#[inline(never)]
+fn tap_outlined<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
+    tap_hooked(f)
+}
+
+/// The lookup behind [`tap`], for code already on a hooked path. With an
+/// ordinary compute backend installed it costs one virtual call that
+/// returns `None`.
+#[inline]
+pub(crate) fn tap_hooked<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
+    if resolved_state() == BK_NATIVE {
         return None;
     }
     ACTIVE.with(|a| a.borrow().as_deref().and_then(|b| b.tape()).map(f))
 }
 
-/// Dispatch-or-fallback for min/max, shared by `Fx` and `FlexFloat`: the
-/// active backend if one is installed, else the native RISC-V semantics.
+/// Dispatch-or-fallback for min/max, shared by the hooked paths of `Fx`
+/// and `FlexFloat`: the active backend if one is installed, else the
+/// native RISC-V semantics.
 #[inline]
 pub(crate) fn min_max(fmt: FpFormat, a: f64, b: f64, want_min: bool) -> f64 {
     dispatch(|bk| {
@@ -436,6 +488,7 @@ pub(crate) fn min_max(fmt: FpFormat, a: f64, b: f64, want_min: bool) -> f64 {
 
 /// `true` when native-f64 arithmetic plus one final rounding is provably
 /// bit-exact for `fmt` (Figueroa's `2m + 2 <= 52` double-rounding bound).
+#[inline(always)]
 fn native_exact(fmt: FpFormat) -> bool {
     2 * fmt.man_bits() + 2 <= 52
 }
@@ -443,6 +496,7 @@ fn native_exact(fmt: FpFormat) -> bool {
 /// RISC-V `fmin`/`fmax` on in-grid `f64` values: NaN loses, `-0 < +0`,
 /// two NaNs give the canonical NaN (an `f64` NaN here; the caller's format
 /// canonicalizes the encoding).
+#[inline(always)]
 pub(crate) fn native_min_max(a: f64, b: f64, want_min: bool) -> f64 {
     if a.is_nan() {
         return b;
@@ -460,14 +514,15 @@ pub(crate) fn native_min_max(a: f64, b: f64, want_min: bool) -> f64 {
     }
 }
 
-/// The native-`f64` fast path as an explicit backend: compute on the host
+/// The native-`f64` datapath as an explicit backend: compute on the host
 /// datapath, sanitize once (falling back to the softfloat kernels for the
 /// wide formats where double rounding would be unsound — the same rule
 /// [`FlexFloat`](crate::FlexFloat) applies).
 ///
 /// Installing `Emulated` computes exactly what the uninstalled default
-/// computes; it exists so harnesses can name the default explicitly in
-/// backend matrices.
+/// computes, and runs the same inlined fast path ([`FpBackend::is_native`]);
+/// it exists so harnesses can name the default explicitly in backend
+/// matrices.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Emulated;
 
@@ -476,10 +531,10 @@ impl FpBackend for Emulated {
         "emulated"
     }
 
-    // The uninstalled fast path funnels through these methods, so they
-    // must inline into the per-operator call sites (where `op` is a
-    // constant and the match folds away).
-    #[inline]
+    // Every op's fast path funnels through these methods, so they inline
+    // into the per-operator call sites (where `op` is a constant and the
+    // match folds away); the wide-format fallback stays out of line.
+    #[inline(always)]
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
         if native_exact(fmt) {
             let raw = match op {
@@ -490,23 +545,15 @@ impl FpBackend for Emulated {
             };
             return fmt.sanitize_f64(raw);
         }
-        let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
-        let mode = RoundingMode::default();
-        let bits = match op {
-            BinOp::Add => ops::add(fmt, ab, bb, mode),
-            BinOp::Sub => ops::sub(fmt, ab, bb, mode),
-            BinOp::Mul => ops::mul(fmt, ab, bb, mode),
-            BinOp::Div => ops::div(fmt, ab, bb, mode),
-        };
-        fmt.decode_to_f64(bits)
+        wide_bin_op(fmt, op, a, b)
     }
 
+    #[inline(always)]
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
         if native_exact(fmt) {
             return fmt.sanitize_f64(x.sqrt());
         }
-        let bits = ops::sqrt(fmt, fmt.encode_in_grid(x), RoundingMode::default());
-        fmt.decode_to_f64(bits)
+        wide_sqrt(fmt, x)
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
@@ -522,25 +569,58 @@ impl FpBackend for Emulated {
         fmt.decode_to_f64(bits)
     }
 
+    #[inline(always)]
     fn cast(&self, _from: FpFormat, to: FpFormat, x: f64) -> f64 {
         to.sanitize_f64(x)
     }
 
+    #[inline(always)]
     fn min(&self, _fmt: FpFormat, a: f64, b: f64) -> f64 {
         native_min_max(a, b, true)
     }
 
+    #[inline(always)]
     fn max(&self, _fmt: FpFormat, a: f64, b: f64) -> f64 {
         native_min_max(a, b, false)
     }
 
+    #[inline(always)]
     fn lt(&self, _fmt: FpFormat, a: f64, b: f64) -> bool {
         a < b
     }
 
+    #[inline(always)]
     fn le(&self, _fmt: FpFormat, a: f64, b: f64) -> bool {
         a <= b
     }
+
+    fn is_native(&self) -> bool {
+        true
+    }
+}
+
+/// [`Emulated::bin_op`] beyond the `2m + 2` bound: the integer kernels,
+/// kept out of line so the native fast path stays small.
+#[cold]
+#[inline(never)]
+fn wide_bin_op(fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
+    let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
+    let mode = RoundingMode::default();
+    let bits = match op {
+        BinOp::Add => ops::add(fmt, ab, bb, mode),
+        BinOp::Sub => ops::sub(fmt, ab, bb, mode),
+        BinOp::Mul => ops::mul(fmt, ab, bb, mode),
+        BinOp::Div => ops::div(fmt, ab, bb, mode),
+    };
+    fmt.decode_to_f64(bits)
+}
+
+/// [`Emulated::sqrt`] beyond the `2m + 2` bound (see [`wide_bin_op`]).
+#[cold]
+#[inline(never)]
+fn wide_sqrt(fmt: FpFormat, x: f64) -> f64 {
+    let bits = ops::sqrt(fmt, fmt.encode_in_grid(x), RoundingMode::default());
+    fmt.decode_to_f64(bits)
 }
 
 /// The pure-integer datapath: every operation goes through the
@@ -685,14 +765,59 @@ mod tests {
     #[test]
     fn default_thread_has_no_backend() {
         // (Unless the whole process runs under TP_BACKEND, in which case
-        // the name reflects that global choice.)
+        // the thread starts on that global choice.)
+        let current = Engine::current().map(|b| b.name());
         match std::env::var("TP_BACKEND").as_deref() {
-            Ok("softfloat") => assert_eq!(Engine::active_name(), "softfloat"),
+            Ok("softfloat") => {
+                assert_eq!(Engine::active_name(), "softfloat");
+                assert_eq!(current, Some("softfloat"));
+                assert!(Engine::is_active() && hooked());
+            }
+            Ok("emulated") => {
+                // Installed, but native: ops take the inlined fast path.
+                assert_eq!(current, Some("emulated"));
+                assert!(!Engine::is_active() && !hooked());
+            }
             _ => {
                 assert_eq!(Engine::active_name(), "emulated");
-                assert!(Engine::current().is_none() || Engine::is_active());
+                assert_eq!(current, None);
+                assert!(!Engine::is_active() && !hooked());
             }
         }
+    }
+
+    #[test]
+    fn emulated_inside_softfloat_runs_native_and_restores() {
+        let soft = Arc::new(SoftFloat::new());
+        Engine::with(soft.clone(), || {
+            let a = crate::Fx::new(1.75, BINARY8);
+            let _ = a * a; // inexact on the softfloat datapath
+            let before = soft.flags();
+            assert!(before.inexact);
+            assert!(Engine::is_active() && hooked());
+            Engine::with(Arc::new(Emulated), || {
+                // The nested scope shadows SoftFloat with the native path:
+                // Engine::current() names it, yet no op reaches a backend.
+                assert_eq!(Engine::current().map(|b| b.name()), Some("emulated"));
+                assert!(!Engine::is_active() && !hooked());
+                let _ = (a * a).value() + (a / crate::Fx::new(3.0, BINARY8)).value();
+                assert_eq!(Engine::flags(), FlagSet::NONE);
+                // An enabled Recorder sends ops to the hooked path, which
+                // still computes natively.
+                let ((), counts) = crate::Recorder::scoped(|| {
+                    assert!(hooked());
+                    assert_eq!((a * a).value(), 3.0);
+                });
+                assert_eq!(counts.total_fp_ops(), 1);
+            });
+            // SoftFloat is back, with the flags it had before the scope
+            // and nothing the native ops would have raised.
+            assert_eq!(Engine::current().map(|b| b.name()), Some("softfloat"));
+            assert!(Engine::is_active() && hooked());
+            assert_eq!(Engine::flags(), before);
+            let _ = crate::Fx::new(1.0, BINARY8) / crate::Fx::new(0.0, BINARY8);
+            assert!(Engine::flags().div_by_zero);
+        });
     }
 
     #[test]

@@ -89,18 +89,28 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
 
     /// Explicit conversion from another instantiation (the paper's
     /// explicit-conversion constructor). Records a cast in the statistics.
+    #[inline(always)]
     #[must_use]
     pub fn cast_from<const E2: u32, const M2: u32>(x: FlexFloat<E2, M2>) -> Self {
+        if backend::hooked() {
+            return Self::cast_from_hooked(x);
+        }
+        FlexFloat(Emulated.cast(FlexFloat::<E2, M2>::FORMAT, Self::FORMAT, x.0))
+    }
+
+    #[inline(never)]
+    fn cast_from_hooked<const E2: u32, const M2: u32>(x: FlexFloat<E2, M2>) -> Self {
         if Recorder::is_enabled() {
             Recorder::cast(FlexFloat::<E2, M2>::FORMAT, Self::FORMAT);
         }
-        match backend::dispatch(|b| b.cast(FlexFloat::<E2, M2>::FORMAT, Self::FORMAT, x.0)) {
-            Some(val) => FlexFloat(val),
-            None => Self::new(x.0),
-        }
+        let (from, to) = (FlexFloat::<E2, M2>::FORMAT, Self::FORMAT);
+        let val = backend::dispatch(|b| b.cast(from, to, x.0))
+            .unwrap_or_else(|| Emulated.cast(from, to, x.0));
+        FlexFloat(val)
     }
 
     /// Explicit conversion into another instantiation.
+    #[inline(always)]
     #[must_use]
     pub fn cast_to<const E2: u32, const M2: u32>(self) -> FlexFloat<E2, M2> {
         FlexFloat::<E2, M2>::cast_from(self)
@@ -131,8 +141,17 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
     }
 
     /// Square root, correctly rounded.
+    #[inline(always)]
     #[must_use]
     pub fn sqrt(self) -> Self {
+        if backend::hooked() {
+            return self.sqrt_hooked();
+        }
+        FlexFloat(Emulated.sqrt(Self::FORMAT, self.0))
+    }
+
+    #[inline(never)]
+    fn sqrt_hooked(self) -> Self {
         if Recorder::is_enabled() {
             Recorder::fp_op(Self::FORMAT, OpKind::Sqrt, 0, 0);
         }
@@ -146,8 +165,17 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
     /// Always computed through the pure-integer kernels: the 2m+2 argument
     /// does not cover fused operations, so the native path could
     /// double-round.
+    #[inline(always)]
     #[must_use]
     pub fn mul_add(self, b: Self, c: Self) -> Self {
+        if backend::hooked() {
+            return self.mul_add_hooked(b, c);
+        }
+        FlexFloat(Emulated.fma(Self::FORMAT, self.0, b.0, c.0))
+    }
+
+    #[inline(never)]
+    fn mul_add_hooked(self, b: Self, c: Self) -> Self {
         if Recorder::is_enabled() {
             Recorder::fp_op(Self::FORMAT, OpKind::Fma, 0, 0);
         }
@@ -157,32 +185,54 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
     }
 
     /// The smaller of two values (RISC-V `fmin`: NaN loses, `-0 < +0`).
+    #[inline(always)]
     #[must_use]
     pub fn min(self, other: Self) -> Self {
         self.min_max(other, true)
     }
 
     /// The larger of two values (RISC-V `fmax`: NaN loses, `-0 < +0`).
+    #[inline(always)]
     #[must_use]
     pub fn max(self, other: Self) -> Self {
         self.min_max(other, false)
     }
 
+    #[inline(always)]
     fn min_max(self, other: Self, want_min: bool) -> Self {
+        if backend::hooked() {
+            return self.min_max_hooked(other, want_min);
+        }
+        FlexFloat(backend::native_min_max(self.0, other.0, want_min))
+    }
+
+    #[inline(never)]
+    fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
         if Recorder::is_enabled() {
             Recorder::fp_op(Self::FORMAT, OpKind::Cmp, 0, 0);
         }
         FlexFloat(backend::min_max(Self::FORMAT, self.0, other.0, want_min))
     }
 
-    #[inline]
+    /// One binary op: the inlined fast path while no hook is live (no
+    /// `Recorder`, native datapath), else the outlined hooked path — the
+    /// same split as every `Fx` op (see the `fx` module docs).
+    #[inline(always)]
     fn sanitize_op(kind: OpKind, a: Self, b: Self, bin: BinOp) -> Self {
+        if backend::hooked() {
+            return Self::sanitize_op_hooked(kind, a, b, bin);
+        }
+        FlexFloat(Emulated.bin_op(Self::FORMAT, bin, a.0, b.0))
+    }
+
+    #[inline(never)]
+    fn sanitize_op_hooked(kind: OpKind, a: Self, b: Self, bin: BinOp) -> Self {
         if Recorder::is_enabled() {
             Recorder::fp_op(Self::FORMAT, kind, 0, 0);
         }
-        // The fallback is `Emulated` itself (native f64 + sanitize under
-        // the 2m+2 bound, integer kernels beyond), so the uninstalled path
-        // and an installed `Emulated` run the same code.
+        // The fallback is the fast path's `Emulated` arithmetic (native
+        // f64 + sanitize under the 2m+2 bound, integer kernels beyond), so
+        // there is no second arithmetic to drift out of sync.
         let val = backend::dispatch(|bk| bk.bin_op(Self::FORMAT, bin, a.0, b.0))
             .unwrap_or_else(|| Emulated.bin_op(Self::FORMAT, bin, a.0, b.0));
         FlexFloat(val)
@@ -211,6 +261,7 @@ impl<const E: u32, const M: u32> From<i32> for FlexFloat<E, M> {
 
 impl<const E: u32, const M: u32> Add for FlexFloat<E, M> {
     type Output = Self;
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         Self::sanitize_op(OpKind::AddSub, self, rhs, BinOp::Add)
     }
@@ -218,6 +269,7 @@ impl<const E: u32, const M: u32> Add for FlexFloat<E, M> {
 
 impl<const E: u32, const M: u32> Sub for FlexFloat<E, M> {
     type Output = Self;
+    #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
         Self::sanitize_op(OpKind::AddSub, self, rhs, BinOp::Sub)
     }
@@ -225,6 +277,7 @@ impl<const E: u32, const M: u32> Sub for FlexFloat<E, M> {
 
 impl<const E: u32, const M: u32> Mul for FlexFloat<E, M> {
     type Output = Self;
+    #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
         Self::sanitize_op(OpKind::Mul, self, rhs, BinOp::Mul)
     }
@@ -232,6 +285,7 @@ impl<const E: u32, const M: u32> Mul for FlexFloat<E, M> {
 
 impl<const E: u32, const M: u32> Div for FlexFloat<E, M> {
     type Output = Self;
+    #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         Self::sanitize_op(OpKind::Div, self, rhs, BinOp::Div)
     }

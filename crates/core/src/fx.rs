@@ -16,10 +16,21 @@
 //! * Storing into an [`FxArray`] rounds to the array's format, recording a
 //!   cast when the source format differs; loads and stores record memory
 //!   events of the element's width.
+//!
+//! # Two paths per op
+//!
+//! Every op that records or dispatches is split in two. An inlined fast
+//! path runs while [`backend::hooked`] is false — no `Recorder`, native
+//! datapath — and computes with the shared native helpers
+//! ([`common_format`], [`Fx::native_in`], [`Emulated`]'s methods). The
+//! outlined `*_hooked` twin holds the tape taps, `Recorder` events and
+//! backend dispatch, and falls back to the same helpers; with no hook live
+//! it returns exactly what the fast path returns. Ops that only report to
+//! the tape keep one body: [`backend::tap`] is itself split that way.
 
 use tp_formats::{FpFormat, BINARY32};
 
-use crate::backend::{self, ArrayId, BinOp, Emulated, FpBackend, ValueId};
+use crate::backend::{self, native_min_max, ArrayId, BinOp, Emulated, FpBackend, ValueId};
 use crate::stats::{EventId, OpKind, Recorder};
 
 /// A floating-point value with a runtime-chosen format.
@@ -48,6 +59,7 @@ pub struct Fx {
 impl Fx {
     /// Creates a value by rounding `x` into `fmt` (no event recorded — this
     /// is a literal / initialization, not a runtime cast).
+    #[inline]
     #[must_use]
     pub fn new(x: f64, fmt: FpFormat) -> Self {
         Fx {
@@ -59,6 +71,7 @@ impl Fx {
     }
 
     /// Zero in `fmt`.
+    #[inline]
     #[must_use]
     pub fn zero(fmt: FpFormat) -> Self {
         Fx {
@@ -90,18 +103,53 @@ impl Fx {
     /// under a different candidate configuration the same program point may
     /// be a real conversion, so replay must re-decide it (see the
     /// [`TapeSink`](crate::backend::TapeSink) contract).
+    #[inline(always)]
     #[must_use]
     pub fn to(self, dst: FpFormat) -> Self {
-        let vid = backend::tap(|t| t.cast(self.vid, dst)).unwrap_or(0);
+        if backend::hooked() {
+            return self.to_hooked(dst);
+        }
+        if dst == self.fmt {
+            return Fx { vid: 0, ..self };
+        }
+        Fx::native(self.native_in(dst), dst)
+    }
+
+    #[inline(never)]
+    fn to_hooked(self, dst: FpFormat) -> Self {
+        let vid = backend::tap_hooked(|t| t.cast(self.vid, dst)).unwrap_or(0);
         let mut out = self.convert(dst);
         out.vid = vid;
         out
     }
 
+    /// A fast-path result: no producing event, no tape id.
+    #[inline(always)]
+    fn native(val: f64, fmt: FpFormat) -> Self {
+        Fx {
+            val,
+            fmt,
+            prod: 0,
+            vid: 0,
+        }
+    }
+
+    /// This value rounded into `fmt` on the native datapath — the
+    /// conversion rule both paths share (the hooked path falls back to it
+    /// when no backend computes the cast).
+    #[inline(always)]
+    fn native_in(self, fmt: FpFormat) -> f64 {
+        if fmt == self.fmt {
+            self.val
+        } else {
+            Emulated.cast(self.fmt, fmt, self.val)
+        }
+    }
+
     /// The conversion behind [`Fx::to`], *without* the tape event — used
-    /// for the implicit casts (operand promotion, array-store rounding)
-    /// that a tape replay re-derives from the formats in force instead of
-    /// copying from the recorded run.
+    /// by the hooked paths for the implicit casts (operand promotion,
+    /// array-store rounding) that a tape replay re-derives from the formats
+    /// in force instead of copying from the recorded run.
     fn convert(self, dst: FpFormat) -> Self {
         if dst == self.fmt {
             return self;
@@ -110,19 +158,23 @@ impl Fx {
             Recorder::cast(self.fmt, dst);
         }
         let val = backend::dispatch(|b| b.cast(self.fmt, dst, self.val))
-            .unwrap_or_else(|| dst.sanitize_f64(self.val));
-        Fx {
-            val,
-            fmt: dst,
-            prod: 0,
-            vid: 0,
-        }
+            .unwrap_or_else(|| self.native_in(dst));
+        Fx::native(val, dst)
     }
 
     /// Square root in this value's format.
+    #[inline(always)]
     #[must_use]
     pub fn sqrt(self) -> Self {
-        let vid = backend::tap(|t| t.sqrt(self.vid)).unwrap_or(0);
+        if backend::hooked() {
+            return self.sqrt_hooked();
+        }
+        Fx::native(Emulated.sqrt(self.fmt, self.val), self.fmt)
+    }
+
+    #[inline(never)]
+    fn sqrt_hooked(self) -> Self {
+        let vid = backend::tap_hooked(|t| t.sqrt(self.vid)).unwrap_or(0);
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(self.fmt, OpKind::Sqrt, self.prod, 0)
         } else {
@@ -139,6 +191,7 @@ impl Fx {
     }
 
     /// Absolute value (sign manipulation; free, not recorded).
+    #[inline]
     #[must_use]
     pub fn abs(self) -> Self {
         Fx {
@@ -150,6 +203,7 @@ impl Fx {
 
     /// The smaller of two values — RISC-V `fmin` semantics: NaN loses to a
     /// number, `-0 < +0` (records one comparison op).
+    #[inline(always)]
     #[must_use]
     pub fn min(self, other: Self) -> Self {
         self.min_max(other, true)
@@ -157,13 +211,25 @@ impl Fx {
 
     /// The larger of two values — RISC-V `fmax` semantics: NaN loses to a
     /// number, `-0 < +0` (records one comparison op).
+    #[inline(always)]
     #[must_use]
     pub fn max(self, other: Self) -> Self {
         self.min_max(other, false)
     }
 
+    #[inline(always)]
     fn min_max(self, other: Self, want_min: bool) -> Self {
-        let vid = backend::tap(|t| t.min_max(want_min, self.vid, other.vid)).unwrap_or(0);
+        if backend::hooked() {
+            return self.min_max_hooked(other, want_min);
+        }
+        let fmt = common_format(self.fmt, other.fmt);
+        let (a, b) = (self.native_in(fmt), other.native_in(fmt));
+        Fx::native(native_min_max(a, b, want_min), fmt)
+    }
+
+    #[inline(never)]
+    fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
+        let vid = backend::tap_hooked(|t| t.min_max(want_min, self.vid, other.vid)).unwrap_or(0);
         let (a, b, fmt) = Self::promote(self, other);
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod)
@@ -181,66 +247,84 @@ impl Fx {
 
     /// `self < other` as a hardware comparison — IEEE quiet predicate,
     /// false on unordered (records one op).
+    #[inline(always)]
     #[must_use]
     pub fn lt(self, other: Self) -> bool {
+        if backend::hooked() {
+            return self.lt_hooked(other);
+        }
+        let fmt = common_format(self.fmt, other.fmt);
+        Emulated.lt(fmt, self.native_in(fmt), other.native_in(fmt))
+    }
+
+    #[inline(never)]
+    fn lt_hooked(self, other: Self) -> bool {
         let (src_a, src_b) = (self.vid, other.vid);
         let (a, b, fmt) = Self::promote(self, other);
         if Recorder::is_enabled() {
             Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
         }
-        let out = backend::dispatch(|bk| bk.lt(fmt, a.val, b.val)).unwrap_or(a.val < b.val);
-        let _ = backend::tap(|t| t.cmp(false, src_a, src_b, out));
+        let out = backend::dispatch(|bk| bk.lt(fmt, a.val, b.val))
+            .unwrap_or_else(|| Emulated.lt(fmt, a.val, b.val));
+        let _ = backend::tap_hooked(|t| t.cmp(false, src_a, src_b, out));
         out
     }
 
     /// `self <= other` as a hardware comparison — IEEE quiet predicate,
     /// false on unordered (records one op).
+    #[inline(always)]
     #[must_use]
     pub fn le(self, other: Self) -> bool {
+        if backend::hooked() {
+            return self.le_hooked(other);
+        }
+        let fmt = common_format(self.fmt, other.fmt);
+        Emulated.le(fmt, self.native_in(fmt), other.native_in(fmt))
+    }
+
+    #[inline(never)]
+    fn le_hooked(self, other: Self) -> bool {
         let (src_a, src_b) = (self.vid, other.vid);
         let (a, b, fmt) = Self::promote(self, other);
         if Recorder::is_enabled() {
             Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
         }
-        let out = backend::dispatch(|bk| bk.le(fmt, a.val, b.val)).unwrap_or(a.val <= b.val);
-        let _ = backend::tap(|t| t.cmp(true, src_a, src_b, out));
+        let out = backend::dispatch(|bk| bk.le(fmt, a.val, b.val))
+            .unwrap_or_else(|| Emulated.le(fmt, a.val, b.val));
+        let _ = backend::tap_hooked(|t| t.cmp(true, src_a, src_b, out));
         out
     }
 
-    /// Promotes the less precise operand to the more precise format,
-    /// recording a cast if one is inserted. Returns both operands in the
-    /// common format.
+    /// Promotes the less precise operand to the [`common_format`] (the
+    /// hooked path), recording a cast if one is inserted. Returns both
+    /// operands in the common format.
     fn promote(a: Fx, b: Fx) -> (Fx, Fx, FpFormat) {
-        if a.fmt == b.fmt {
-            return (a, b, a.fmt);
-        }
-        // More mantissa bits wins; on equal mantissa, more exponent bits
-        // wins; if still incomparable in one dimension, the wider storage
-        // wins. For the platform's four formats this picks:
-        //   b8 vs b16     -> b16      b8 vs b16alt -> b16alt
-        //   b16 vs b16alt -> b16      anything vs b32 -> b32
-        let a_key = (a.fmt.man_bits(), a.fmt.exp_bits());
-        let b_key = (b.fmt.man_bits(), b.fmt.exp_bits());
-        if a_key >= b_key {
-            (a, b.convert(a.fmt), a.fmt)
-        } else {
-            (a.convert(b.fmt), b, b.fmt)
-        }
+        let fmt = common_format(a.fmt, b.fmt);
+        (a.convert(fmt), b.convert(fmt), fmt)
     }
 
-    #[inline]
+    #[inline(always)]
     fn bin_op(self, rhs: Fx, kind: OpKind, op: BinOp) -> Fx {
-        let vid = backend::tap(|t| t.bin_op(op, self.vid, rhs.vid)).unwrap_or(0);
+        if backend::hooked() {
+            return self.bin_op_hooked(rhs, kind, op);
+        }
+        let fmt = common_format(self.fmt, rhs.fmt);
+        let (a, b) = (self.native_in(fmt), rhs.native_in(fmt));
+        Fx::native(Emulated.bin_op(fmt, op, a, b), fmt)
+    }
+
+    #[inline(never)]
+    fn bin_op_hooked(self, rhs: Fx, kind: OpKind, op: BinOp) -> Fx {
+        let vid = backend::tap_hooked(|t| t.bin_op(op, self.vid, rhs.vid)).unwrap_or(0);
         let (a, b, fmt) = Self::promote(self, rhs);
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(fmt, kind, a.prod, b.prod)
         } else {
             0
         };
-        // The fallback shares `Emulated`'s implementation (native f64 +
-        // sanitize where the 2m+2 bound holds, integer kernels beyond), so
-        // the uninstalled path and an installed `Emulated` are the same
-        // code — there is no second arithmetic to drift out of sync.
+        // The fallback is the fast path's `Emulated` arithmetic (native f64
+        // + sanitize where the 2m+2 bound holds, integer kernels beyond),
+        // so there is no second arithmetic to drift out of sync.
         let val = backend::dispatch(|bk| bk.bin_op(fmt, op, a.val, b.val))
             .unwrap_or_else(|| Emulated.bin_op(fmt, op, a.val, b.val));
         Fx {
@@ -252,8 +336,23 @@ impl Fx {
     }
 }
 
+/// The format two operands are promoted to: more mantissa bits wins; on
+/// equal mantissa, more exponent bits wins; equal formats stay. For the
+/// platform's four formats this picks:
+///   b8 vs b16     -> b16      b8 vs b16alt -> b16alt
+///   b16 vs b16alt -> b16      anything vs b32 -> b32
+#[inline(always)]
+fn common_format(a: FpFormat, b: FpFormat) -> FpFormat {
+    if (a.man_bits(), a.exp_bits()) >= (b.man_bits(), b.exp_bits()) {
+        a
+    } else {
+        b
+    }
+}
+
 impl std::ops::Add for Fx {
     type Output = Fx;
+    #[inline(always)]
     fn add(self, rhs: Fx) -> Fx {
         self.bin_op(rhs, OpKind::AddSub, BinOp::Add)
     }
@@ -261,6 +360,7 @@ impl std::ops::Add for Fx {
 
 impl std::ops::Sub for Fx {
     type Output = Fx;
+    #[inline(always)]
     fn sub(self, rhs: Fx) -> Fx {
         self.bin_op(rhs, OpKind::AddSub, BinOp::Sub)
     }
@@ -268,6 +368,7 @@ impl std::ops::Sub for Fx {
 
 impl std::ops::Mul for Fx {
     type Output = Fx;
+    #[inline(always)]
     fn mul(self, rhs: Fx) -> Fx {
         self.bin_op(rhs, OpKind::Mul, BinOp::Mul)
     }
@@ -275,6 +376,7 @@ impl std::ops::Mul for Fx {
 
 impl std::ops::Div for Fx {
     type Output = Fx;
+    #[inline(always)]
     fn div(self, rhs: Fx) -> Fx {
         self.bin_op(rhs, OpKind::Div, BinOp::Div)
     }
@@ -282,6 +384,7 @@ impl std::ops::Div for Fx {
 
 impl std::ops::Neg for Fx {
     type Output = Fx;
+    #[inline]
     fn neg(self) -> Fx {
         Fx {
             val: -self.val,
@@ -384,9 +487,18 @@ impl FxArray {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline(always)]
     #[must_use]
     pub fn get(&self, i: usize) -> Fx {
-        let vid = backend::tap(|t| t.array_load(self.tid, i)).unwrap_or(0);
+        if backend::hooked() {
+            return self.get_hooked(i);
+        }
+        Fx::native(self.data[i], self.fmt)
+    }
+
+    #[inline(never)]
+    fn get_hooked(&self, i: usize) -> Fx {
+        let vid = backend::tap_hooked(|t| t.array_load(self.tid, i)).unwrap_or(0);
         if Recorder::is_enabled() {
             // Loads complete in one cycle on the PULPino TCDM, so the loaded
             // value never stalls a consumer (prod stays 0).
@@ -406,8 +518,18 @@ impl FxArray {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline(always)]
     pub fn set(&mut self, i: usize, v: Fx) {
-        let _ = backend::tap(|t| t.array_store(self.tid, i, v.vid));
+        if backend::hooked() {
+            self.set_hooked(i, v);
+        } else {
+            self.data[i] = v.native_in(self.fmt);
+        }
+    }
+
+    #[inline(never)]
+    fn set_hooked(&mut self, i: usize, v: Fx) {
+        let _ = backend::tap_hooked(|t| t.array_store(self.tid, i, v.vid));
         let v = v.convert(self.fmt);
         if Recorder::is_enabled() {
             Recorder::store(self.fmt.total_bits());
@@ -424,6 +546,7 @@ impl FxArray {
     }
 
     /// Reads element `i` without recording events.
+    #[inline]
     #[must_use]
     pub fn peek(&self, i: usize) -> f64 {
         let _ = backend::tap(|t| t.extract_element(self.tid, i, self.data[i]));

@@ -14,7 +14,7 @@
 //! pairs* (an FP result consumed by the immediately following instruction,
 //! which costs a pipeline bubble on 2-cycle FP operations).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -236,7 +236,6 @@ pub type EventId = u64;
 
 #[derive(Debug, Default)]
 struct RecorderState {
-    enabled: bool,
     counts: TraceCounts,
     /// Monotone instruction counter (1-based; 0 = none).
     next_id: EventId,
@@ -247,13 +246,22 @@ struct RecorderState {
 }
 
 thread_local! {
+    /// Whether recording is on — a `const`, destructor-free `Cell` kept
+    /// apart from the lazily-initialised `RECORDER` state, so the check
+    /// guarding every op is a single thread-local load. `start`, `stop`,
+    /// `scoped` (and its panic restore) keep it in sync.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static RECORDER: RefCell<RecorderState> = RefCell::new(RecorderState::default());
 }
 
 /// Handle for the thread-local statistics recorder.
 ///
-/// Recording is off by default: uninstrumented use of `FlexFloat` costs only
-/// a thread-local flag check per operation.
+/// Recording is off by default. While it is off and the thread's datapath
+/// is native (no backend, or [`Emulated`](crate::backend::Emulated)),
+/// `Fx`/`FxArray`/`FlexFloat` ops take their inlined fast path, guarded by
+/// two `const` thread-local loads: this recorder's flag and the backend
+/// state. An enabled recorder sends every op to its outlined hooked path,
+/// which emits the events below (DESIGN.md §6, "Dispatch cost").
 ///
 /// # Interaction with a recording trace backend
 ///
@@ -278,23 +286,15 @@ pub struct Recorder;
 impl Recorder {
     /// Enables recording and clears any previously-collected counts.
     pub fn start() {
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            *s = RecorderState {
-                enabled: true,
-                ..Default::default()
-            };
-        });
+        RECORDER.with(|r| *r.borrow_mut() = RecorderState::default());
+        ENABLED.with(|e| e.set(true));
     }
 
     /// Stops recording and returns the collected counts.
     #[must_use]
     pub fn stop() -> TraceCounts {
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.enabled = false;
-            std::mem::take(&mut s.counts)
-        })
+        ENABLED.with(|e| e.set(false));
+        RECORDER.with(|r| std::mem::take(&mut r.borrow_mut().counts))
     }
 
     /// Runs `f` with recording enabled and returns its result together with
@@ -335,25 +335,18 @@ impl Recorder {
     pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, TraceCounts) {
         /// Restores the saved recorder state when dropped, so a panicking
         /// scope cannot leave the thread recording into the wrong counts.
-        struct Restore(Option<RecorderState>);
+        struct Restore(bool, Option<RecorderState>);
         impl Drop for Restore {
             fn drop(&mut self) {
-                if let Some(saved) = self.0.take() {
+                if let Some(saved) = self.1.take() {
                     RECORDER.with(|r| *r.borrow_mut() = saved);
                 }
+                ENABLED.with(|e| e.set(self.0));
             }
         }
 
-        let saved = RECORDER.with(|r| {
-            std::mem::replace(
-                &mut *r.borrow_mut(),
-                RecorderState {
-                    enabled: true,
-                    ..Default::default()
-                },
-            )
-        });
-        let restore = Restore(Some(saved));
+        let saved = RECORDER.with(|r| std::mem::take(&mut *r.borrow_mut()));
+        let restore = Restore(ENABLED.with(|e| e.replace(true)), Some(saved));
         let out = f();
         let counts = RECORDER.with(|r| std::mem::take(&mut r.borrow_mut().counts));
         drop(restore);
@@ -368,31 +361,32 @@ impl Recorder {
     /// across a merge point, so a merged batch never forms a dependent pair
     /// with the surrounding instruction stream.
     pub fn absorb(counts: &TraceCounts) {
+        if !Recorder::is_enabled() {
+            return;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return;
-            }
             s.counts.merge(counts);
             s.last_fp = None;
         });
     }
 
     /// `true` while recording is enabled on this thread.
+    #[inline(always)]
     #[must_use]
     pub fn is_enabled() -> bool {
-        RECORDER.with(|r| r.borrow().enabled)
+        ENABLED.with(Cell::get)
     }
 
     /// Records an FP arithmetic operation in `fmt` whose operands were
     /// produced by instructions `dep_a` and `dep_b` (0 = constant/none).
     /// Returns the id of the new instruction, to be attached to its result.
     pub fn fp_op(fmt: FpFormat, kind: OpKind, dep_a: EventId, dep_b: EventId) -> EventId {
+        if !Recorder::is_enabled() {
+            return 0;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return 0;
-            }
             s.next_id += 1;
             let id = s.next_id;
             let vector = s.vector_depth > 0;
@@ -414,11 +408,11 @@ impl Recorder {
     /// Records a conversion from `from` to `to`. Casts are 1-cycle
     /// operations and never stall a consumer.
     pub fn cast(from: FpFormat, to: FpFormat) -> EventId {
+        if !Recorder::is_enabled() {
+            return 0;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return 0;
-            }
             s.next_id += 1;
             let vector = s.vector_depth > 0;
             s.counts.casts.entry((from, to)).or_default().bump(vector);
@@ -429,11 +423,11 @@ impl Recorder {
 
     /// Records a load of an FP element of `width_bits`.
     pub fn load(width_bits: u32) -> EventId {
+        if !Recorder::is_enabled() {
+            return 0;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return 0;
-            }
             s.next_id += 1;
             let vector = s.vector_depth > 0;
             s.counts.loads.entry(width_bits).or_default().bump(vector);
@@ -444,11 +438,11 @@ impl Recorder {
 
     /// Records a store of an FP element of `width_bits`.
     pub fn store(width_bits: u32) {
+        if !Recorder::is_enabled() {
+            return;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return;
-            }
             s.next_id += 1;
             let vector = s.vector_depth > 0;
             s.counts.stores.entry(width_bits).or_default().bump(vector);
@@ -463,13 +457,22 @@ impl Recorder {
     /// recording is enabled), so a tape replay can re-issue the same calls
     /// and reproduce the recorded counts exactly — see
     /// [`TapeSink::int_ops`](crate::backend::TapeSink::int_ops).
+    #[inline(always)]
     pub fn int_ops(n: u64) {
-        let _ = crate::backend::tap(|t| t.int_ops(n));
+        if !crate::backend::hooked() {
+            return;
+        }
+        Recorder::int_ops_hooked(n);
+    }
+
+    #[inline(never)]
+    fn int_ops_hooked(n: u64) {
+        let _ = crate::backend::tap_hooked(|t| t.int_ops(n));
+        if !Recorder::is_enabled() {
+            return;
+        }
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
-            if !s.enabled {
-                return;
-            }
             s.next_id += n;
             s.counts.int_ops += n;
             s.last_fp = None;

@@ -110,8 +110,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The buffer grows with the bytes actually received: a header alone
+    // must not make the server commit `MAX_FRAME` bytes up front.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside frame payload",
+        ));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
@@ -354,6 +362,15 @@ mod tests {
         for bad in [&b"notdigits\nxx"[..], b"12", b"3\nab", b"999999999999\n"] {
             let mut r = bad;
             assert!(read_frame(&mut r).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    fn short_payload_is_unexpected_eof() {
+        for bad in [&b"16777216\n"[..], b"5\nabc"] {
+            let mut r = bad;
+            let err = read_frame(&mut r).expect_err("short payload accepted");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{bad:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! tape, shared by every unobserved replay.
 //!
 //! When nothing observes the thread (no [`Recorder`], no installed
-//! backend), replay runs [`SoaState::run`]: values are plain `f64`s laid
+//! backend other than the native `Emulated`), replay runs [`SoaState::run`]: values are plain `f64`s laid
 //! out as `vals[id * lanes + lane]` with one format slot per value id, and
 //! every operation inlines the emulated datapath ([`Emulated`]) — the
 //! arithmetic of the uninstalled `Fx` fast path (promotion rule, store

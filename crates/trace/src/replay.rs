@@ -4,14 +4,15 @@
 //!
 //! * [`Trace::replay`] runs the **raw** loop of [`crate::batch`] with one
 //!   lane when nothing is observing the thread (no [`Recorder`], no
-//!   installed backend): values are plain `f64`s plus format slots and
+//!   installed backend other than the native `Emulated`): values are plain `f64`s plus format slots and
 //!   every operation inlines the emulated datapath — the arithmetic the
 //!   uninstalled `Fx` fast path executes, minus the per-op thread-local
 //!   checks and statistics bookkeeping. That is what makes a replayed
 //!   candidate evaluation cheaper than a live kernel run. The same loop,
 //!   with more lanes or resumed from a shared prefix, serves
 //!   [`Trace::replay_batch`] and [`Trace::replay_candidates`].
-//! * When a `Recorder` is running or a backend is installed, replay drives
+//! * When a `Recorder` is running or a non-native backend is installed
+//!   ([`Engine::is_active`](flexfloat::Engine::is_active)), replay drives
 //!   the real [`Fx`]/[`FxArray`] API instead ([`Trace::replay_fx`] below),
 //!   so recorded statistics and backend dispatch are exact by
 //!   construction.

@@ -63,6 +63,61 @@ fn every_kernel_every_format_every_backend() {
     }
 }
 
+/// Runs `app` under `config` with no `Recorder`, on `backend` (or the plain
+/// default path for `None`), returning output bits. With no backend or
+/// `Emulated` installed this is the inlined native fast path of every op;
+/// `run_on` always takes the hooked path, because its recorder is on.
+fn run_unrecorded(
+    app: &dyn Tunable,
+    config: &TypeConfig,
+    backend: Option<Arc<dyn FpBackend>>,
+) -> Vec<u64> {
+    let body = || app.run(config, 0);
+    let out = match backend {
+        Some(b) => Engine::with(b, body),
+        None => body(),
+    };
+    out.into_iter().map(f64::to_bits).collect()
+}
+
+/// The fast-path leg: every kernel × every `FormatKind` plus one mixed
+/// configuration, run with no recorder — uninstalled, `Emulated`-installed
+/// (the native fast path) and on every backend — must reproduce the output
+/// bits of the recorded default run.
+#[test]
+fn unrecorded_fast_path_matches_recorded_default() {
+    for app in all_kernels_small() {
+        let app = app.as_ref();
+        let mut configs: Vec<TypeConfig> = ALL_KINDS
+            .iter()
+            .map(|kind| TypeConfig::uniform(kind.format()))
+            .collect();
+        // Mixed: variables cycle through the kinds, so ops promote and
+        // stores round across formats.
+        let mut mixed = TypeConfig::baseline();
+        for (i, spec) in app.variables().iter().enumerate() {
+            mixed.set(spec.name, ALL_KINDS[(i + 1) % ALL_KINDS.len()].format());
+        }
+        configs.push(mixed);
+        for config in &configs {
+            let (want, _) = run_on(app, config, None);
+            let native = run_unrecorded(app, config, None);
+            assert_eq!(native, want, "{} under {config}: uninstalled", app.name());
+            let emulated = Engine::with(Arc::new(Emulated), || {
+                // Installed, yet native: ops never reach the backend.
+                assert!(!Engine::is_active());
+                run_unrecorded(app, config, None)
+            });
+            assert_eq!(emulated, want, "{} under {config}: Emulated", app.name());
+            for name in BACKEND_NAMES {
+                let backend = backend_by_name(name).expect(name);
+                let out = run_unrecorded(app, config, Some(backend));
+                assert_eq!(out, want, "{} under {config}: {name}", app.name());
+            }
+        }
+    }
+}
+
 /// Chosen formats are backend-invariant: a precision search hosted on the
 /// softfloat or FPU-model datapath descends through bit-identical
 /// evaluations and lands on the same configuration (including evaluation
