@@ -152,6 +152,16 @@ pub trait FpBackend: Send + Sync {
         false
     }
 
+    /// `true` if this backend records a tape ([`FpBackend::tape`] returns
+    /// a sink) and otherwise behaves like [`Emulated`]: every compute
+    /// method returns what [`Emulated`] returns, and nothing is counted or
+    /// accumulated. Ops then take their hooked path for the tape taps but
+    /// compute on the native helpers without calling the backend. The
+    /// `tp-trace` recorder over the native datapath is such a backend.
+    fn taps_natively(&self) -> bool {
+        false
+    }
+
     /// The backend's tape sink, if it records an operation tape.
     ///
     /// This is the hook surface the `tp-trace` recording backend plugs
@@ -160,7 +170,11 @@ pub trait FpBackend: Send + Sync {
     /// operation — pre-promotion, with SSA value ids — so the sink can
     /// build a replayable tape (see DESIGN.md §7). Ordinary compute
     /// backends return `None` (the default) and pay nothing.
-    fn tape(&self) -> Option<&dyn TapeSink> {
+    ///
+    /// Called once per installation on a thread ([`Engine::with`]), not
+    /// per operation: the thread keeps the sink next to the backend, so
+    /// an op reaches it with one thread-local lookup.
+    fn tape(self: Arc<Self>) -> Option<Arc<dyn TapeSink>> {
         None
     }
 }
@@ -273,7 +287,7 @@ pub trait TapeSink {
 
 /// Thread dispatch state, not yet resolved: the first hooked op folds the
 /// process-wide `TP_BACKEND` default into the thread's `ACTIVE` slot and
-/// settles on one of the other two states.
+/// settles on one of the other states.
 const BK_UNRESOLVED: u8 = 0;
 /// The native datapath: `ACTIVE` is empty or holds a backend whose
 /// [`FpBackend::is_native`] is true. Ops take their inlined fast path
@@ -282,13 +296,33 @@ const BK_NATIVE: u8 = 1;
 /// `ACTIVE` holds a non-native backend (scoped installation or the
 /// folded-in global): every op takes its hooked path and dispatches.
 const BK_HOOKED: u8 = 2;
+/// `ACTIVE` holds a backend whose [`FpBackend::taps_natively`] is true:
+/// every op takes its hooked path to reach the tape sink, and computes
+/// natively without dispatching.
+const BK_TAPED: u8 = 3;
+
+/// A backend installed on a thread, with its tape sink taken once at
+/// installation ([`FpBackend::tape`]).
+struct Installed {
+    backend: Arc<dyn FpBackend>,
+    tape: Option<Arc<dyn TapeSink>>,
+}
+
+impl Installed {
+    fn new(backend: Arc<dyn FpBackend>) -> Self {
+        Installed {
+            tape: backend.clone().tape(),
+            backend,
+        }
+    }
+}
 
 thread_local! {
     /// Fast-path guard, checked on every op — a `const` `Cell` so the
     /// check is one thread-local load (the process-default lookup happens
     /// once per thread, not per op).
     static STATE: Cell<u8> = const { Cell::new(BK_UNRESOLVED) };
-    static ACTIVE: RefCell<Option<Arc<dyn FpBackend>>> = const { RefCell::new(None) };
+    static ACTIVE: RefCell<Option<Installed>> = const { RefCell::new(None) };
 }
 
 /// Process-wide default backend, consulted when a thread has no scoped
@@ -335,7 +369,7 @@ impl Engine {
     pub fn with<T>(backend: Arc<dyn FpBackend>, f: impl FnOnce() -> T) -> T {
         /// Restores the saved installation when dropped, so a panicking
         /// scope cannot leave the thread dispatching to the wrong backend.
-        struct Restore(u8, Option<Arc<dyn FpBackend>>);
+        struct Restore(u8, Option<Installed>);
         impl Drop for Restore {
             fn drop(&mut self) {
                 STATE.with(|s| s.set(self.0));
@@ -344,7 +378,7 @@ impl Engine {
         }
 
         let state = state_of(Some(&*backend));
-        let saved_backend = ACTIVE.with(|a| a.borrow_mut().replace(backend));
+        let saved_backend = ACTIVE.with(|a| a.borrow_mut().replace(Installed::new(backend)));
         let saved_state = STATE.with(|s| s.replace(state));
         let _restore = Restore(saved_state, saved_backend);
         f()
@@ -360,39 +394,47 @@ impl Engine {
     #[must_use]
     pub fn current() -> Option<Arc<dyn FpBackend>> {
         resolved_state(); // folds the `TP_BACKEND` default in on first use
-        ACTIVE.with(|a| a.borrow().clone())
+        ACTIVE.with(|a| a.borrow().as_ref().map(|i| i.backend.clone()))
     }
 
     /// `true` while a non-native backend (scoped or process default) is
     /// active on this thread — i.e. while every operation takes its hooked
-    /// path and dispatches to it. `false` with no backend or with
-    /// [`Emulated`] installed.
+    /// path, to dispatch to it or to tap its tape. `false` with no backend
+    /// or with [`Emulated`] installed.
     #[must_use]
     pub fn is_active() -> bool {
-        resolved_state() == BK_HOOKED
+        resolved_state() != BK_NATIVE
     }
 
     /// Name of the effective backend (`"emulated"` when none is installed,
     /// since the fast path computes exactly what [`Emulated`] computes).
     #[must_use]
     pub fn active_name() -> &'static str {
-        dispatch(|b| b.name()).unwrap_or("emulated")
+        installed(|b| b.name()).unwrap_or("emulated")
     }
 
     /// The exception flags of the effective backend ([`FlagSet::NONE`]
     /// when none is installed or the backend does not track flags).
     #[must_use]
     pub fn flags() -> FlagSet {
-        dispatch(|b| b.flags()).unwrap_or(FlagSet::NONE)
+        installed(|b| b.flags()).unwrap_or(FlagSet::NONE)
     }
+}
+
+/// Runs `f` against the effective backend, whatever the dispatch state.
+fn installed<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {
+    resolved_state(); // folds the `TP_BACKEND` default in on first use
+    ACTIVE.with(|a| a.borrow().as_ref().map(|i| f(&*i.backend)))
 }
 
 /// The dispatch state that installing `backend` (`None`: nothing) puts a
 /// thread in.
 fn state_of(backend: Option<&dyn FpBackend>) -> u8 {
     match backend {
-        Some(b) if !b.is_native() => BK_HOOKED,
-        _ => BK_NATIVE,
+        None => BK_NATIVE,
+        Some(b) if b.is_native() => BK_NATIVE,
+        Some(b) if b.taps_natively() => BK_TAPED,
+        Some(_) => BK_HOOKED,
     }
 }
 
@@ -402,7 +444,7 @@ fn state_of(backend: Option<&dyn FpBackend>) -> u8 {
 fn resolve_state() -> u8 {
     let global = global_backend().clone();
     let state = state_of(global.as_deref());
-    ACTIVE.with(|a| *a.borrow_mut() = global);
+    ACTIVE.with(|a| *a.borrow_mut() = global.map(Installed::new));
     STATE.with(|s| s.set(state));
     state
 }
@@ -426,15 +468,26 @@ pub(crate) fn hooked() -> bool {
     crate::Recorder::is_enabled() | (STATE.with(Cell::get) != BK_NATIVE)
 }
 
-/// Runs `f` against the effective backend, or returns `None` on the native
-/// datapath (where the caller computes natively). Called from the hooked
-/// paths of `Fx`/`FlexFloat` ops only.
+/// `true` when a hooked path has nothing to do but tap the tape: the
+/// `Recorder` is off and the thread [taps natively](FpBackend::taps_natively).
+/// The op then computes with its fast-path body and skips the `Recorder`
+/// events and the backend dispatch.
+#[inline(always)]
+pub(crate) fn tape_only() -> bool {
+    !crate::Recorder::is_enabled() & (STATE.with(Cell::get) == BK_TAPED)
+}
+
+/// Runs `f` against the effective backend, or returns `None` when the
+/// thread computes natively (no backend, [`Emulated`], or a backend that
+/// [taps natively](FpBackend::taps_natively)), where the caller computes
+/// with the native helpers. Called from the hooked paths of
+/// `Fx`/`FlexFloat` ops only.
 #[inline]
 pub(crate) fn dispatch<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {
-    if resolved_state() == BK_NATIVE {
+    if resolved_state() != BK_HOOKED {
         return None;
     }
-    ACTIVE.with(|a| a.borrow().as_deref().map(f))
+    ACTIVE.with(|a| a.borrow().as_ref().map(|i| f(&*i.backend)))
 }
 
 /// Runs `f` against the active backend's tape sink, or returns `None` on
@@ -460,15 +513,15 @@ fn tap_outlined<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
     tap_hooked(f)
 }
 
-/// The lookup behind [`tap`], for code already on a hooked path. With an
-/// ordinary compute backend installed it costs one virtual call that
-/// returns `None`.
+/// The lookup behind [`tap`], for code already on a hooked path: one
+/// thread-local lookup of the sink the installed backend handed over when
+/// it was installed (none for an ordinary compute backend).
 #[inline]
 pub(crate) fn tap_hooked<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
     if resolved_state() == BK_NATIVE {
         return None;
     }
-    ACTIVE.with(|a| a.borrow().as_deref().and_then(|b| b.tape()).map(f))
+    ACTIVE.with(|a| a.borrow().as_ref().and_then(|i| i.tape.as_deref()).map(f))
 }
 
 /// Dispatch-or-fallback for min/max, shared by the hooked paths of `Fx`

@@ -16,7 +16,8 @@
 //!   [`TapeSink`](flexfloat::TapeSink) hook surface, so the
 //!   `Fx`/`FxArray` layer reports every *logical* operation — SSA value
 //!   ids, pre-promotion operands, the boolean outcome of every comparison —
-//!   while an inner backend performs the actual arithmetic.
+//!   while the arithmetic runs on the thread's datapath: natively, or on
+//!   the backend the recorder wraps.
 //! * **Replay** — [`Trace::replay`] re-executes the tape under a
 //!   *different* candidate [`TypeConfig`], through whatever backend the
 //!   calling thread has installed. Replay drives the real `Fx`/`FxArray`

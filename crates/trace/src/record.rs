@@ -1,7 +1,6 @@
 //! The recording backend and [`Trace::record`].
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,7 +11,7 @@ use flexfloat::{
 };
 use tp_formats::{FpFormat, BINARY32};
 
-use crate::tape::{FmtRef, OutputPlan, Packed, Tag, Trace};
+use crate::tape::{FmtRef, OutputPlan, Packed, ShapeHash, Tag, Trace};
 
 /// Why a run could not be captured as a replayable trace.
 ///
@@ -58,25 +57,6 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// `true` when a (full-tape) entry allocates a new [`ValueId`].
-fn produces_value(tag: Tag) -> bool {
-    matches!(
-        tag,
-        Tag::Leaf
-            | Tag::Load
-            | Tag::Cast
-            | Tag::Add
-            | Tag::Sub
-            | Tag::Mul
-            | Tag::Div
-            | Tag::Sqrt
-            | Tag::Min
-            | Tag::Max
-            | Tag::Neg
-            | Tag::Abs
-    )
-}
-
 /// The distinguishing-format pool for recording configurations.
 ///
 /// Requirements: distinct per variable (so a tape format resolves to
@@ -98,12 +78,20 @@ fn format_pool() -> impl Iterator<Item = FpFormat> {
 
 struct RecState {
     ops: Vec<Packed>,
+    /// The raw interpreter's view of `ops`, built as entries arrive (see
+    /// [`RecState::push`]).
+    raw_ops: Vec<Packed>,
+    /// Full-tape index of each comparison.
+    cmp_sites: Vec<u32>,
+    /// Fingerprint of `raw_ops` minus its last entry, which a `Cast` may
+    /// still fuse into.
+    shape: ShapeHash,
     pool: Vec<f64>,
     fmt_slots: Vec<FmtRef>,
-    /// Format -> interned slot index (memoizes [`RecState::slot`]).
-    slot_index: HashMap<FpFormat, u16>,
-    /// One-entry cache in front of `slot_index`: kernels intern a handful
-    /// of formats but look one of them up per cast/leaf, and the lookups
+    /// The format each entry of `fmt_slots` interns. Kernels intern a
+    /// handful of formats, so [`RecState::slot`] finds one by scanning.
+    slot_fmts: Vec<FpFormat>,
+    /// One-entry cache in front of the `slot_fmts` scan: the lookups
     /// cluster (every accumulator round-off names the same format).
     last_slot: (FpFormat, u16),
     next_value: ValueId,
@@ -111,38 +99,39 @@ struct RecState {
     /// Every value that escaped the `Fx` layer, flattened in tape order —
     /// compared against the returned outputs to derive the output plan.
     extracted: Vec<f64>,
-    comparisons: u32,
     poisoned: Option<&'static str>,
-    /// Recording-config format -> variable index (injective by
-    /// construction).
-    fmt_vars: HashMap<FpFormat, u16>,
+    /// The recording-config format of each variable, in variable order
+    /// (injective by construction).
+    var_fmts: Vec<FpFormat>,
 }
 
 impl RecState {
     /// Interns `fmt` as a tape format slot: a `Var` reference when it is a
     /// recording-config format, `Fixed` otherwise.
+    #[inline]
     fn slot(&mut self, fmt: FpFormat) -> u16 {
         if self.last_slot.0 == fmt {
             return self.last_slot.1;
         }
-        if let Some(&i) = self.slot_index.get(&fmt) {
-            self.last_slot = (fmt, i);
-            return i;
-        }
-        let slot = match self.fmt_vars.get(&fmt) {
-            Some(&i) => FmtRef::Var(i),
-            None => FmtRef::Fixed(fmt),
+        self.intern(fmt)
+    }
+
+    fn intern(&mut self, fmt: FpFormat) -> u16 {
+        let i = match self.slot_fmts.iter().position(|&f| f == fmt) {
+            Some(i) => i,
+            None => {
+                let slot = match self.var_fmts.iter().position(|&f| f == fmt) {
+                    Some(v) => FmtRef::Var(u16::try_from(v).expect("pool is small")),
+                    None => FmtRef::Fixed(fmt),
+                };
+                self.fmt_slots.push(slot);
+                self.slot_fmts.push(fmt);
+                self.fmt_slots.len() - 1
+            }
         };
-        let i = u16::try_from(self.fmt_slots.len()).unwrap_or_else(|_| {
-            self.poisoned
-                .get_or_insert("more than 65535 distinct formats");
-            0
-        });
-        if usize::from(i) == self.fmt_slots.len() {
-            self.fmt_slots.push(slot);
-            self.slot_index.insert(fmt, i);
-            self.last_slot = (fmt, i);
-        }
+        // `FpFormat::new` admits at most 11 x 52 formats.
+        let i = u16::try_from(i).expect("fewer than 65536 formats exist");
+        self.last_slot = (fmt, i);
         i
     }
 
@@ -188,15 +177,63 @@ impl RecState {
         })
     }
 
-    fn push_value(&mut self, op: Packed) -> ValueId {
+    /// Appends `op` to the full tape and lowers it into the raw view in
+    /// the same step: statistics-only entries are left out (nothing
+    /// observes them there), and a `Cast` of the value the last raw entry
+    /// produced is fused into that entry when it is a plain `Bin` — the
+    /// dominant accumulate-then-round idiom (`(acc + x*w).to(acc_fmt)`)
+    /// then costs one raw entry less. Each raw entry is folded into the
+    /// shape fingerprint once the next one arrives and it can no longer
+    /// change.
+    #[inline(always)]
+    fn push(&mut self, op: Packed) {
         self.ops.push(op);
+        match op.tag {
+            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => return,
+            Tag::CmpLt | Tag::CmpLe => {
+                let site = u32::try_from(self.ops.len() - 1).unwrap_or_else(|_| {
+                    self.poisoned.get_or_insert("tape exceeds u32 entries");
+                    0
+                });
+                self.cmp_sites.push(site);
+            }
+            // `next_value` is the id this cast produces, so its operand is
+            // the value produced last.
+            Tag::Cast if op.a + 1 == self.next_value => {
+                if let Some(last) = self.raw_ops.last_mut() {
+                    let fused = match last.tag {
+                        Tag::Add => Some(Tag::AddCast),
+                        Tag::Sub => Some(Tag::SubCast),
+                        Tag::Mul => Some(Tag::MulCast),
+                        Tag::Div => Some(Tag::DivCast),
+                        _ => None,
+                    };
+                    if let Some(tag) = fused {
+                        last.tag = tag;
+                        last.fmt = op.fmt;
+                        return;
+                    }
+                }
+            }
+            _ => {}
+        }
+        if let Some(last) = self.raw_ops.last() {
+            self.shape.entry(last);
+        }
+        self.raw_ops.push(op);
+    }
+
+    #[inline(always)]
+    fn push_value(&mut self, op: Packed) -> ValueId {
+        self.push(op);
         let id = self.next_value;
         self.next_value += 1;
         id
     }
 
+    #[inline(always)]
     fn push_array(&mut self, op: Packed) -> ArrayId {
-        self.ops.push(op);
+        self.push(op);
         let id = self.next_array;
         self.next_array += 1;
         id
@@ -219,18 +256,24 @@ impl RecState {
 /// on the recording thread — an event arriving on any other thread finds
 /// no state, flags the recorder, and the finished trace is rejected
 /// rather than silently incomplete.
+///
+/// Over the native datapath (no backend, or [`Emulated`]) the recorder
+/// [taps natively](FpBackend::taps_natively): ops compute on their native
+/// helpers and reach the recorder only for its tape, so its compute
+/// methods are never called.
 pub struct TraceRecorder {
     inner: Arc<dyn FpBackend>,
-    /// `inner` is the emulated default: compute inline instead of through
-    /// two virtual hops (recording is one event per FP op; the indirection
-    /// was measurable).
-    inline_emulated: bool,
     foreign_ops: AtomicBool,
 }
 
 thread_local! {
     /// The [`RecState`] of the recording in progress on this thread.
     static TAPE: RefCell<Option<RecState>> = const { RefCell::new(None) };
+    /// `(ops, raw_ops)` lengths of the last recording on this thread: the
+    /// next one starts with that much room. A tuner records one kernel
+    /// on several input sets in a row, so growing the tape by doubling —
+    /// a copy and fresh pages per step — would repeat every time.
+    static LEN_HINT: Cell<(usize, usize)> = const { Cell::new((1024, 1024)) };
 }
 
 impl fmt::Debug for TraceRecorder {
@@ -243,11 +286,9 @@ impl fmt::Debug for TraceRecorder {
 
 impl TraceRecorder {
     /// A recorder delegating computation to `inner` (the thread's current
-    /// backend, or the emulated fast path), resolving formats to variables
-    /// through the injective `fmt_vars` map.
+    /// backend, or the emulated fast path).
     fn new(inner: Option<Arc<dyn FpBackend>>) -> Self {
         TraceRecorder {
-            inline_emulated: inner.is_none(),
             inner: inner.unwrap_or_else(|| Arc::new(Emulated)),
             foreign_ops: AtomicBool::new(false),
         }
@@ -273,16 +314,10 @@ impl FpBackend for TraceRecorder {
     }
 
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        if self.inline_emulated {
-            return Emulated.bin_op(fmt, op, a, b);
-        }
         self.inner.bin_op(fmt, op, a, b)
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        if self.inline_emulated {
-            return Emulated.sqrt(fmt, x);
-        }
         self.inner.sqrt(fmt, x)
     }
 
@@ -291,9 +326,6 @@ impl FpBackend for TraceRecorder {
     }
 
     fn cast(&self, from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        if self.inline_emulated {
-            return Emulated.cast(from, to, x);
-        }
         self.inner.cast(from, to, x)
     }
 
@@ -321,7 +353,11 @@ impl FpBackend for TraceRecorder {
         self.inner.clear_flags();
     }
 
-    fn tape(&self) -> Option<&dyn TapeSink> {
+    fn taps_natively(&self) -> bool {
+        self.inner.is_native() || self.inner.taps_natively()
+    }
+
+    fn tape(self: Arc<Self>) -> Option<Arc<dyn TapeSink>> {
         Some(self)
     }
 }
@@ -378,7 +414,7 @@ impl TapeSink for TraceRecorder {
             op.fmt = s.array_operand(array);
             op.a = s.index(index);
             op.b = s.operand(v);
-            s.ops.push(op);
+            s.push(op);
         });
     }
 
@@ -444,8 +480,7 @@ impl TapeSink for TraceRecorder {
             op.a = s.operand(a);
             op.b = s.operand(b);
             op.fmt = u16::from(outcome);
-            s.comparisons += 1;
-            s.ops.push(op);
+            s.push(op);
         });
     }
 
@@ -454,7 +489,7 @@ impl TapeSink for TraceRecorder {
             let mut op = Packed::new(Tag::Extract);
             op.a = s.operand(v);
             s.extracted.push(val);
-            s.ops.push(op);
+            s.push(op);
         });
     }
 
@@ -463,7 +498,7 @@ impl TapeSink for TraceRecorder {
             let mut op = Packed::new(Tag::ExtractArray);
             op.fmt = s.array_operand(array);
             s.extracted.extend_from_slice(values);
-            s.ops.push(op);
+            s.push(op);
         });
     }
 
@@ -473,7 +508,7 @@ impl TapeSink for TraceRecorder {
             op.fmt = s.array_operand(array);
             op.a = s.index(index);
             s.extracted.push(val);
-            s.ops.push(op);
+            s.push(op);
         });
     }
 
@@ -486,7 +521,7 @@ impl TapeSink for TraceRecorder {
                 let chunk = u32::try_from(left).unwrap_or(u32::MAX);
                 let mut op = Packed::new(Tag::IntOps);
                 op.a = chunk;
-                s.ops.push(op);
+                s.push(op);
                 left -= u64::from(chunk);
                 if left == 0 {
                     break;
@@ -496,11 +531,11 @@ impl TapeSink for TraceRecorder {
     }
 
     fn vector_enter(&self) {
-        self.with_state(|s| s.ops.push(Packed::new(Tag::VectorEnter)));
+        self.with_state(|s| s.push(Packed::new(Tag::VectorEnter)));
     }
 
     fn vector_exit(&self) {
-        self.with_state(|s| s.ops.push(Packed::new(Tag::VectorExit)));
+        self.with_state(|s| s.push(Packed::new(Tag::VectorExit)));
     }
 }
 
@@ -543,11 +578,11 @@ impl Trace {
             });
         }
         let mut config = TypeConfig::baseline();
-        let mut fmt_vars = HashMap::new();
+        let mut var_fmts = Vec::with_capacity(vars.len());
         let mut var_names = Vec::with_capacity(vars.len());
         for (spec, fmt) in vars.iter().zip(format_pool()) {
             config.set(spec.name, fmt);
-            fmt_vars.insert(fmt, u16::try_from(var_names.len()).expect("pool is small"));
+            var_fmts.push(fmt);
             var_names.push(spec.name);
         }
 
@@ -574,20 +609,23 @@ impl Trace {
         }
         // Slot 0 is always BINARY32, which lets the one-entry slot cache
         // start valid: `(BINARY32, 0)` is a true mapping from the first op.
+        let (ops_len, raw_len) = LEN_HINT.get();
         let state = RecState {
-            ops: Vec::with_capacity(1024),
+            ops: Vec::with_capacity(ops_len),
+            raw_ops: Vec::with_capacity(raw_len),
+            cmp_sites: Vec::new(),
+            shape: ShapeHash::new(),
             pool: Vec::new(),
             fmt_slots: vec![FmtRef::Fixed(BINARY32)],
-            slot_index: HashMap::from([(BINARY32, 0u16)]),
+            slot_fmts: vec![BINARY32],
             last_slot: (BINARY32, 0),
             next_value: 1,
             next_array: 1,
             extracted: Vec::new(),
-            comparisons: 0,
             poisoned: None,
-            fmt_vars,
+            var_fmts,
         };
-        debug_assert!(!state.fmt_vars.contains_key(&BINARY32), "pool is wide");
+        debug_assert!(!state.var_fmts.contains(&BINARY32), "pool is wide");
         let saved = TAPE.with(|t| t.borrow_mut().replace(state));
         let slot = TapeSlot(saved);
 
@@ -603,7 +641,11 @@ impl Trace {
             recorded()
         };
 
-        let state = slot.take();
+        let mut state = slot.take();
+        LEN_HINT.set((state.ops.len().max(1024), state.raw_ops.len().max(1024)));
+        // A shorter tape than the last one returns the spare room.
+        state.ops.shrink_to_fit();
+        state.raw_ops.shrink_to_fit();
         if recorder.foreign_ops.load(Ordering::Relaxed) {
             return Err(RecordError::Unreplayable(
                 "traced region ran operations off the recording thread",
@@ -612,8 +654,13 @@ impl Trace {
         if let Some(reason) = state.poisoned {
             return Err(RecordError::Unreplayable(reason));
         }
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let plan = if bits(&state.extracted) == bits(&outputs) {
+        let same_bits = state.extracted.len() == outputs.len()
+            && state
+                .extracted
+                .iter()
+                .zip(&outputs)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+        let plan = if same_bits {
             OutputPlan::FromExtracts
         } else if state.extracted.is_empty() {
             OutputPlan::Verbatim
@@ -621,61 +668,15 @@ impl Trace {
             return Err(RecordError::OutputsNotReplayable);
         };
 
-        // The raw interpreter's view: statistics-only entries stripped
-        // (nothing observes them there) and every `Cast` whose operand is
-        // the `Bin` result produced by the immediately preceding raw entry
-        // fused into one `AddCast..DivCast` entry — the dominant
-        // accumulate-then-round idiom (`(acc + x*w).to(acc_fmt)`) costs one
-        // entry less per op. Comparison indices are mapped back to the
-        // full tape through `cmp_sites`.
-        let mut raw_ops: Vec<Packed> = Vec::with_capacity(state.ops.len());
-        let mut cmp_sites: Vec<u32> = Vec::with_capacity(state.comparisons as usize);
-        let mut next_value: ValueId = 1;
-        for (i, p) in state.ops.iter().enumerate() {
-            match p.tag {
-                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => continue,
-                Tag::CmpLt | Tag::CmpLe => {
-                    cmp_sites.push(u32::try_from(i).expect("tape indices fit u32"));
-                    raw_ops.push(*p);
-                    continue;
-                }
-                Tag::Cast => {
-                    // `next_value` is the id this cast will produce; its
-                    // operand is fusable when it is the value produced by
-                    // the previous raw entry and that entry is a plain bin.
-                    if p.a + 1 == next_value {
-                        if let Some(prev) = raw_ops.last_mut() {
-                            let fused = match prev.tag {
-                                Tag::Add => Some(Tag::AddCast),
-                                Tag::Sub => Some(Tag::SubCast),
-                                Tag::Mul => Some(Tag::MulCast),
-                                Tag::Div => Some(Tag::DivCast),
-                                _ => None,
-                            };
-                            if let Some(tag) = fused {
-                                prev.tag = tag;
-                                prev.fmt = p.fmt;
-                                next_value += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    raw_ops.push(*p);
-                    next_value += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            raw_ops.push(*p);
-            if produces_value(p.tag) {
-                next_value += 1;
-            }
+        let mut shape = state.shape;
+        if let Some(last) = state.raw_ops.last() {
+            shape.entry(last);
         }
-
         let mut trace = Trace {
+            comparisons: u32::try_from(state.cmp_sites.len()).expect("sites are u32 indices"),
             ops: state.ops,
-            raw_ops,
-            cmp_sites,
+            raw_ops: state.raw_ops,
+            cmp_sites: state.cmp_sites,
             pool: state.pool,
             fmt_slots: state.fmt_slots,
             n_values: state.next_value - 1,
@@ -684,10 +685,9 @@ impl Trace {
             recorded_config: config,
             plan,
             outputs,
-            comparisons: state.comparisons,
             struct_hash: 0,
         };
-        trace.struct_hash = trace.compute_struct_hash();
+        trace.struct_hash = shape.finish(&trace);
         Ok(trace)
     }
 }

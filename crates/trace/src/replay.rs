@@ -4,13 +4,15 @@
 //!
 //! * [`Trace::replay`] runs the **raw** loop of [`crate::batch`] with one
 //!   lane when nothing is observing the thread (no [`Recorder`], no
-//!   installed backend other than the native `Emulated`): values are plain `f64`s plus format slots and
-//!   every operation inlines the emulated datapath — the arithmetic the
-//!   uninstalled `Fx` fast path executes, minus the per-op thread-local
-//!   checks and statistics bookkeeping. That is what makes a replayed
-//!   candidate evaluation cheaper than a live kernel run. The same loop,
-//!   with more lanes or resumed from a shared prefix, serves
-//!   [`Trace::replay_batch`] and [`Trace::replay_candidates`].
+//!   installed backend other than the native `Emulated`): values are plain
+//!   `f64`s plus format slots and every operation inlines the emulated
+//!   datapath — the arithmetic the uninstalled `Fx` fast path executes,
+//!   minus the kernel's own index arithmetic and control flow. Live `Fx`
+//!   ops inline that same arithmetic, so one replay costs about as much as
+//!   one live run, not less (DESIGN.md §7, "Recording cost"). Replay pays
+//!   where one pass serves several lanes: the same loop, with more lanes or
+//!   resumed from a shared prefix, serves [`Trace::replay_batch`] and
+//!   [`Trace::replay_candidates`].
 //! * When a `Recorder` is running or a non-native backend is installed
 //!   ([`Engine::is_active`](flexfloat::Engine::is_active)), replay drives
 //!   the real [`Fx`]/[`FxArray`] API instead ([`Trace::replay_fx`] below),
@@ -502,6 +504,16 @@ mod tests {
             let (_, replayed) = Recorder::scoped(|| trace.replay(&cfg));
             assert_eq!(live, replayed, "{cfg}");
         }
+    }
+
+    #[test]
+    fn recording_keeps_the_engine_active() {
+        let trace = Trace::record(&dot_vars(), |cfg| {
+            assert!(Engine::is_active());
+            assert_eq!(Engine::active_name(), "trace-recorder");
+            dot_run(cfg)
+        });
+        assert!(trace.is_ok());
     }
 
     #[test]

@@ -295,65 +295,93 @@ pub struct Trace {
     pub(crate) plan: OutputPlan,
     pub(crate) outputs: Vec<f64>,
     pub(crate) comparisons: u32,
-    /// Structural fingerprint (FNV-1a) over everything the batched
+    /// Structural fingerprint ([`ShapeHash`]) over everything the batched
     /// interpreter needs in common across lanes: the raw op stream
     /// *excluding* recorded comparison outcomes (data-dependent, read
     /// per lane), format slots, variable names, table sizes, pool length
-    /// and output plan. Computed once at record time; see
-    /// [`Trace::same_shape`].
+    /// and output plan. Computed once at record time, in the pass that
+    /// builds `raw_ops`; see [`Trace::same_shape`].
     pub(crate) struct_hash: u64,
 }
 
-/// Folds `bytes` into an FNV-1a 64-bit accumulator.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0100_0000_01b3);
+/// The word-wise fingerprint behind [`Trace::same_shape`].
+///
+/// Each raw entry is folded in as two 64-bit words, one per accumulator:
+/// `tag | fmt << 8 | a << 32` and `b`. Every fold `h = (h ^ w) * K` is a
+/// bijection of `h` (K is odd), so two streams that differ in exactly one
+/// field of one entry always end in different fingerprints; the two
+/// accumulators keep the multiply chains independent, so the fold costs
+/// about one multiply latency per entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShapeHash {
+    lo: u64,
+    hi: u64,
+}
+
+/// The fold multiplier: odd, with well-spread bits.
+const SHAPE_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl ShapeHash {
+    pub(crate) fn new() -> Self {
+        ShapeHash {
+            lo: 0xcbf2_9ce4_8422_2325,
+            hi: 0x8422_2325_cbf2_9ce4,
+        }
+    }
+
+    #[inline(always)]
+    fn fold(&mut self, lo: u64, hi: u64) {
+        self.lo = (self.lo ^ lo).wrapping_mul(SHAPE_K);
+        self.hi = (self.hi ^ hi).wrapping_mul(SHAPE_K);
+    }
+
+    /// Folds in one finished raw entry.
+    #[inline(always)]
+    pub(crate) fn entry(&mut self, p: &Packed) {
+        // A comparison's `fmt` field holds its *recorded outcome*, which
+        // is input-data-dependent; lanes with different outcomes still
+        // share the tape structure.
+        let fmt = match p.tag {
+            Tag::CmpLt | Tag::CmpLe => 0,
+            _ => p.fmt,
+        };
+        let head = u64::from(p.tag as u8) | u64::from(fmt) << 8 | u64::from(p.a) << 32;
+        self.fold(head, u64::from(p.b));
+    }
+
+    /// Folds in everything but the raw entries and returns the
+    /// fingerprint.
+    pub(crate) fn finish(mut self, trace: &Trace) -> u64 {
+        for slot in &trace.fmt_slots {
+            match *slot {
+                FmtRef::Var(i) => self.fold(0, u64::from(i)),
+                FmtRef::Fixed(fmt) => {
+                    self.fold(
+                        1,
+                        u64::from(fmt.exp_bits()) | u64::from(fmt.man_bits()) << 32,
+                    );
+                }
+            }
+        }
+        for name in &trace.var_names {
+            self.fold(2, name.len() as u64);
+            for chunk in name.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                self.fold(3, u64::from_le_bytes(word));
+            }
+        }
+        self.fold(
+            u64::from(trace.n_values),
+            u64::from(trace.n_arrays) | u64::from(matches!(trace.plan, OutputPlan::Verbatim)) << 32,
+        );
+        self.fold(trace.pool.len() as u64, trace.outputs.len() as u64);
+        // Injective in each accumulator given the other.
+        self.lo.wrapping_mul(SHAPE_K) ^ self.hi
     }
 }
 
 impl Trace {
-    /// Computes [`Trace::struct_hash`] — called once by the recorder.
-    pub(crate) fn compute_struct_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for p in &self.raw_ops {
-            // A comparison's `fmt` field holds its *recorded outcome*,
-            // which is input-data-dependent; lanes with different
-            // outcomes still share the tape structure.
-            let fmt = match p.tag {
-                Tag::CmpLt | Tag::CmpLe => 0,
-                _ => p.fmt,
-            };
-            fnv1a(&mut h, &[p.tag as u8]);
-            fnv1a(&mut h, &fmt.to_le_bytes());
-            fnv1a(&mut h, &p.a.to_le_bytes());
-            fnv1a(&mut h, &p.b.to_le_bytes());
-        }
-        for slot in &self.fmt_slots {
-            match *slot {
-                FmtRef::Var(i) => {
-                    fnv1a(&mut h, &[0]);
-                    fnv1a(&mut h, &i.to_le_bytes());
-                }
-                FmtRef::Fixed(fmt) => {
-                    fnv1a(&mut h, &[1]);
-                    fnv1a(&mut h, &fmt.exp_bits().to_le_bytes());
-                    fnv1a(&mut h, &fmt.man_bits().to_le_bytes());
-                }
-            }
-        }
-        for name in &self.var_names {
-            fnv1a(&mut h, &(name.len() as u32).to_le_bytes());
-            fnv1a(&mut h, name.as_bytes());
-        }
-        fnv1a(&mut h, &self.n_values.to_le_bytes());
-        fnv1a(&mut h, &self.n_arrays.to_le_bytes());
-        fnv1a(&mut h, &(self.pool.len() as u64).to_le_bytes());
-        fnv1a(&mut h, &[matches!(self.plan, OutputPlan::Verbatim) as u8]);
-        fnv1a(&mut h, &(self.outputs.len() as u64).to_le_bytes());
-        h
-    }
-
     /// `true` when `other` records the *same program shape* as `self`:
     /// identical raw op stream (comparison outcomes aside), format slots,
     /// variable names and table sizes — i.e. the same kernel taped on a
@@ -514,5 +542,125 @@ impl Trace {
     /// The decoded tape, for inspection and reporting.
     pub fn ops(&self) -> impl Iterator<Item = TapeOp> + '_ {
         (0..self.len()).map(|i| self.op(i))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexfloat::{fx32, Fx, FxArray, Recorder, VarSpec};
+    use tp_formats::BINARY16;
+
+    /// [`Trace::struct_hash`] folded afresh over the whole trace.
+    fn rehash(trace: &Trace) -> u64 {
+        let mut shape = ShapeHash::new();
+        for p in &trace.raw_ops {
+            shape.entry(p);
+        }
+        shape.finish(trace)
+    }
+
+    fn vars() -> [VarSpec; 3] {
+        [
+            VarSpec::array("x", 6),
+            VarSpec::array("y", 6),
+            VarSpec::scalar("acc"),
+        ]
+    }
+
+    /// Straight-line code whose comparison outcomes depend on the input
+    /// set: every entry kind the fingerprint sees, including a fixed
+    /// (`fx32`) format slot, fused bin+cast entries and comparisons.
+    fn run(cfg: &TypeConfig, set: usize) -> Vec<f64> {
+        let acc_fmt = cfg.format_of("acc");
+        let xs: Vec<f64> = (0..6).map(|i| (i + 7) as f64 / 4.0 - set as f64).collect();
+        let x = FxArray::from_f64s(cfg.format_of("x"), &xs);
+        let mut y = FxArray::zeros(cfg.format_of("y"), 6);
+        let mut acc = Fx::zero(acc_fmt);
+        let half = fx32(0.5);
+        for i in 0..6 {
+            let v = x.get(i);
+            let _ = v.lt(half);
+            acc = (acc + v * half).to(acc_fmt);
+            y.set(i, -v.abs());
+            Recorder::int_ops(1);
+        }
+        let mut out = y.to_f64s();
+        out.push(acc.sqrt().to(BINARY16).value());
+        out
+    }
+
+    fn record(set: usize) -> Trace {
+        Trace::record(&vars(), |cfg| run(cfg, set)).expect("replayable")
+    }
+
+    #[test]
+    fn one_kernel_on_other_inputs_has_the_same_shape() {
+        let traces: Vec<Trace> = (0..3).map(record).collect();
+        let outcomes = |t: &Trace| -> Vec<u16> {
+            t.cmp_sites.iter().map(|&i| t.ops[i as usize].fmt).collect()
+        };
+        assert_ne!(
+            outcomes(&traces[0]),
+            outcomes(&traces[2]),
+            "outcomes differ"
+        );
+        for t in &traces {
+            assert_eq!(t.struct_hash, rehash(t), "one-pass fingerprint");
+            assert!(t.same_shape(&traces[0]));
+        }
+    }
+
+    #[test]
+    fn every_raw_field_and_format_slot_is_in_the_shape() {
+        let trace = record(0);
+        assert!(trace.raw_ops.iter().any(|p| p.tag == Tag::AddCast));
+        assert!(trace
+            .fmt_slots
+            .iter()
+            .any(|s| matches!(s, FmtRef::Fixed(_))));
+        let differs = |edit: &dyn Fn(&mut Trace), what: &str| {
+            let mut other = trace.clone();
+            edit(&mut other);
+            other.struct_hash = rehash(&other);
+            assert!(!other.same_shape(&trace), "{what} is not in the shape");
+        };
+        for i in 0..trace.raw_ops.len() {
+            let p = trace.raw_ops[i];
+            let tag = if p.tag == Tag::Add {
+                Tag::Sub
+            } else {
+                Tag::Add
+            };
+            differs(
+                &|t| t.raw_ops[i].tag = tag,
+                &format!("tag of raw entry {i}"),
+            );
+            if !matches!(p.tag, Tag::CmpLt | Tag::CmpLe) {
+                differs(
+                    &|t| t.raw_ops[i].fmt ^= 1,
+                    &format!("slot of raw entry {i}"),
+                );
+            }
+            differs(&|t| t.raw_ops[i].a ^= 1, &format!("a of raw entry {i}"));
+            differs(&|t| t.raw_ops[i].b ^= 1, &format!("b of raw entry {i}"));
+        }
+        for i in 0..trace.fmt_slots.len() {
+            let other = match trace.fmt_slots[i] {
+                FmtRef::Var(v) => FmtRef::Var(v ^ 1),
+                FmtRef::Fixed(_) => FmtRef::Fixed(tp_formats::BINARY8),
+            };
+            differs(&|t| t.fmt_slots[i] = other, &format!("format slot {i}"));
+        }
+        // A recorded comparison outcome is data, not shape.
+        let site = trace
+            .raw_ops
+            .iter()
+            .position(|p| matches!(p.tag, Tag::CmpLt | Tag::CmpLe))
+            .expect("comparisons recorded");
+        let mut flipped = trace.clone();
+        flipped.raw_ops[site].fmt ^= 1;
+        flipped.struct_hash = rehash(&flipped);
+        assert!(flipped.same_shape(&trace));
     }
 }

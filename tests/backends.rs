@@ -17,6 +17,7 @@ use tp_formats::ALL_KINDS;
 use tp_fpu::FpuModel;
 use tp_kernels::all_kernels_small;
 use tp_platform::PlatformParams;
+use tp_trace::{Replayed, Trace};
 use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode};
 
 /// Runs `app` under `config` on the given backend (or the plain default
@@ -113,6 +114,75 @@ fn unrecorded_fast_path_matches_recorded_default() {
                 let backend = backend_by_name(name).expect(name);
                 let out = run_unrecorded(app, config, Some(backend));
                 assert_eq!(out, want, "{} under {config}: {name}", app.name());
+            }
+        }
+    }
+}
+
+/// A replay outcome with outputs as bits, so NaN outputs compare equal.
+fn replay_bits(trace: &Trace, config: &TypeConfig) -> Result<Vec<u64>, usize> {
+    match trace.replay(config) {
+        Replayed::Output(out) => Ok(out.into_iter().map(f64::to_bits).collect()),
+        Replayed::Divergent { at } => Err(at),
+    }
+}
+
+/// Recording is datapath-independent: a tape recorded on the native
+/// datapath (the recorder computes natively and only taps the tape) holds
+/// exactly what one recorded under an installed `Emulated`, `SoftFloat` or
+/// `FpuModel` holds (the recorder dispatches to them) — the same op
+/// stream, the same recorded outputs, the same shape, and the same
+/// replays.
+#[test]
+fn recording_is_datapath_independent() {
+    for app in all_kernels_small() {
+        let app = app.as_ref();
+        let vars = app.variables();
+        let record = |backend: Option<Arc<dyn FpBackend>>| {
+            let body = || Trace::record(&vars, |cfg| app.run(cfg, 0)).expect("replayable");
+            match backend {
+                Some(b) => Engine::with(b, body),
+                None => body(),
+            }
+        };
+        // The process default: native unless `TP_BACKEND` names another
+        // datapath; the `emulated` leg below is native either way.
+        let want = record(None);
+        let want_ops: Vec<_> = want.ops().collect();
+        let want_outputs: Vec<u64> = want
+            .recorded_outputs()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let mut configs = vec![TypeConfig::baseline(), want.recorded_config().clone()];
+        configs.extend(
+            ALL_KINDS
+                .iter()
+                .map(|kind| TypeConfig::uniform(kind.format())),
+        );
+        for name in BACKEND_NAMES {
+            let got = record(backend_by_name(name));
+            assert_eq!(
+                got.ops().collect::<Vec<_>>(),
+                want_ops,
+                "{} on {name}: op stream",
+                app.name()
+            );
+            let outputs: Vec<u64> = got.recorded_outputs().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                outputs,
+                want_outputs,
+                "{} on {name}: recorded outputs",
+                app.name()
+            );
+            assert!(got.same_shape(&want), "{} on {name}: shape", app.name());
+            for config in &configs {
+                assert_eq!(
+                    replay_bits(&got, config),
+                    replay_bits(&want, config),
+                    "{} on {name}: replay under {config}",
+                    app.name()
+                );
             }
         }
     }
