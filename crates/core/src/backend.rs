@@ -142,23 +142,15 @@ pub trait FpBackend: Send + Sync {
     /// Clears the accumulated exception flags.
     fn clear_flags(&self) {}
 
-    /// `true` if this backend *is* the native datapath: every method
-    /// computes exactly what [`Emulated`] computes, and the backend counts,
-    /// accumulates and records nothing. Ops may then skip the backend
-    /// entirely and run their inlined fast path, as if none were installed
-    /// ([`Engine::current`] still returns it). Only [`Emulated`] overrides
-    /// the default.
+    /// `true` if this backend computes on the native datapath: every
+    /// method computes exactly what [`Emulated`] computes, and the backend
+    /// counts and accumulates nothing. Ops then never call its compute
+    /// methods. Without a [tape](FpBackend::tape) they run their inlined
+    /// fast path, as if none were installed ([`Engine::current`] still
+    /// returns it); with one they take their hooked path to reach the tape
+    /// and compute with the native helpers. [`Emulated`] and the `tp-trace`
+    /// recorder over the native datapath override the default.
     fn is_native(&self) -> bool {
-        false
-    }
-
-    /// `true` if this backend records a tape ([`FpBackend::tape`] returns
-    /// a sink) and otherwise behaves like [`Emulated`]: every compute
-    /// method returns what [`Emulated`] returns, and nothing is counted or
-    /// accumulated. Ops then take their hooked path for the tape taps but
-    /// compute on the native helpers without calling the backend. The
-    /// `tp-trace` recorder over the native datapath is such a backend.
-    fn taps_natively(&self) -> bool {
         false
     }
 
@@ -290,15 +282,16 @@ pub trait TapeSink {
 /// settles on one of the other states.
 const BK_UNRESOLVED: u8 = 0;
 /// The native datapath: `ACTIVE` is empty or holds a backend whose
-/// [`FpBackend::is_native`] is true. Ops take their inlined fast path
-/// (unless the `Recorder` is on) and never call the backend.
+/// [`FpBackend::is_native`] is true and that records no tape. Ops take
+/// their inlined fast path (unless the `Recorder` is on) and never call
+/// the backend.
 const BK_NATIVE: u8 = 1;
 /// `ACTIVE` holds a non-native backend (scoped installation or the
 /// folded-in global): every op takes its hooked path and dispatches.
 const BK_HOOKED: u8 = 2;
-/// `ACTIVE` holds a backend whose [`FpBackend::taps_natively`] is true:
-/// every op takes its hooked path to reach the tape sink, and computes
-/// natively without dispatching.
+/// `ACTIVE` holds a native backend that records a tape (the `tp-trace`
+/// recorder over the native datapath): every op takes its hooked path to
+/// reach the tape sink, and computes natively without dispatching.
 const BK_TAPED: u8 = 3;
 
 /// A backend installed on a thread, with its tape sink taken once at
@@ -377,8 +370,9 @@ impl Engine {
             }
         }
 
-        let state = state_of(Some(&*backend));
-        let saved_backend = ACTIVE.with(|a| a.borrow_mut().replace(Installed::new(backend)));
+        let installed = Installed::new(backend);
+        let state = state_of(Some(&installed));
+        let saved_backend = ACTIVE.with(|a| a.borrow_mut().replace(installed));
         let saved_state = STATE.with(|s| s.replace(state));
         let _restore = Restore(saved_state, saved_backend);
         f()
@@ -429,12 +423,12 @@ fn installed<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {
 
 /// The dispatch state that installing `backend` (`None`: nothing) puts a
 /// thread in.
-fn state_of(backend: Option<&dyn FpBackend>) -> u8 {
+fn state_of(backend: Option<&Installed>) -> u8 {
     match backend {
         None => BK_NATIVE,
-        Some(b) if b.is_native() => BK_NATIVE,
-        Some(b) if b.taps_natively() => BK_TAPED,
-        Some(_) => BK_HOOKED,
+        Some(i) if !i.backend.is_native() => BK_HOOKED,
+        Some(i) if i.tape.is_some() => BK_TAPED,
+        Some(_) => BK_NATIVE,
     }
 }
 
@@ -442,9 +436,9 @@ fn state_of(backend: Option<&dyn FpBackend>) -> u8 {
 /// into the thread-local slot on first use (cold; once per thread).
 #[cold]
 fn resolve_state() -> u8 {
-    let global = global_backend().clone();
-    let state = state_of(global.as_deref());
-    ACTIVE.with(|a| *a.borrow_mut() = global.map(Installed::new));
+    let global = global_backend().clone().map(Installed::new);
+    let state = state_of(global.as_ref());
+    ACTIVE.with(|a| *a.borrow_mut() = global);
     STATE.with(|s| s.set(state));
     state
 }
@@ -468,18 +462,9 @@ pub(crate) fn hooked() -> bool {
     crate::Recorder::is_enabled() | (STATE.with(Cell::get) != BK_NATIVE)
 }
 
-/// `true` when a hooked path has nothing to do but tap the tape: the
-/// `Recorder` is off and the thread [taps natively](FpBackend::taps_natively).
-/// The op then computes with its fast-path body and skips the `Recorder`
-/// events and the backend dispatch.
-#[inline(always)]
-pub(crate) fn tape_only() -> bool {
-    !crate::Recorder::is_enabled() & (STATE.with(Cell::get) == BK_TAPED)
-}
-
 /// Runs `f` against the effective backend, or returns `None` when the
-/// thread computes natively (no backend, [`Emulated`], or a backend that
-/// [taps natively](FpBackend::taps_natively)), where the caller computes
+/// thread computes natively (no backend, or a [native](FpBackend::is_native)
+/// one such as [`Emulated`] or a recorder over it), where the caller computes
 /// with the native helpers. Called from the hooked paths of
 /// `Fx`/`FlexFloat` ops only.
 #[inline]

@@ -25,11 +25,8 @@
 //! ([`common_format`], [`Fx::native_in`], [`Emulated`]'s methods). The
 //! outlined `*_hooked` twin holds the tape taps, `Recorder` events and
 //! backend dispatch, and falls back to the same helpers; with no hook live
-//! it returns exactly what the fast path returns. When the only hook is a
-//! tape over the native datapath ([`backend::tape_only`], a trace being
-//! recorded), the hooked twin taps the tape and then runs the fast path's
-//! own `*_native` body. Ops that only report to the tape keep one body:
-//! [`backend::tap`] is itself split that way.
+//! it returns exactly what the fast path returns. Ops that only report to
+//! the tape keep one body: [`backend::tap`] is itself split that way.
 
 use tp_formats::{FpFormat, BINARY32};
 
@@ -112,11 +109,6 @@ impl Fx {
         if backend::hooked() {
             return self.to_hooked(dst);
         }
-        self.to_native(dst)
-    }
-
-    #[inline(always)]
-    fn to_native(self, dst: FpFormat) -> Self {
         if dst == self.fmt {
             return Fx { vid: 0, ..self };
         }
@@ -126,12 +118,9 @@ impl Fx {
     #[inline(never)]
     fn to_hooked(self, dst: FpFormat) -> Self {
         let vid = backend::tap_hooked(|t| t.cast(self.vid, dst)).unwrap_or(0);
-        let out = if backend::tape_only() {
-            self.to_native(dst)
-        } else {
-            self.convert(dst)
-        };
-        Fx { vid, ..out }
+        let mut out = self.convert(dst);
+        out.vid = vid;
+        out
     }
 
     /// A fast-path result: no producing event, no tape id.
@@ -180,23 +169,12 @@ impl Fx {
         if backend::hooked() {
             return self.sqrt_hooked();
         }
-        self.sqrt_native()
-    }
-
-    #[inline(always)]
-    fn sqrt_native(self) -> Self {
         Fx::native(Emulated.sqrt(self.fmt, self.val), self.fmt)
     }
 
     #[inline(never)]
     fn sqrt_hooked(self) -> Self {
         let vid = backend::tap_hooked(|t| t.sqrt(self.vid)).unwrap_or(0);
-        if backend::tape_only() {
-            return Fx {
-                vid,
-                ..self.sqrt_native()
-            };
-        }
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(self.fmt, OpKind::Sqrt, self.prod, 0)
         } else {
@@ -244,11 +222,6 @@ impl Fx {
         if backend::hooked() {
             return self.min_max_hooked(other, want_min);
         }
-        self.min_max_native(other, want_min)
-    }
-
-    #[inline(always)]
-    fn min_max_native(self, other: Self, want_min: bool) -> Self {
         let fmt = common_format(self.fmt, other.fmt);
         let (a, b) = (self.native_in(fmt), other.native_in(fmt));
         Fx::native(native_min_max(a, b, want_min), fmt)
@@ -257,12 +230,6 @@ impl Fx {
     #[inline(never)]
     fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
         let vid = backend::tap_hooked(|t| t.min_max(want_min, self.vid, other.vid)).unwrap_or(0);
-        if backend::tape_only() {
-            return Fx {
-                vid,
-                ..self.min_max_native(other, want_min)
-            };
-        }
         let (a, b, fmt) = Self::promote(self, other);
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod)
@@ -284,9 +251,23 @@ impl Fx {
     #[must_use]
     pub fn lt(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.cmp_hooked(other, false);
+            return self.lt_hooked(other);
         }
-        self.cmp_native(other, false)
+        let fmt = common_format(self.fmt, other.fmt);
+        Emulated.lt(fmt, self.native_in(fmt), other.native_in(fmt))
+    }
+
+    #[inline(never)]
+    fn lt_hooked(self, other: Self) -> bool {
+        let (src_a, src_b) = (self.vid, other.vid);
+        let (a, b, fmt) = Self::promote(self, other);
+        if Recorder::is_enabled() {
+            Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
+        }
+        let out = backend::dispatch(|bk| bk.lt(fmt, a.val, b.val))
+            .unwrap_or_else(|| Emulated.lt(fmt, a.val, b.val));
+        let _ = backend::tap_hooked(|t| t.cmp(false, src_a, src_b, out));
+        out
     }
 
     /// `self <= other` as a hardware comparison — IEEE quiet predicate,
@@ -295,43 +276,22 @@ impl Fx {
     #[must_use]
     pub fn le(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.cmp_hooked(other, true);
+            return self.le_hooked(other);
         }
-        self.cmp_native(other, true)
-    }
-
-    /// `self <= other` (`is_le`) or `self < other` on the native datapath.
-    #[inline(always)]
-    fn cmp_native(self, other: Self, is_le: bool) -> bool {
         let fmt = common_format(self.fmt, other.fmt);
-        let (a, b) = (self.native_in(fmt), other.native_in(fmt));
-        if is_le {
-            Emulated.le(fmt, a, b)
-        } else {
-            Emulated.lt(fmt, a, b)
-        }
+        Emulated.le(fmt, self.native_in(fmt), other.native_in(fmt))
     }
 
     #[inline(never)]
-    fn cmp_hooked(self, other: Self, is_le: bool) -> bool {
+    fn le_hooked(self, other: Self) -> bool {
         let (src_a, src_b) = (self.vid, other.vid);
-        let out = if backend::tape_only() {
-            self.cmp_native(other, is_le)
-        } else {
-            let (a, b, fmt) = Self::promote(self, other);
-            if Recorder::is_enabled() {
-                Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
-            }
-            backend::dispatch(|bk| {
-                if is_le {
-                    bk.le(fmt, a.val, b.val)
-                } else {
-                    bk.lt(fmt, a.val, b.val)
-                }
-            })
-            .unwrap_or_else(|| a.cmp_native(b, is_le))
-        };
-        let _ = backend::tap_hooked(|t| t.cmp(is_le, src_a, src_b, out));
+        let (a, b, fmt) = Self::promote(self, other);
+        if Recorder::is_enabled() {
+            Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
+        }
+        let out = backend::dispatch(|bk| bk.le(fmt, a.val, b.val))
+            .unwrap_or_else(|| Emulated.le(fmt, a.val, b.val));
+        let _ = backend::tap_hooked(|t| t.cmp(true, src_a, src_b, out));
         out
     }
 
@@ -348,11 +308,6 @@ impl Fx {
         if backend::hooked() {
             return self.bin_op_hooked(rhs, kind, op);
         }
-        self.bin_op_native(rhs, op)
-    }
-
-    #[inline(always)]
-    fn bin_op_native(self, rhs: Fx, op: BinOp) -> Fx {
         let fmt = common_format(self.fmt, rhs.fmt);
         let (a, b) = (self.native_in(fmt), rhs.native_in(fmt));
         Fx::native(Emulated.bin_op(fmt, op, a, b), fmt)
@@ -361,12 +316,6 @@ impl Fx {
     #[inline(never)]
     fn bin_op_hooked(self, rhs: Fx, kind: OpKind, op: BinOp) -> Fx {
         let vid = backend::tap_hooked(|t| t.bin_op(op, self.vid, rhs.vid)).unwrap_or(0);
-        if backend::tape_only() {
-            return Fx {
-                vid,
-                ..self.bin_op_native(rhs, op)
-            };
-        }
         let (a, b, fmt) = Self::promote(self, rhs);
         let prod = if Recorder::is_enabled() {
             Recorder::fp_op(fmt, kind, a.prod, b.prod)
@@ -581,10 +530,6 @@ impl FxArray {
     #[inline(never)]
     fn set_hooked(&mut self, i: usize, v: Fx) {
         let _ = backend::tap_hooked(|t| t.array_store(self.tid, i, v.vid));
-        if backend::tape_only() {
-            self.data[i] = v.native_in(self.fmt);
-            return;
-        }
         let v = v.convert(self.fmt);
         if Recorder::is_enabled() {
             Recorder::store(self.fmt.total_bits());

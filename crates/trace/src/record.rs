@@ -1,9 +1,9 @@
 //! The recording backend and [`Trace::record`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use flexfloat::backend::{Emulated, FlagSet};
 use flexfloat::{
@@ -257,8 +257,8 @@ impl RecState {
 /// no state, flags the recorder, and the finished trace is rejected
 /// rather than silently incomplete.
 ///
-/// Over the native datapath (no backend, or [`Emulated`]) the recorder
-/// [taps natively](FpBackend::taps_natively): ops compute on their native
+/// Over the native datapath (no backend, or [`Emulated`]) the recorder is
+/// itself [native](FpBackend::is_native): ops compute on their native
 /// helpers and reach the recorder only for its tape, so its compute
 /// methods are never called.
 pub struct TraceRecorder {
@@ -269,11 +269,41 @@ pub struct TraceRecorder {
 thread_local! {
     /// The [`RecState`] of the recording in progress on this thread.
     static TAPE: RefCell<Option<RecState>> = const { RefCell::new(None) };
-    /// `(ops, raw_ops)` lengths of the last recording on this thread: the
-    /// next one starts with that much room. A tuner records one kernel
-    /// on several input sets in a row, so growing the tape by doubling —
-    /// a copy and fresh pages per step — would repeat every time.
-    static LEN_HINT: Cell<(usize, usize)> = const { Cell::new((1024, 1024)) };
+}
+
+/// `(ops, raw_ops)` lengths of the latest recording of each recent
+/// program, keyed by its declared variables (names and element counts,
+/// which tell kernels and their sizes apart). A recording starts with that
+/// much room instead of growing its tapes by doubling, which copies them
+/// and touches fresh pages at every step. The table is process-wide, so it
+/// serves every worker thread: a tuner records one program on several
+/// input sets, and a service records the same programs job after job. The
+/// lengths are only a capacity guess; a wrong one costs a regrowth or a
+/// shrink, never a different tape.
+static TAPE_LENS: Mutex<Vec<(Vec<VarSpec>, usize, usize)>> = Mutex::new(Vec::new());
+
+/// Programs [`TAPE_LENS`] remembers; the oldest is forgotten first.
+const TAPE_LENS_CAP: usize = 64;
+
+/// The tape lengths to reserve for a recording of the program declaring
+/// `vars`.
+fn tape_lens(vars: &[VarSpec]) -> (usize, usize) {
+    let lens = TAPE_LENS.lock().unwrap_or_else(PoisonError::into_inner);
+    lens.iter()
+        .find(|(key, ..)| key.as_slice() == vars)
+        .map_or((1024, 1024), |&(_, ops, raw)| (ops, raw))
+}
+
+fn remember_tape_lens(vars: &[VarSpec], ops: usize, raw: usize) {
+    let mut lens = TAPE_LENS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(entry) = lens.iter_mut().find(|(key, ..)| key.as_slice() == vars) {
+        (entry.1, entry.2) = (ops, raw);
+        return;
+    }
+    if lens.len() == TAPE_LENS_CAP {
+        lens.remove(0);
+    }
+    lens.push((vars.to_vec(), ops, raw));
 }
 
 impl fmt::Debug for TraceRecorder {
@@ -353,8 +383,8 @@ impl FpBackend for TraceRecorder {
         self.inner.clear_flags();
     }
 
-    fn taps_natively(&self) -> bool {
-        self.inner.is_native() || self.inner.taps_natively()
+    fn is_native(&self) -> bool {
+        self.inner.is_native()
     }
 
     fn tape(self: Arc<Self>) -> Option<Arc<dyn TapeSink>> {
@@ -609,7 +639,7 @@ impl Trace {
         }
         // Slot 0 is always BINARY32, which lets the one-entry slot cache
         // start valid: `(BINARY32, 0)` is a true mapping from the first op.
-        let (ops_len, raw_len) = LEN_HINT.get();
+        let (ops_len, raw_len) = tape_lens(vars);
         let state = RecState {
             ops: Vec::with_capacity(ops_len),
             raw_ops: Vec::with_capacity(raw_len),
@@ -642,8 +672,10 @@ impl Trace {
         };
 
         let mut state = slot.take();
-        LEN_HINT.set((state.ops.len().max(1024), state.raw_ops.len().max(1024)));
-        // A shorter tape than the last one returns the spare room.
+        remember_tape_lens(vars, state.ops.len(), state.raw_ops.len());
+        // A tape that outgrew or undershot its reservation hands back the
+        // spare room rather than keep it for as long as the trace lives (a
+        // tuner's replay context holds one per input set).
         state.ops.shrink_to_fit();
         state.raw_ops.shrink_to_fit();
         if recorder.foreign_ops.load(Ordering::Relaxed) {
@@ -689,5 +721,38 @@ impl Trace {
         };
         trace.struct_hash = shape.finish(&trace);
         Ok(trace)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A program key no other test records: the element count tells them
+    /// apart.
+    fn program(elements: usize) -> Vec<VarSpec> {
+        vec![VarSpec {
+            name: "tape_lens_probe",
+            elements,
+        }]
+    }
+
+    #[test]
+    fn tape_lens_remember_each_program_and_forget_the_oldest() {
+        let base = 1 << 40;
+        assert_eq!(tape_lens(&program(base)), (1024, 1024), "unknown program");
+        remember_tape_lens(&program(base), 7, 5);
+        assert_eq!(tape_lens(&program(base)), (7, 5));
+        remember_tape_lens(&program(base), 9, 6);
+        assert_eq!(tape_lens(&program(base)), (9, 6), "latest recording wins");
+        for i in 1..=TAPE_LENS_CAP {
+            remember_tape_lens(&program(base + i), i, i);
+        }
+        assert_eq!(tape_lens(&program(base)), (1024, 1024), "oldest forgotten");
+        assert_eq!(
+            tape_lens(&program(base + TAPE_LENS_CAP)),
+            (TAPE_LENS_CAP, TAPE_LENS_CAP)
+        );
+        assert!(TAPE_LENS.lock().unwrap().len() <= TAPE_LENS_CAP);
     }
 }
