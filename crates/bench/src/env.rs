@@ -8,10 +8,9 @@
 //!
 //! | Variable | Values | Default | Effect |
 //! |---|---|---|---|
-//! | `TP_BACKEND` | `emulated`, `softfloat` | `emulated` | Process-default execution datapath (resolved in `flexfloat::Engine` at dispatch; validated here too) |
+//! | `TP_BACKEND` | `emulated`, `softfloat` | `emulated` | Process-default execution datapath (resolved in `flexfloat::Engine`; [`config`] forces that resolution up front) |
 //! | `TP_WORKERS` | positive integer | `available_parallelism` | Worker threads for the tuning search and suite fan-out (`tp_tuner::resolve_workers`) |
 //! | `TP_TUNER_MODE` | `live`, `replay` | `replay` | Candidate evaluation strategy (`TunerMode::from_env`) |
-//! | `TP_REPLAY_BATCH` | `on`, `off` | `on` | Batched structure-of-arrays replay (`tp_tuner::replay_batch_from_env`); decision-transparent, perf only |
 //! | `TP_STORE_DIR` | directory path | unset (store off) | Persistent tuning-result store root; set it and warm runs skip the search |
 //! | `TP_STORE_CAP` | bytes, with optional `K`/`M`/`G` suffix | `256M` | Store eviction cap (LRU beyond it) |
 //! | `TP_METRICS` | `off`, `on`, `json`, `prom` | `off` | Metrics collection (`tp_obs`); `json`/`prom` also make harness binaries print a snapshot at exit. Observational only — never affects results or `JobKey`s |
@@ -26,24 +25,22 @@
 //! can resolve, validate and print the whole configuration up front.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use flexfloat::{Engine, FpBackend};
+use flexfloat::Engine;
 use tp_store::{Store, DEFAULT_CAP_BYTES};
 use tp_tuner::TunerMode;
 
 /// Resolved view of every knob, for logging a run's configuration.
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
-    /// The effective backend name (`TP_BACKEND`, or the thread's active
-    /// backend, or `"emulated"`).
+    /// The effective backend name as core dispatches it
+    /// (`Engine::active_name`): the thread's installed backend, else
+    /// `TP_BACKEND`, else `"emulated"`.
     pub backend: String,
     /// The effective worker count (`TP_WORKERS` / auto).
     pub workers: usize,
     /// The effective tuner mode (`TP_TUNER_MODE` / replay).
     pub mode: TunerMode,
-    /// Batched replay on/off (`TP_REPLAY_BATCH` / on).
-    pub replay_batch: bool,
     /// The store root, if the store is enabled (`TP_STORE_DIR`).
     pub store_dir: Option<PathBuf>,
     /// The store eviction cap in bytes (`TP_STORE_CAP`).
@@ -58,11 +55,10 @@ impl std::fmt::Display for EnvConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "backend={} workers={} mode={} batch={} store={} metrics={} tracing={}",
+            "backend={} workers={} mode={} store={} metrics={} tracing={}",
             self.backend,
             self.workers,
             self.mode,
-            if self.replay_batch { "on" } else { "off" },
             match &self.store_dir {
                 Some(dir) => format!("{} (cap {} bytes)", dir.display(), self.store_cap),
                 None => "off".to_owned(),
@@ -81,11 +77,11 @@ impl std::fmt::Display for EnvConfig {
 #[must_use]
 pub fn config() -> EnvConfig {
     EnvConfig {
-        backend: backend()
-            .map_or_else(|| Engine::active_name().to_owned(), |b| b.name().to_owned()),
+        // Core's own `TP_BACKEND` parser, so a name core would reject at
+        // the first FP op (the in-process-only `fpu`) panics here instead.
+        backend: Engine::active_name().to_owned(),
         workers: workers(),
         mode: tuner_mode(),
-        replay_batch: replay_batch(),
         store_dir: store_dir(),
         store_cap: store_cap(),
         metrics: metrics_mode(),
@@ -111,25 +107,6 @@ pub fn metrics_mode() -> tp_obs::MetricsMode {
     tp_obs::MetricsMode::from_env()
 }
 
-/// The backend `TP_BACKEND` names, if set. The actual dispatch-site
-/// resolution lives in `flexfloat::Engine` (which this validates against
-/// via [`crate::backend_by_name`], same spelling, same fail-fast).
-///
-/// # Panics
-///
-/// On an unknown backend name — mirroring the dispatch-site behavior, but
-/// at startup instead of first FP operation.
-#[must_use]
-pub fn backend() -> Option<Arc<dyn FpBackend>> {
-    match std::env::var("TP_BACKEND") {
-        Ok(name) => Some(crate::backend_by_name(&name).unwrap_or_else(|| {
-            panic!("TP_BACKEND={name:?} is not an env-selectable backend (use \"emulated\" or \"softfloat\")")
-        })),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("TP_BACKEND is set but unreadable: {e}"),
-    }
-}
-
 /// The effective worker count: `TP_WORKERS` if set (must be a positive
 /// integer — anything else panics, see `tp_tuner::resolve_workers`),
 /// otherwise the machine's available parallelism.
@@ -143,15 +120,6 @@ pub fn workers() -> usize {
 #[must_use]
 pub fn tuner_mode() -> TunerMode {
     TunerMode::from_env()
-}
-
-/// Batched replay on/off: `TP_REPLAY_BATCH` (`on`/`off`, unknown values
-/// panic — resolved in `tp_tuner::replay_batch_from_env`), default on.
-/// Decision-transparent either way; the knob exists for perf comparison
-/// (`exp_replay_speedup` batched column) and bisection.
-#[must_use]
-pub fn replay_batch() -> bool {
-    tp_tuner::replay_batch_from_env()
 }
 
 /// The tuning-result store root: `TP_STORE_DIR`, or `None` (store

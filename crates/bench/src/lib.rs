@@ -10,7 +10,6 @@
 
 pub mod env;
 mod jsonout;
-pub mod trajectory;
 
 use std::sync::Arc;
 
@@ -145,9 +144,9 @@ pub fn effective_workers() -> usize {
 /// `SmallFloatUnit` cycle/energy adapter). Returns `None` for anything
 /// else.
 ///
-/// This is the string the `TP_BACKEND` environment variable speaks; the
-/// harness resolves it here so experiment binaries and the CI backend
-/// matrix share one spelling.
+/// `emulated` and `softfloat` are also `TP_BACKEND`'s spellings, which
+/// core resolves itself; `fpu` can only be installed in-process, so core
+/// rejects it as a `TP_BACKEND` value.
 #[must_use]
 pub fn backend_by_name(name: &str) -> Option<Arc<dyn FpBackend>> {
     match name {

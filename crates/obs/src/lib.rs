@@ -41,8 +41,8 @@
 //! Nothing in this crate feeds back into a decision: chosen formats,
 //! `TraceCounts`, store contents and `JobKey`s are bit-identical with
 //! metrics on or off (pinned by `tests/determinism.rs`). That is why
-//! `TP_METRICS` — like `TP_WORKERS` and `TP_REPLAY_BATCH` — is excluded
-//! from the store's `JobKey`.
+//! `TP_METRICS` — like `TP_WORKERS` and `SearchParams::batch` — is
+//! excluded from the store's `JobKey`.
 //!
 //! # The knob
 //!

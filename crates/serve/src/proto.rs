@@ -208,8 +208,8 @@ impl SubmitRequest {
             workers,
             mode: self.mode,
             // Batching is outcome-invariant (like `workers`), so it is the
-            // server process's choice, never wire-controlled.
-            batch: tp_tuner::replay_batch_from_env(),
+            // server's choice, never wire-controlled.
+            batch: true,
         }
     }
 }

@@ -30,8 +30,8 @@
 //! `SearchParams::batch` is excluded for the same reason: batched replay
 //! is decision-transparent — formats, evaluation counts *and* the replay
 //! summary are bit-identical on or off (`DESIGN.md §10`,
-//! `tests/replay_equivalence.rs`) — so a batching server and a
-//! `TP_REPLAY_BATCH=off` client must share entries.
+//! `tests/replay_equivalence.rs`) — so a batched search and a
+//! `with_batch(false)` search must share entries.
 //!
 //! [`SearchParams::input_sets`]: tp_tuner::SearchParams::input_sets
 //! [`ReplaySummary`]: tp_tuner::ReplaySummary

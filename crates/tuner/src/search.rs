@@ -108,27 +108,6 @@ impl std::fmt::Display for TunerMode {
     }
 }
 
-/// The process-wide default for batched replay: the `TP_REPLAY_BATCH`
-/// environment variable (`"on"` or `"off"`), or on when unset. Read once
-/// and cached; unknown values fail fast, mirroring `TP_TUNER_MODE`.
-///
-/// Batching is decision-transparent — chosen formats, evaluation counts
-/// and the [`ReplaySummary`] are bit-identical either way (pinned by
-/// `tests/replay_equivalence.rs`) — so the switch exists for perf
-/// comparison and bisection, not behavior.
-#[must_use]
-pub fn replay_batch_from_env() -> bool {
-    static BATCH: OnceLock<bool> = OnceLock::new();
-    *BATCH.get_or_init(|| match std::env::var("TP_REPLAY_BATCH").as_deref() {
-        Ok("on") | Err(std::env::VarError::NotPresent) => true,
-        Ok("off") => false,
-        Ok(other) => {
-            panic!("TP_REPLAY_BATCH={other:?} is not a switch (use \"on\" or \"off\")")
-        }
-        Err(e) => panic!("TP_REPLAY_BATCH is set but unreadable: {e}"),
-    })
-}
-
 /// How much of a tuning run the replay engine carried (all zero in
 /// [`TunerMode::Live`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -611,7 +590,8 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// Parameters used throughout the paper's evaluation: the given error
-    /// threshold, three input sets, the V2 type system, auto worker count.
+    /// threshold, three input sets, the V2 type system, auto worker count,
+    /// batched replay on.
     #[must_use]
     pub fn paper(threshold: f64) -> Self {
         SearchParams {
@@ -622,7 +602,7 @@ impl SearchParams {
             passes: 2,
             workers: 0,
             mode: TunerMode::from_env(),
-            batch: replay_batch_from_env(),
+            batch: true,
         }
     }
 

@@ -9,7 +9,8 @@
 //!    (`TraceCounts`) of a successful replay equal the live run's counts.
 //! 2. **Tuner-level**: `distributed_search` in `TunerMode::Replay` returns
 //!    bit-identical chosen formats — and evaluation counts — to
-//!    `TunerMode::Live`, across the small suite × backends × worker counts.
+//!    `TunerMode::Live`, across the small suite × backends × worker counts,
+//!    and across the paper-size suite at the tightest threshold.
 //! 3. **Divergence guard**: a deliberately value-dependent micro-kernel
 //!    raises `Divergent` and the tuner transparently falls back to live
 //!    evaluation, still matching Live mode exactly.
@@ -212,6 +213,48 @@ fn replay_mode_chooses_identical_formats_across_backends_and_workers() {
                 );
             }
         }
+    }
+}
+
+/// Layer 2 at paper size: all ten registry kernels at the tightest
+/// threshold and the default worker count. Live, sequential replay and
+/// batched replay choose the same format for every variable and spend the
+/// same number of evaluations, and batching leaves the replay summary
+/// unchanged.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper size: run with --release")]
+fn paper_size_modes_choose_identical_formats() {
+    for app in tp_kernels::all_kernels() {
+        let app = app.as_ref();
+        let paper = SearchParams::paper(1e-3);
+        let live = distributed_search(app, paper.with_mode(TunerMode::Live));
+        let replay = paper.with_mode(TunerMode::Replay);
+        let sequential = distributed_search(app, replay.with_batch(false));
+        let batched = distributed_search(app, replay.with_batch(true));
+        for (engine, outcome) in [("sequential", &sequential), ("batched", &batched)] {
+            assert_eq!(live.vars.len(), outcome.vars.len(), "{}", app.name());
+            for (a, b) in live.vars.iter().zip(&outcome.vars) {
+                assert_eq!(
+                    (a.precision_bits, a.needs_wide_range),
+                    (b.precision_bits, b.needs_wide_range),
+                    "{}/{}: {engine} replay changed a chosen format",
+                    app.name(),
+                    a.spec.name
+                );
+            }
+            assert_eq!(
+                live.evaluations,
+                outcome.evaluations,
+                "{}: {engine} replay changed the evaluation count",
+                app.name()
+            );
+        }
+        assert_eq!(
+            sequential.replay,
+            batched.replay,
+            "{}: batching changed the replay summary",
+            app.name()
+        );
     }
 }
 
