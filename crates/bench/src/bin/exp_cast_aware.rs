@@ -14,6 +14,9 @@ use tp_platform::{evaluate, PlatformParams};
 use tp_tuner::{cast_aware_refine, distributed_search, SearchParams};
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     let params = PlatformParams::paper();
     println!("E9: cast-aware tuning vs precision-only DistributedSearch");
     println!(

@@ -20,6 +20,9 @@ use tp_bench::{cross_validate_suite, pct, THRESHOLDS};
 use tp_platform::PlatformParams;
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     println!("E10: FpuModel measured vs analytic platform model");
     println!("workers: {}", tp_bench::effective_workers());
     let params = PlatformParams::paper();

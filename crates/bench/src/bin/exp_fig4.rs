@@ -10,6 +10,9 @@
 use tp_tuner::{distributed_search, PrecisionHistogram, SearchParams};
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     println!("E3: Fig. 4 — memory locations per minimum precision (V2 bands)");
     let max_col = 13u32; // columns 2..=12 plus a ">=13" bucket
 

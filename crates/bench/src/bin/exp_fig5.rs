@@ -11,6 +11,9 @@ use tp_formats::ALL_KINDS;
 use tp_platform::PlatformParams;
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     // --json: one document over every threshold, in the tp-store schema.
     if want_json() {
         let params = PlatformParams::paper();

@@ -16,6 +16,9 @@ use tp_platform::PlatformParams;
 const PAPER_SIX: [&str; 6] = ["JACOBI", "KNN", "PCA", "DWT", "SVM", "CONV"];
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     // --json: one document over every threshold, in the tp-store schema
     // (same serializer as the result store and the tp-serve wire format).
     if want_json() {

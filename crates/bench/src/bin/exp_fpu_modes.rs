@@ -22,6 +22,9 @@ fn operand(rng: &mut SmallRng, fmt: FormatKind) -> u64 {
 }
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     println!("E8: FPU modes of operation (latency in cycles, energy in pJ)");
     println!(
         "{:>24} {:>7} {:>6} {:>8} {:>10} {:>12}",

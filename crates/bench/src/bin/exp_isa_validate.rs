@@ -78,6 +78,9 @@ fn cases(small: bool, fmt: FormatKind) -> Vec<Case> {
 }
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     println!("E12: tp-isa instruction streams vs closure kernels vs analytic model");
     let params = PlatformParams::paper();
 

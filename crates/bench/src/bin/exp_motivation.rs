@@ -11,6 +11,9 @@ use tp_bench::{pct, record_run};
 use tp_platform::{evaluate, PlatformParams};
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     let params = PlatformParams::paper();
     println!("E1: energy breakdown of the binary32 baseline (per application)");
     println!(

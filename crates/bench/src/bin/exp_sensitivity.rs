@@ -38,6 +38,9 @@ fn suite_summary(params: &PlatformParams) -> (f64, f64, f64, bool) {
 }
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     // --json: the unperturbed-calibration suite evaluation (the ablation's
     // own baseline row), in the tp-store schema.
     if want_json() {

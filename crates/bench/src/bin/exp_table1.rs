@@ -21,6 +21,9 @@ use tp_tuner::{classify_variables, distributed_search, SearchParams};
 const PAPER_SIX: [&str; 6] = ["JACOBI", "KNN", "PCA", "DWT", "SVM", "CONV"];
 
 fn main() {
+    // Resolve and validate every knob before printing anything: an
+    // invalid `TP_*` value must abort with no output.
+    let _ = tp_bench::env::config();
     println!("E2: Table I — variables classified by type (threshold 1e-1)");
 
     type ClassCounts = BTreeMap<(TypeSystem, FormatKind), usize>;

@@ -10,7 +10,6 @@
 //! |---|---|---|---|
 //! | `TP_BACKEND` | `emulated`, `softfloat` | `emulated` | Process-default execution datapath (resolved in `flexfloat::Engine`; [`config`] forces that resolution up front) |
 //! | `TP_WORKERS` | positive integer | `available_parallelism` | Worker threads for the tuning search and suite fan-out (`tp_tuner::resolve_workers`) |
-//! | `TP_TUNER_MODE` | `live`, `replay` | `replay` | Candidate evaluation strategy (`TunerMode::from_env`) |
 //! | `TP_STORE_DIR` | directory path | unset (store off) | Persistent tuning-result store root; set it and warm runs skip the search |
 //! | `TP_STORE_CAP` | bytes, with optional `K`/`M`/`G` suffix | `256M` | Store eviction cap (LRU beyond it) |
 //! | `TP_METRICS` | `off`, `on`, `json`, `prom` | `off` | Metrics collection (`tp_obs`); `json`/`prom` also make harness binaries print a snapshot at exit. Observational only — never affects results or `JobKey`s |
@@ -28,7 +27,6 @@ use std::path::PathBuf;
 
 use flexfloat::Engine;
 use tp_store::{Store, DEFAULT_CAP_BYTES};
-use tp_tuner::TunerMode;
 
 /// Resolved view of every knob, for logging a run's configuration.
 #[derive(Debug, Clone)]
@@ -39,8 +37,6 @@ pub struct EnvConfig {
     pub backend: String,
     /// The effective worker count (`TP_WORKERS` / auto).
     pub workers: usize,
-    /// The effective tuner mode (`TP_TUNER_MODE` / replay).
-    pub mode: TunerMode,
     /// The store root, if the store is enabled (`TP_STORE_DIR`).
     pub store_dir: Option<PathBuf>,
     /// The store eviction cap in bytes (`TP_STORE_CAP`).
@@ -55,10 +51,9 @@ impl std::fmt::Display for EnvConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "backend={} workers={} mode={} store={} metrics={} tracing={}",
+            "backend={} workers={} store={} metrics={} tracing={}",
             self.backend,
             self.workers,
-            self.mode,
             match &self.store_dir {
                 Some(dir) => format!("{} (cap {} bytes)", dir.display(), self.store_cap),
                 None => "off".to_owned(),
@@ -81,7 +76,6 @@ pub fn config() -> EnvConfig {
         // the first FP op (the in-process-only `fpu`) panics here instead.
         backend: Engine::active_name().to_owned(),
         workers: workers(),
-        mode: tuner_mode(),
         store_dir: store_dir(),
         store_cap: store_cap(),
         metrics: metrics_mode(),
@@ -113,13 +107,6 @@ pub fn metrics_mode() -> tp_obs::MetricsMode {
 #[must_use]
 pub fn workers() -> usize {
     tp_tuner::resolve_workers(0)
-}
-
-/// The effective tuner mode: `TP_TUNER_MODE` (`live`/`replay`, unknown
-/// values panic), default replay.
-#[must_use]
-pub fn tuner_mode() -> TunerMode {
-    TunerMode::from_env()
 }
 
 /// The tuning-result store root: `TP_STORE_DIR`, or `None` (store

@@ -219,12 +219,12 @@ pub fn tuned_record_cached(
 }
 
 /// Tunes `app` at `threshold` and evaluates baseline + tuned runs on the
-/// platform model, with the auto worker count (`TP_WORKERS` override), the
-/// auto tuner mode (`TP_TUNER_MODE` override, default replay) and the auto
-/// result store (`TP_STORE_DIR`, default off).
+/// platform model, with the auto worker count (`TP_WORKERS` override),
+/// [`TunerMode::Replay`] and the auto result store (`TP_STORE_DIR`,
+/// default off).
 #[must_use]
 pub fn evaluate_app(app: &dyn Tunable, threshold: f64, params: &PlatformParams) -> AppResult {
-    evaluate_app_with(app, threshold, params, 0, TunerMode::from_env())
+    evaluate_app_with(app, threshold, params, 0, TunerMode::Replay)
 }
 
 /// [`evaluate_app`] with an explicit worker count for the precision search
@@ -286,11 +286,11 @@ pub fn evaluate_app_in(
 }
 
 /// Evaluates the whole suite at one threshold, fanning the kernels out over
-/// the auto worker count (`TP_WORKERS` override) with the auto tuner mode
-/// (`TP_TUNER_MODE` override, default replay).
+/// the auto worker count (`TP_WORKERS` override) in
+/// [`TunerMode::Replay`].
 #[must_use]
 pub fn evaluate_suite(threshold: f64, params: &PlatformParams) -> Vec<AppResult> {
-    evaluate_suite_with(threshold, params, 0, TunerMode::from_env())
+    evaluate_suite_with(threshold, params, 0, TunerMode::Replay)
 }
 
 /// [`evaluate_suite`] with an explicit worker budget (`0` = auto) and an

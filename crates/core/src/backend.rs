@@ -149,7 +149,7 @@ pub trait FpBackend: Send + Sync {
     /// fast path, as if none were installed ([`Engine::current`] still
     /// returns it); with one they take their hooked path to reach the tape
     /// and compute with the native helpers. [`Emulated`] and the `tp-trace`
-    /// recorder over the native datapath override the default.
+    /// recorder override the default.
     fn is_native(&self) -> bool {
         false
     }
@@ -264,17 +264,6 @@ pub trait TapeSink {
     /// One element escaped to plain `f64`
     /// ([`FxArray::peek`](crate::FxArray::peek)).
     fn extract_element(&self, array: ArrayId, index: usize, val: f64);
-
-    /// `n` integer/control instructions
-    /// ([`Recorder::int_ops`](crate::Recorder::int_ops)) — kept on the tape
-    /// so a replay reproduces the recorded counts exactly.
-    fn int_ops(&self, n: u64);
-
-    /// A [`VectorSection`](crate::VectorSection) opened.
-    fn vector_enter(&self);
-
-    /// A [`VectorSection`](crate::VectorSection) closed.
-    fn vector_exit(&self);
 }
 
 /// Thread dispatch state, not yet resolved: the first hooked op folds the
@@ -290,7 +279,7 @@ const BK_NATIVE: u8 = 1;
 /// folded-in global): every op takes its hooked path and dispatches.
 const BK_HOOKED: u8 = 2;
 /// `ACTIVE` holds a native backend that records a tape (the `tp-trace`
-/// recorder over the native datapath): every op takes its hooked path to
+/// recorder): every op takes its hooked path to
 /// reach the tape sink, and computes natively without dispatching.
 const BK_TAPED: u8 = 3;
 
@@ -464,8 +453,8 @@ pub(crate) fn hooked() -> bool {
 
 /// Runs `f` against the effective backend, or returns `None` when the
 /// thread computes natively (no backend, or a [native](FpBackend::is_native)
-/// one such as [`Emulated`] or a recorder over it), where the caller computes
-/// with the native helpers. Called from the hooked paths of
+/// one such as [`Emulated`] or the `tp-trace` recorder), where the caller
+/// computes with the native helpers. Called from the hooked paths of
 /// `Fx`/`FlexFloat` ops only.
 #[inline]
 pub(crate) fn dispatch<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {

@@ -274,12 +274,9 @@ thread_local! {
 /// * while a trace is being *recorded*, the trace layer isolates the
 ///   recording run in a [`Recorder::scoped`] scope and discards its
 ///   counts — the recording run is tuning bookkeeping, not workload;
-/// * when a trace is *replayed* under an enabled `Recorder`, the replay
-///   re-issues the live run's `Recorder` events in recorded order, so a
-///   completed replay's [`TraceCounts`] are equal to the live run's
-///   (pinned by `tests/replay_equivalence.rs`); a *divergent* (aborted)
-///   replay has emitted only a prefix, which callers discard by scoping
-///   the replay and absorbing the counts only on success.
+/// * a trace *replay* emits no `Recorder` events at all, so replay runs
+///   only where nothing observes: the tuner evaluates every candidate
+///   live while a `Recorder` is running on its thread (DESIGN.md §7).
 #[derive(Debug, Clone, Copy)]
 pub struct Recorder;
 
@@ -452,25 +449,15 @@ impl Recorder {
 
     /// Records `n` integer/control instructions (loop bookkeeping, address
     /// arithmetic, branches — the paper's "other ops").
-    ///
-    /// Also reported to an active tape sink (independently of whether
-    /// recording is enabled), so a tape replay can re-issue the same calls
-    /// and reproduce the recorded counts exactly — see
-    /// [`TapeSink::int_ops`](crate::backend::TapeSink::int_ops).
     #[inline(always)]
     pub fn int_ops(n: u64) {
-        if !crate::backend::hooked() {
-            return;
+        if Recorder::is_enabled() {
+            Recorder::count_int_ops(n);
         }
-        Recorder::int_ops_hooked(n);
     }
 
     #[inline(never)]
-    fn int_ops_hooked(n: u64) {
-        let _ = crate::backend::tap_hooked(|t| t.int_ops(n));
-        if !Recorder::is_enabled() {
-            return;
-        }
+    fn count_int_ops(n: u64) {
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
             s.next_id += n;
@@ -486,12 +473,10 @@ impl Recorder {
     }
 
     fn enter_vector() {
-        let _ = crate::backend::tap(|t| t.vector_enter());
         RECORDER.with(|r| r.borrow_mut().vector_depth += 1);
     }
 
     fn exit_vector() {
-        let _ = crate::backend::tap(|t| t.vector_exit());
         RECORDER.with(|r| {
             let mut s = r.borrow_mut();
             debug_assert!(s.vector_depth > 0, "unbalanced vector section");

@@ -178,7 +178,7 @@ pub struct SubmitRequest {
     pub threshold: f64,
     /// Input sets (default 3, the paper's evaluation setting).
     pub input_sets: usize,
-    /// Tuner mode (default: the server process's `TP_TUNER_MODE`).
+    /// Tuner mode (default `replay`).
     pub mode: TunerMode,
     /// Type system (default V2).
     pub type_system: tp_formats::TypeSystem,
@@ -274,7 +274,7 @@ fn parse_submit<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<SubmitReque
         app: String::new(),
         threshold: 0.0,
         input_sets: 3,
-        mode: TunerMode::from_env(),
+        mode: TunerMode::Replay,
         type_system: tp_formats::TypeSystem::V2,
         passes: 2,
         max_precision: 24,

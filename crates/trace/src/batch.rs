@@ -1,13 +1,12 @@
-//! The raw interpreter: one structure-of-arrays loop over the stripped
-//! tape, shared by every unobserved replay.
+//! The raw interpreter: one structure-of-arrays loop over the tape, shared
+//! by every replay.
 //!
-//! When nothing observes the thread (no [`Recorder`], no installed
-//! backend other than the native `Emulated`), replay runs [`SoaState::run`]: values are plain `f64`s laid
-//! out as `vals[id * lanes + lane]` with one format slot per value id, and
-//! every operation inlines the emulated datapath ([`Emulated`]) — the
-//! arithmetic of the uninstalled `Fx` fast path (promotion rule, store
-//! rounding, RISC-V min/max, quiet comparisons) minus its per-op
-//! thread-local checks and statistics bookkeeping. Decode, dispatch and
+//! [`SoaState::run`] keeps values as plain `f64`s laid out as
+//! `vals[id * lanes + lane]` with one format slot per value id, and every
+//! operation inlines the emulated datapath ([`Emulated`]) — the arithmetic
+//! of the uninstalled `Fx` fast path (promotion rule, store rounding,
+//! RISC-V min/max, quiet comparisons) minus its per-op thread-local checks
+//! and statistics bookkeeping. Decode, dispatch and
 //! table reads happen once per tape entry; only the arithmetic is per
 //! lane. The loop is resumable over any tape range from a cloneable
 //! [`SoaState`]. Its three entry points:
@@ -31,16 +30,13 @@
 //!   equal), so that prefix runs once with one lane and its state is cloned
 //!   per candidate for the suffix.
 //!
-//! Observed threads get the `Fx`-driven interpreter of [`crate::replay`]
-//! instead (a recorder or installed backend must see every event in
-//! recorded order): every entry point then falls back to per-trace
-//! [`Trace::replay`], as [`Trace::replay_batch`] also does for traces of
-//! different shapes — callers never need to pre-check.
+//! [`Trace::replay_batch`] falls back to per-trace [`Trace::replay`] for
+//! traces of different shapes, so callers never need to pre-check.
 
 use std::ops::Range;
 
 use flexfloat::backend::Emulated;
-use flexfloat::{BinOp, Engine, FpBackend, Recorder, TypeConfig};
+use flexfloat::{BinOp, FpBackend, TypeConfig};
 
 use crate::replay::{with_scratch, CastSpec, Promo, Replayed, Scratch, Spare, Tables};
 use crate::tape::{OutputPlan, Packed, Tag, Trace};
@@ -84,10 +80,8 @@ pub(crate) struct SoaState {
     pub(crate) arrays: Vec<(u16, Vec<f64>)>,
     /// Extracted outputs, `out[k * lanes + lane]`.
     out: Vec<f64>,
-    /// Raw comparisons executed so far.
-    cmp_seq: usize,
-    /// Full-tape divergence site of each lane, once it has diverged.
-    diverged: Vec<Option<u32>>,
+    /// Divergence site (tape index) of each lane, once it has diverged.
+    diverged: Vec<Option<usize>>,
     /// Lanes that have not diverged.
     live: usize,
 }
@@ -105,13 +99,12 @@ impl SoaState {
         self.arrays.push((0, spare.take()));
         self.out.clear();
         self.out.reserve(leader.outputs.len() * lanes);
-        self.cmp_seq = 0;
         self.diverged.clear();
         self.diverged.resize(lanes, None);
         self.live = lanes;
     }
 
-    /// Runs raw entries `range` of the tape shared by `traces` — one trace
+    /// Runs entries `range` of the tape shared by `traces` — one trace
     /// per lane, `traces[0]` the leader whose tape is walked — against
     /// `tables`. Lanes that diverge are marked and skipped at later
     /// comparisons (elsewhere they compute harmlessly — f64 arithmetic
@@ -133,13 +126,14 @@ impl SoaState {
             vslot,
             arrays,
             out,
-            cmp_seq,
             diverged,
             live,
         } = self;
         let diverged = &mut diverged[..lanes];
 
-        for p in &traces[0].raw_ops[range] {
+        let start = range.start;
+        for (at, p) in traces[0].ops[range].iter().enumerate() {
+            let at = start + at;
             let Packed { tag, fmt, a, b } = *p;
             match tag {
                 Tag::Leaf => {
@@ -194,26 +188,14 @@ impl SoaState {
                     vslot.push(fmt);
                 }
                 Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
-                    let op = match tag {
-                        Tag::Add => BinOp::Add,
-                        Tag::Sub => BinOp::Sub,
-                        Tag::Mul => BinOp::Mul,
-                        _ => BinOp::Div,
-                    };
-                    let e = push_bin(vals, vslot, tables, op, a, b, lanes);
+                    let e = push_bin(vals, vslot, tables, tag.bin_op(), a, b, lanes);
                     vslot.push(e.result);
                 }
                 Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
                     // Fused bin + cast-of-result: two values, one entry. The
                     // cast side is one table cell keyed on the interned
                     // (result-slot, dst-slot) pair.
-                    let op = match tag {
-                        Tag::AddCast => BinOp::Add,
-                        Tag::SubCast => BinOp::Sub,
-                        Tag::MulCast => BinOp::Mul,
-                        _ => BinOp::Div,
-                    };
-                    let e = push_bin(vals, vslot, tables, op, a, b, lanes);
+                    let e = push_bin(vals, vslot, tables, tag.bin_op(), a, b, lanes);
                     vslot.push(e.result);
                     let cs = tables.cast(fmt, e.result);
                     push_cast(vals, vals.len() - lanes, lanes, cs);
@@ -261,8 +243,6 @@ impl SoaState {
                 Tag::CmpLt | Tag::CmpLe => {
                     let e = tables.promo(vslot[a as usize], vslot[b as usize]);
                     let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                    let seq = *cmp_seq;
-                    *cmp_seq += 1;
                     for (l, trace) in traces.iter().enumerate() {
                         if diverged[l].is_some() {
                             continue;
@@ -271,16 +251,16 @@ impl SoaState {
                         let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
                         // Each lane checks against its *own* recorded outcome
                         // — branch decisions are input-data-dependent even on
-                        // a shared tape shape. The leader's is this entry's
-                        // `fmt`; the others sit at the full-tape site.
-                        let site = trace.cmp_sites[seq];
+                        // a shared tape shape. Shape-equal tapes agree entry
+                        // for entry, so it sits at the same index; the
+                        // leader's is this entry's `fmt`.
                         let expected = if l == 0 {
                             fmt != 0
                         } else {
-                            trace.ops[site as usize].fmt != 0
+                            trace.ops[at].fmt != 0
                         };
                         if got != expected {
-                            diverged[l] = Some(site);
+                            diverged[l] = Some(at);
                             *live -= 1;
                         }
                     }
@@ -297,8 +277,6 @@ impl SoaState {
                     let base = a as usize * lanes;
                     out.extend_from_slice(&arrays[usize::from(fmt)].1[base..base + lanes]);
                 }
-                // Stripped from the raw view (nothing observes them).
-                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
             }
         }
         true
@@ -308,7 +286,7 @@ impl SoaState {
     /// reached the end of the tape or every lane has diverged.
     fn result(&mut self, lane: usize, trace: &Trace) -> Replayed {
         if let Some(at) = self.diverged[lane] {
-            return Replayed::Divergent { at: at as usize };
+            return Replayed::Divergent { at };
         }
         let lanes = self.diverged.len();
         Replayed::Output(match trace.plan {
@@ -372,15 +350,24 @@ impl Scratch {
         let leader = traces[0];
         self.tables.rebuild(leader, config);
         self.soa.start(leader, lanes.get(), &mut self.spare);
-        let end = leader.raw_ops.len();
+        let end = leader.ops.len();
         self.soa
             .run(lanes, traces, &self.tables, &mut self.spare, 0..end);
     }
 }
 
 impl Trace {
-    /// The unobserved path of [`Trace::replay`]: the raw loop with one lane.
-    pub(crate) fn replay_one(&self, config: &TypeConfig) -> Replayed {
+    /// Re-executes the tape under `config` and returns the program outputs
+    /// — or [`Replayed::Divergent`] as soon as a recorded comparison
+    /// outcome flips: the raw loop with one lane.
+    ///
+    /// A non-divergent replay is bit-identical to live execution in
+    /// outputs. It records no [`TraceCounts`](flexfloat::TraceCounts) and
+    /// drives no installed backend, so the tuner replays only where nothing
+    /// observes its thread (DESIGN.md §7).
+    #[must_use]
+    pub fn replay(&self, config: &TypeConfig) -> Replayed {
+        tp_obs::counter_inc("trace.replay_calls");
         with_scratch(|scratch| {
             scratch.replay_lanes(One, &[self], config);
             let result = scratch.soa.result(0, self);
@@ -394,8 +381,8 @@ impl Trace {
     /// order. Each result is bit-identical to `traces[i].replay(config)` —
     /// including the divergence site when a lane's recorded comparison
     /// flips. Traces must be recordings of the same kernel over different
-    /// input sets to batch; anything else (and any observed thread)
-    /// transparently falls back to sequential replay.
+    /// input sets to batch; anything else transparently falls back to
+    /// sequential replay.
     #[must_use]
     pub fn replay_batch(traces: &[&Trace], config: &TypeConfig) -> Vec<Replayed> {
         // One span per batched group: coarse enough to stay within the
@@ -406,8 +393,7 @@ impl Trace {
         let [leader, rest @ ..] = traces else {
             return Vec::new();
         };
-        let observed = Recorder::is_enabled() || Engine::is_active();
-        if observed || !rest.iter().all(|t| leader.same_shape(t)) {
+        if !rest.iter().all(|t| leader.same_shape(t)) {
             return traces.iter().map(|t| t.replay(config)).collect();
         }
         with_scratch(|scratch| {
@@ -431,9 +417,6 @@ impl Trace {
     /// bit-identical to `self.replay(configs[i])`.
     #[must_use]
     pub fn replay_candidates(&self, configs: &[&TypeConfig]) -> Vec<Replayed> {
-        if Recorder::is_enabled() || Engine::is_active() {
-            return configs.iter().map(|cfg| self.replay(cfg)).collect();
-        }
         let tables: Vec<Tables> = configs
             .iter()
             .map(|cfg| {
@@ -458,7 +441,7 @@ impl Trace {
         // the prefix consults is equal across candidates and its value
         // columns are bit-identical — safe to share.
         let prefix_end = self
-            .raw_ops
+            .ops
             .iter()
             .position(|p| {
                 let introduces_slot = matches!(
@@ -474,8 +457,8 @@ impl Trace {
                 );
                 introduces_slot && differs[usize::from(p.fmt)]
             })
-            .unwrap_or(self.raw_ops.len());
-        let suffix = prefix_end..self.raw_ops.len();
+            .unwrap_or(self.ops.len());
+        let suffix = prefix_end..self.ops.len();
 
         with_scratch(|scratch| {
             let Scratch { soa, spare, .. } = scratch;
@@ -509,7 +492,7 @@ impl Trace {
 mod tests {
     use super::*;
     use flexfloat::{Fx, FxArray, VarSpec};
-    use tp_formats::{BINARY16, BINARY32, BINARY8};
+    use tp_formats::{BINARY16, BINARY8};
 
     /// A small straight-line kernel parameterized by its input data.
     fn taped(xs: [f64; 4], w: f64) -> Trace {
@@ -680,20 +663,5 @@ mod tests {
                 Replayed::Divergent { .. } => unreachable!(),
             }])
         );
-    }
-
-    #[test]
-    fn observed_thread_falls_back_per_trace() {
-        let traces = [
-            taped([1.5, 2.0, -0.75, 3.25], 0.3),
-            taped([0.1, -0.2, 0.4, 8.0], 1.7),
-        ];
-        let refs: Vec<&Trace> = traces.iter().collect();
-        let cfg = TypeConfig::baseline().with("x", BINARY32);
-        let (batched, counts) = Recorder::scoped(|| Trace::replay_batch(&refs, &cfg));
-        let (sequential, seq_counts) =
-            Recorder::scoped(|| refs.iter().map(|t| t.replay(&cfg)).collect::<Vec<_>>());
-        assert_eq!(batched, sequential);
-        assert_eq!(counts, seq_counts, "observed batch must record like live");
     }
 }

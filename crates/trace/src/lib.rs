@@ -16,14 +16,15 @@
 //!   [`TapeSink`](flexfloat::TapeSink) hook surface, so the
 //!   `Fx`/`FxArray` layer reports every *logical* operation — SSA value
 //!   ids, pre-promotion operands, the boolean outcome of every comparison —
-//!   while the arithmetic runs on the thread's datapath: natively, or on
-//!   the backend the recorder wraps.
+//!   while the arithmetic runs on the native datapath.
 //! * **Replay** — [`Trace::replay`] re-executes the tape under a
-//!   *different* candidate [`TypeConfig`], through whatever backend the
-//!   calling thread has installed. Replay drives the real `Fx`/`FxArray`
-//!   API, so promotion casts, recorded statistics
-//!   ([`TraceCounts`](flexfloat::TraceCounts)) and backend dispatch are
-//!   exact by construction, not by transcription.
+//!   *different* candidate [`TypeConfig`] in a raw interpreter: plain
+//!   `f64` values and format slots, with the promotion, rounding and
+//!   comparison rules of the native `Fx` datapath inlined. A replay emits
+//!   no [`Recorder`](flexfloat::Recorder) events and calls no installed
+//!   backend, so it only stands in for live runs that nobody observes: the
+//!   tuner evaluates live whenever a `Recorder` runs or a non-native
+//!   backend is installed on its thread.
 //!
 //! # The divergence guard
 //!

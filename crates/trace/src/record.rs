@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use flexfloat::backend::{Emulated, FlagSet};
+use flexfloat::backend::Emulated;
 use flexfloat::{
     ArrayId, BinOp, Engine, FpBackend, Recorder, TapeSink, TypeConfig, ValueId, VarSpec,
 };
@@ -77,14 +77,12 @@ fn format_pool() -> impl Iterator<Item = FpFormat> {
 }
 
 struct RecState {
+    /// The tape, lowered as entries arrive (see [`RecState::push`]).
     ops: Vec<Packed>,
-    /// The raw interpreter's view of `ops`, built as entries arrive (see
-    /// [`RecState::push`]).
-    raw_ops: Vec<Packed>,
-    /// Full-tape index of each comparison.
-    cmp_sites: Vec<u32>,
-    /// Fingerprint of `raw_ops` minus its last entry, which a `Cast` may
-    /// still fuse into.
+    /// Comparisons recorded so far.
+    comparisons: u32,
+    /// Fingerprint of `ops` minus its last entry, which a `Cast` may still
+    /// fuse into.
     shape: ShapeHash,
     pool: Vec<f64>,
     fmt_slots: Vec<FmtRef>,
@@ -177,30 +175,19 @@ impl RecState {
         })
     }
 
-    /// Appends `op` to the full tape and lowers it into the raw view in
-    /// the same step: statistics-only entries are left out (nothing
-    /// observes them there), and a `Cast` of the value the last raw entry
+    /// Appends `op` to the tape: a `Cast` of the value the last entry
     /// produced is fused into that entry when it is a plain `Bin` — the
     /// dominant accumulate-then-round idiom (`(acc + x*w).to(acc_fmt)`)
-    /// then costs one raw entry less. Each raw entry is folded into the
-    /// shape fingerprint once the next one arrives and it can no longer
-    /// change.
+    /// then costs one entry less. Each entry is folded into the shape
+    /// fingerprint once the next one arrives and it can no longer change.
     #[inline(always)]
     fn push(&mut self, op: Packed) {
-        self.ops.push(op);
         match op.tag {
-            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => return,
-            Tag::CmpLt | Tag::CmpLe => {
-                let site = u32::try_from(self.ops.len() - 1).unwrap_or_else(|_| {
-                    self.poisoned.get_or_insert("tape exceeds u32 entries");
-                    0
-                });
-                self.cmp_sites.push(site);
-            }
+            Tag::CmpLt | Tag::CmpLe => self.comparisons += 1,
             // `next_value` is the id this cast produces, so its operand is
             // the value produced last.
             Tag::Cast if op.a + 1 == self.next_value => {
-                if let Some(last) = self.raw_ops.last_mut() {
+                if let Some(last) = self.ops.last_mut() {
                     let fused = match last.tag {
                         Tag::Add => Some(Tag::AddCast),
                         Tag::Sub => Some(Tag::SubCast),
@@ -217,10 +204,10 @@ impl RecState {
             }
             _ => {}
         }
-        if let Some(last) = self.raw_ops.last() {
+        if let Some(last) = self.ops.last() {
             self.shape.entry(last);
         }
-        self.raw_ops.push(op);
+        self.ops.push(op);
     }
 
     #[inline(always)]
@@ -240,14 +227,16 @@ impl RecState {
     }
 }
 
-/// The recording backend: an [`FpBackend`] wrapper that delegates every
-/// computation to an inner backend while capturing the logical op stream
-/// (via the [`TapeSink`] hook surface) into a tape.
+/// The recording backend: a [native](FpBackend::is_native) [`FpBackend`]
+/// that captures the logical op stream (via the [`TapeSink`] hook surface)
+/// into a tape. Ops compute on their native helpers and reach the recorder
+/// only for its tape, so its compute methods (the [`Emulated`] arithmetic)
+/// are never called by `Fx` ops.
 ///
 /// Install it with [`Engine::with`] — [`Trace::record`] does exactly that,
-/// wrapping whatever backend the calling thread already has installed (so
-/// recording under `TP_BACKEND=softfloat` still computes on the softfloat
-/// datapath).
+/// in place of whatever backend the calling thread has installed, so a
+/// recording computes on the native datapath under any `TP_BACKEND` and
+/// the tape is datapath-independent by construction.
 ///
 /// The tape under construction lives in a thread-local slot, not behind a
 /// lock: recording is a per-op hot path (one event per FP operation of the
@@ -256,13 +245,8 @@ impl RecState {
 /// on the recording thread — an event arriving on any other thread finds
 /// no state, flags the recorder, and the finished trace is rejected
 /// rather than silently incomplete.
-///
-/// Over the native datapath (no backend, or [`Emulated`]) the recorder is
-/// itself [native](FpBackend::is_native): ops compute on their native
-/// helpers and reach the recorder only for its tape, so its compute
-/// methods are never called.
+#[derive(Debug)]
 pub struct TraceRecorder {
-    inner: Arc<dyn FpBackend>,
     foreign_ops: AtomicBool,
 }
 
@@ -271,59 +255,42 @@ thread_local! {
     static TAPE: RefCell<Option<RecState>> = const { RefCell::new(None) };
 }
 
-/// `(ops, raw_ops)` lengths of the latest recording of each recent
-/// program, keyed by its declared variables (names and element counts,
-/// which tell kernels and their sizes apart). A recording starts with that
-/// much room instead of growing its tapes by doubling, which copies them
-/// and touches fresh pages at every step. The table is process-wide, so it
-/// serves every worker thread: a tuner records one program on several
-/// input sets, and a service records the same programs job after job. The
-/// lengths are only a capacity guess; a wrong one costs a regrowth or a
+/// The tape length of the latest recording of each recent program, keyed
+/// by its declared variables (names and element counts, which tell
+/// kernels and their sizes apart). A recording starts with that much room
+/// instead of growing its tape by doubling, which copies it and touches
+/// fresh pages at every step. The table is process-wide, so it serves
+/// every worker thread: a tuner records one program on several input
+/// sets, and a service records the same programs job after job. The
+/// length is only a capacity guess; a wrong one costs a regrowth or a
 /// shrink, never a different tape.
-static TAPE_LENS: Mutex<Vec<(Vec<VarSpec>, usize, usize)>> = Mutex::new(Vec::new());
+static TAPE_LENS: Mutex<Vec<(Vec<VarSpec>, usize)>> = Mutex::new(Vec::new());
 
 /// Programs [`TAPE_LENS`] remembers; the oldest is forgotten first.
 const TAPE_LENS_CAP: usize = 64;
 
-/// The tape lengths to reserve for a recording of the program declaring
+/// The tape length to reserve for a recording of the program declaring
 /// `vars`.
-fn tape_lens(vars: &[VarSpec]) -> (usize, usize) {
+fn tape_len(vars: &[VarSpec]) -> usize {
     let lens = TAPE_LENS.lock().unwrap_or_else(PoisonError::into_inner);
     lens.iter()
-        .find(|(key, ..)| key.as_slice() == vars)
-        .map_or((1024, 1024), |&(_, ops, raw)| (ops, raw))
+        .find(|(key, _)| key.as_slice() == vars)
+        .map_or(1024, |&(_, len)| len)
 }
 
-fn remember_tape_lens(vars: &[VarSpec], ops: usize, raw: usize) {
+fn remember_tape_len(vars: &[VarSpec], len: usize) {
     let mut lens = TAPE_LENS.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(entry) = lens.iter_mut().find(|(key, ..)| key.as_slice() == vars) {
-        (entry.1, entry.2) = (ops, raw);
+    if let Some(entry) = lens.iter_mut().find(|(key, _)| key.as_slice() == vars) {
+        entry.1 = len;
         return;
     }
     if lens.len() == TAPE_LENS_CAP {
         lens.remove(0);
     }
-    lens.push((vars.to_vec(), ops, raw));
-}
-
-impl fmt::Debug for TraceRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRecorder")
-            .field("inner", &self.inner.name())
-            .finish_non_exhaustive()
-    }
+    lens.push((vars.to_vec(), len));
 }
 
 impl TraceRecorder {
-    /// A recorder delegating computation to `inner` (the thread's current
-    /// backend, or the emulated fast path).
-    fn new(inner: Option<Arc<dyn FpBackend>>) -> Self {
-        TraceRecorder {
-            inner: inner.unwrap_or_else(|| Arc::new(Emulated)),
-            foreign_ops: AtomicBool::new(false),
-        }
-    }
-
     fn with_state<R: Default>(&self, f: impl FnOnce(&mut RecState) -> R) -> R {
         TAPE.with(|t| match &mut *t.borrow_mut() {
             Some(state) => f(state),
@@ -344,47 +311,39 @@ impl FpBackend for TraceRecorder {
     }
 
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        self.inner.bin_op(fmt, op, a, b)
+        Emulated.bin_op(fmt, op, a, b)
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        self.inner.sqrt(fmt, x)
+        Emulated.sqrt(fmt, x)
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        self.inner.fma(fmt, a, b, c)
+        Emulated.fma(fmt, a, b, c)
     }
 
     fn cast(&self, from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        self.inner.cast(from, to, x)
+        Emulated.cast(from, to, x)
     }
 
     fn min(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.inner.min(fmt, a, b)
+        Emulated.min(fmt, a, b)
     }
 
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.inner.max(fmt, a, b)
+        Emulated.max(fmt, a, b)
     }
 
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.inner.lt(fmt, a, b)
+        Emulated.lt(fmt, a, b)
     }
 
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.inner.le(fmt, a, b)
-    }
-
-    fn flags(&self) -> FlagSet {
-        self.inner.flags()
-    }
-
-    fn clear_flags(&self) {
-        self.inner.clear_flags();
+        Emulated.le(fmt, a, b)
     }
 
     fn is_native(&self) -> bool {
-        self.inner.is_native()
+        true
     }
 
     fn tape(self: Arc<Self>) -> Option<Arc<dyn TapeSink>> {
@@ -541,32 +500,6 @@ impl TapeSink for TraceRecorder {
             s.push(op);
         });
     }
-
-    fn int_ops(&self, n: u64) {
-        self.with_state(|s| {
-            // Kernel calls pass single-digit counts; u32 is plenty, and a
-            // pathological overflow just splits across entries.
-            let mut left = n;
-            loop {
-                let chunk = u32::try_from(left).unwrap_or(u32::MAX);
-                let mut op = Packed::new(Tag::IntOps);
-                op.a = chunk;
-                s.push(op);
-                left -= u64::from(chunk);
-                if left == 0 {
-                    break;
-                }
-            }
-        });
-    }
-
-    fn vector_enter(&self) {
-        self.with_state(|s| s.push(Packed::new(Tag::VectorEnter)));
-    }
-
-    fn vector_exit(&self) {
-        self.with_state(|s| s.push(Packed::new(Tag::VectorExit)));
-    }
 }
 
 impl Trace {
@@ -578,15 +511,13 @@ impl Trace {
     /// precision and range) to the declared variables, which is how tape
     /// formats resolve back to variables.
     ///
-    /// The run executes on the thread's current backend (wrapped by the
-    /// recorder), so recording composes with [`Engine::with`] and
-    /// `TP_BACKEND`. If a [`Recorder`](flexfloat::Recorder) is running on
-    /// this thread, the recording run is isolated in a scope and its counts
-    /// are **discarded**: recording is tuning bookkeeping, not program
-    /// workload, and the replay engine re-issues the real ops — this is the
-    /// "ops are counted exactly once" half of the Recorder/trace contract
-    /// (the other half, replay counts ≡ live counts, is pinned by
-    /// `tests/replay_equivalence.rs`).
+    /// The run executes on the native datapath, with the recorder installed
+    /// in place of the thread's backend: a tape holds the same entries
+    /// whatever the datapath (`recording_is_datapath_independent` in
+    /// `tests/backends.rs` pins this). If a
+    /// [`Recorder`](flexfloat::Recorder) is running on this thread, the
+    /// recording run is isolated in a scope and its counts are
+    /// **discarded**: recording is tuning bookkeeping, not program workload.
     ///
     /// # Errors
     ///
@@ -639,11 +570,9 @@ impl Trace {
         }
         // Slot 0 is always BINARY32, which lets the one-entry slot cache
         // start valid: `(BINARY32, 0)` is a true mapping from the first op.
-        let (ops_len, raw_len) = tape_lens(vars);
         let state = RecState {
-            ops: Vec::with_capacity(ops_len),
-            raw_ops: Vec::with_capacity(raw_len),
-            cmp_sites: Vec::new(),
+            ops: Vec::with_capacity(tape_len(vars)),
+            comparisons: 0,
             shape: ShapeHash::new(),
             pool: Vec::new(),
             fmt_slots: vec![FmtRef::Fixed(BINARY32)],
@@ -659,7 +588,9 @@ impl Trace {
         let saved = TAPE.with(|t| t.borrow_mut().replace(state));
         let slot = TapeSlot(saved);
 
-        let recorder = Arc::new(TraceRecorder::new(Engine::current()));
+        let recorder = Arc::new(TraceRecorder {
+            foreign_ops: AtomicBool::new(false),
+        });
         let recorded = {
             let (recorder, config) = (recorder.clone(), config.clone());
             move || Engine::with(recorder, || run(&config))
@@ -672,12 +603,11 @@ impl Trace {
         };
 
         let mut state = slot.take();
-        remember_tape_lens(vars, state.ops.len(), state.raw_ops.len());
+        remember_tape_len(vars, state.ops.len());
         // A tape that outgrew or undershot its reservation hands back the
         // spare room rather than keep it for as long as the trace lives (a
         // tuner's replay context holds one per input set).
         state.ops.shrink_to_fit();
-        state.raw_ops.shrink_to_fit();
         if recorder.foreign_ops.load(Ordering::Relaxed) {
             return Err(RecordError::Unreplayable(
                 "traced region ran operations off the recording thread",
@@ -701,14 +631,12 @@ impl Trace {
         };
 
         let mut shape = state.shape;
-        if let Some(last) = state.raw_ops.last() {
+        if let Some(last) = state.ops.last() {
             shape.entry(last);
         }
         let mut trace = Trace {
-            comparisons: u32::try_from(state.cmp_sites.len()).expect("sites are u32 indices"),
+            comparisons: state.comparisons,
             ops: state.ops,
-            raw_ops: state.raw_ops,
-            cmp_sites: state.cmp_sites,
             pool: state.pool,
             fmt_slots: state.fmt_slots,
             n_values: state.next_value - 1,
@@ -740,19 +668,16 @@ mod tests {
     #[test]
     fn tape_lens_remember_each_program_and_forget_the_oldest() {
         let base = 1 << 40;
-        assert_eq!(tape_lens(&program(base)), (1024, 1024), "unknown program");
-        remember_tape_lens(&program(base), 7, 5);
-        assert_eq!(tape_lens(&program(base)), (7, 5));
-        remember_tape_lens(&program(base), 9, 6);
-        assert_eq!(tape_lens(&program(base)), (9, 6), "latest recording wins");
+        assert_eq!(tape_len(&program(base)), 1024, "unknown program");
+        remember_tape_len(&program(base), 7);
+        assert_eq!(tape_len(&program(base)), 7);
+        remember_tape_len(&program(base), 9);
+        assert_eq!(tape_len(&program(base)), 9, "latest recording wins");
         for i in 1..=TAPE_LENS_CAP {
-            remember_tape_lens(&program(base + i), i, i);
+            remember_tape_len(&program(base + i), i);
         }
-        assert_eq!(tape_lens(&program(base)), (1024, 1024), "oldest forgotten");
-        assert_eq!(
-            tape_lens(&program(base + TAPE_LENS_CAP)),
-            (TAPE_LENS_CAP, TAPE_LENS_CAP)
-        );
+        assert_eq!(tape_len(&program(base)), 1024, "oldest forgotten");
+        assert_eq!(tape_len(&program(base + TAPE_LENS_CAP)), TAPE_LENS_CAP);
         assert!(TAPE_LENS.lock().unwrap().len() <= TAPE_LENS_CAP);
     }
 }

@@ -1,40 +1,33 @@
 //! Tape replay under a candidate configuration.
 //!
-//! The tape has two interpreters:
+//! [`Trace::replay`] runs the raw loop of [`crate::batch`] with one lane:
+//! values are plain `f64`s plus format slots and every operation inlines
+//! the emulated datapath — the arithmetic the uninstalled `Fx` fast path
+//! executes, minus the kernel's own index arithmetic and control flow.
+//! Live `Fx` ops inline that same arithmetic, so one replay costs about as
+//! much as one live run, not less (DESIGN.md §7, "Recording cost"). Replay
+//! pays where one pass serves several lanes: the same loop, with more
+//! lanes or resumed from a shared prefix, serves [`Trace::replay_batch`]
+//! and [`Trace::replay_candidates`].
 //!
-//! * [`Trace::replay`] runs the **raw** loop of [`crate::batch`] with one
-//!   lane when nothing is observing the thread (no [`Recorder`], no
-//!   installed backend other than the native `Emulated`): values are plain
-//!   `f64`s plus format slots and every operation inlines the emulated
-//!   datapath — the arithmetic the uninstalled `Fx` fast path executes,
-//!   minus the kernel's own index arithmetic and control flow. Live `Fx`
-//!   ops inline that same arithmetic, so one replay costs about as much as
-//!   one live run, not less (DESIGN.md §7, "Recording cost"). Replay pays
-//!   where one pass serves several lanes: the same loop, with more lanes or
-//!   resumed from a shared prefix, serves [`Trace::replay_batch`] and
-//!   [`Trace::replay_candidates`].
-//! * When a `Recorder` is running or a non-native backend is installed
-//!   ([`Engine::is_active`](flexfloat::Engine::is_active)), replay drives
-//!   the real [`Fx`]/[`FxArray`] API instead ([`Trace::replay_fx`] below),
-//!   so recorded statistics and backend dispatch are exact by
-//!   construction.
+//! A replay is invisible to the thread's observers: it emits no
+//! [`Recorder`](flexfloat::Recorder) events and dispatches to no installed
+//! backend. Replay therefore runs only where nothing observes — the tuner
+//! evaluates live on an observed thread — and its outputs are pinned
+//! bit-identical to live runs on every datapath
+//! (`tests/replay_equivalence.rs`, `tests/interpreter_equivalence.rs`).
 //!
-//! Both interpreters are bit-identical in outputs and divergence decisions
-//! (`raw_path_matches_fx_path` below, and the kernel-level suites
-//! `tests/replay_equivalence.rs` and `tests/interpreter_equivalence.rs`,
-//! pin this).
-//!
-//! This module also holds what the raw loop reads and reuses: the
-//! per-replay dispatch tables ([`Tables`]) and the thread's recycled
-//! scratch storage ([`Scratch`]).
+//! This module holds the replay result ([`Replayed`]) and what the raw
+//! loop reads and reuses: the per-replay dispatch tables ([`Tables`]) and
+//! the thread's recycled scratch storage ([`Scratch`]).
 
 use std::cell::RefCell;
 
-use flexfloat::{Engine, Fx, FxArray, Recorder, TypeConfig, VectorSection};
-use tp_formats::{FpFormat, BINARY32};
+use flexfloat::TypeConfig;
+use tp_formats::FpFormat;
 
 use crate::batch::SoaState;
-use crate::tape::{FmtRef, OutputPlan, Packed, Tag, Trace};
+use crate::tape::{FmtRef, Trace};
 
 /// One cell of the per-replay promotion table: what `Fx::promote` decides
 /// for a pair of value format-slots under the current configuration —
@@ -290,8 +283,8 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Replayed {
     /// The replay completed: these outputs are **bit-identical** to what a
-    /// live run of the program under the same configuration (and the same
-    /// backend) would have produced.
+    /// live run of the program under the same configuration would have
+    /// produced, on any backend.
     Output(Vec<f64>),
     /// A recorded comparison outcome flipped under the candidate formats,
     /// so control flow may differ from the recorded path — the caller must
@@ -314,135 +307,12 @@ impl Replayed {
     }
 }
 
-impl Trace {
-    /// Re-executes the tape under `config` and returns the program outputs
-    /// — or [`Replayed::Divergent`] as soon as a recorded comparison
-    /// outcome flips.
-    ///
-    /// When the thread is observed (a [`Recorder`] is running or a backend
-    /// is installed), replay drives the real [`Fx`]/[`FxArray`] API in
-    /// recorded order: operand promotion, array-store rounding, recorded
-    /// statistics (every [`Recorder`] event, including `int_ops` and
-    /// vector sections) and backend dispatch all happen exactly as a live
-    /// run would perform them. Otherwise a raw interpreter executes the
-    /// same arithmetic without the bookkeeping (see the module docs). In
-    /// both cases a non-divergent replay is bit-identical to live
-    /// execution in outputs — and, when observed, in
-    /// [`TraceCounts`](flexfloat::TraceCounts) too.
-    ///
-    /// Callers that only want the counts of *successful* replays (the tuner
-    /// does) should wrap the call in
-    /// [`Recorder::scoped`](flexfloat::Recorder::scoped) and absorb the
-    /// counts only when the replay completes; a divergent replay has
-    /// recorded a prefix of the live run's events.
-    #[must_use]
-    pub fn replay(&self, config: &TypeConfig) -> Replayed {
-        tp_obs::counter_inc("trace.replay_calls");
-        if Recorder::is_enabled() || Engine::is_active() {
-            self.replay_fx(config)
-        } else {
-            self.replay_one(config)
-        }
-    }
-
-    /// The observed interpreter: drives the real `Fx`/`FxArray` API so the
-    /// thread's `Recorder` and installed backend see exactly what a live
-    /// run would show them.
-    pub(crate) fn replay_fx(&self, config: &TypeConfig) -> Replayed {
-        let fmts = self.resolve_formats(config);
-
-        // Slot 0 of each table is a dummy so ids index directly.
-        let mut values: Vec<Fx> = Vec::with_capacity(self.n_values as usize + 1);
-        values.push(Fx::zero(BINARY32));
-        let mut arrays: Vec<FxArray> = Vec::with_capacity(self.n_arrays as usize + 1);
-        arrays.push(FxArray::zeros(BINARY32, 0));
-        let mut sections: Vec<VectorSection> = Vec::new();
-        let mut out: Vec<f64> = Vec::new();
-
-        for (at, p) in self.ops.iter().enumerate() {
-            let Packed { tag, fmt, a, b } = *p;
-            match tag {
-                Tag::Leaf => {
-                    values.push(Fx::new(self.pool[a as usize], fmts[usize::from(fmt)]));
-                }
-                Tag::ArrayNew => {
-                    let raw = &self.pool[a as usize..a as usize + b as usize];
-                    arrays.push(FxArray::from_f64s(fmts[usize::from(fmt)], raw));
-                }
-                Tag::ArrayZeros => {
-                    arrays.push(FxArray::zeros(fmts[usize::from(fmt)], a as usize));
-                }
-                Tag::ArrayDup => {
-                    let dup = arrays[usize::from(fmt)].clone();
-                    arrays.push(dup);
-                }
-                Tag::Load => values.push(arrays[usize::from(fmt)].get(a as usize)),
-                Tag::Store => {
-                    let value = values[b as usize];
-                    arrays[usize::from(fmt)].set(a as usize, value);
-                }
-                Tag::Cast => values.push(values[a as usize].to(fmts[usize::from(fmt)])),
-                Tag::Add => values.push(values[a as usize] + values[b as usize]),
-                Tag::Sub => values.push(values[a as usize] - values[b as usize]),
-                Tag::Mul => values.push(values[a as usize] * values[b as usize]),
-                Tag::Div => values.push(values[a as usize] / values[b as usize]),
-                Tag::Sqrt => values.push(values[a as usize].sqrt()),
-                Tag::Min => values.push(values[a as usize].min(values[b as usize])),
-                Tag::Max => values.push(values[a as usize].max(values[b as usize])),
-                Tag::Neg => values.push(-values[a as usize]),
-                Tag::Abs => values.push(values[a as usize].abs()),
-                Tag::CmpLt | Tag::CmpLe => {
-                    let (va, vb) = (values[a as usize], values[b as usize]);
-                    let got = if tag == Tag::CmpLe {
-                        va.le(vb)
-                    } else {
-                        va.lt(vb)
-                    };
-                    if got != (fmt != 0) {
-                        // The recorded path is no longer the path this
-                        // configuration would take: refuse, never guess.
-                        return Replayed::Divergent { at };
-                    }
-                }
-                Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                    unreachable!("fused tags only exist on the raw view")
-                }
-                Tag::Extract => out.push(values[a as usize].value()),
-                Tag::ExtractArray => out.extend(arrays[usize::from(fmt)].to_f64s()),
-                Tag::ExtractElement => out.push(arrays[usize::from(fmt)].peek(a as usize)),
-                Tag::IntOps => Recorder::int_ops(u64::from(a)),
-                Tag::VectorEnter => sections.push(VectorSection::enter()),
-                Tag::VectorExit => {
-                    sections.pop();
-                }
-            }
-        }
-
-        match self.plan {
-            OutputPlan::FromExtracts => Replayed::Output(out),
-            OutputPlan::Verbatim => Replayed::Output(self.outputs.clone()),
-        }
-    }
-
-    /// Resolves the interned format-slot table against `config`, once per
-    /// replay — per-op format access is then a plain array read.
-    fn resolve_formats(&self, config: &TypeConfig) -> Vec<FpFormat> {
-        self.fmt_slots
-            .iter()
-            .map(|slot| match *slot {
-                FmtRef::Var(i) => config.format_of(self.var_names[usize::from(i)]),
-                FmtRef::Fixed(fmt) => fmt,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::RecordError;
-    use flexfloat::{TraceCounts, VarSpec};
-    use tp_formats::{BINARY16, BINARY16ALT, BINARY8};
+    use flexfloat::{Engine, Fx, FxArray, Recorder, TraceCounts, VarSpec, VectorSection};
+    use tp_formats::{BINARY16, BINARY16ALT, BINARY32, BINARY8};
 
     /// Σ (xᵢ · w) over an array and a scalar, outputs via `to_f64s`.
     fn dot_run(cfg: &TypeConfig) -> Vec<f64> {
@@ -494,16 +364,6 @@ mod tests {
         let trace = Trace::record(&dot_vars(), dot_run).unwrap();
         let out = trace.replay(trace.recorded_config()).output().unwrap();
         assert_eq!(out, trace.recorded_outputs());
-    }
-
-    #[test]
-    fn replay_counts_match_live_counts() {
-        let trace = Trace::record(&dot_vars(), dot_run).unwrap();
-        for cfg in configs() {
-            let (_, live) = Recorder::scoped(|| dot_run(&cfg));
-            let (_, replayed) = Recorder::scoped(|| trace.replay(&cfg));
-            assert_eq!(live, replayed, "{cfg}");
-        }
     }
 
     #[test]
@@ -577,41 +437,7 @@ mod tests {
                 .with("a", BINARY8)
                 .with("s", BINARY16),
         ] {
-            let (live_out, live_counts) = Recorder::scoped(|| run(&cfg));
-            let (replayed, counts) = Recorder::scoped(|| trace.replay(&cfg));
-            assert_eq!(replayed.output().unwrap(), live_out);
-            assert_eq!(counts, live_counts);
-        }
-    }
-
-    #[test]
-    fn raw_path_matches_fx_path() {
-        // The unobserved (raw) and observed (Fx-driven) interpreters must
-        // be bit-identical; an enclosing scoped Recorder forces the Fx
-        // path without otherwise changing the arithmetic.
-        let trace = Trace::record(&dot_vars(), dot_run).unwrap();
-        for cfg in configs() {
-            let raw = trace.replay(&cfg).output().unwrap();
-            let (via_fx, _) = Recorder::scoped(|| trace.replay(&cfg));
-            assert_eq!(
-                raw.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                via_fx
-                    .output()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{cfg}"
-            );
-        }
-        // Divergence decisions agree too.
-        let vars = [VarSpec::scalar("x")];
-        let branchy = Trace::record(&vars, branchy_run).unwrap();
-        for fmt in [BINARY8, BINARY16, BINARY16ALT, BINARY32] {
-            let cfg = TypeConfig::baseline().with("x", fmt);
-            let raw = branchy.replay(&cfg);
-            let (via_fx, _) = Recorder::scoped(|| branchy.replay(&cfg));
-            assert_eq!(raw, via_fx, "{cfg}");
+            assert_eq!(trace.replay(&cfg).output().unwrap(), run(&cfg));
         }
     }
 
@@ -777,14 +603,8 @@ mod tests {
             TypeConfig::baseline(),
             TypeConfig::baseline().with("a", BINARY8),
         ] {
-            let (live_out, live_counts) = Recorder::scoped(|| run(&cfg));
-            let (replayed, counts) = Recorder::scoped(|| trace.replay(&cfg));
-            assert_eq!(replayed.output().unwrap(), live_out, "{cfg}");
-            assert_eq!(counts, live_counts, "{cfg}");
+            assert_eq!(trace.replay(&cfg).output().unwrap(), run(&cfg), "{cfg}");
         }
-        // And the raw interpreter agrees.
-        let cfg = TypeConfig::baseline().with("a", BINARY8);
-        assert_eq!(trace.replay(&cfg).output().unwrap(), run(&cfg));
     }
 
     #[test]

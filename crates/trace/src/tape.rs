@@ -92,6 +92,20 @@ pub enum TapeOp {
         /// Right operand.
         b: ValueId,
     },
+    /// A [`TapeOp::Bin`] whose result is immediately converted by an
+    /// explicit `Fx::to` — the accumulate-then-round idiom
+    /// `(acc + x * w).to(acc_fmt)`, recorded as one entry. Produces two
+    /// values: the bin result, then the cast result.
+    BinCast {
+        /// Which operation.
+        op: BinOp,
+        /// Left operand.
+        a: ValueId,
+        /// Right operand.
+        b: ValueId,
+        /// Destination format slot of the cast.
+        dst: FmtRef,
+    },
     /// `Fx::sqrt`. Produces a value.
     Sqrt {
         /// The operand.
@@ -145,16 +159,6 @@ pub enum TapeOp {
         /// Element index.
         idx: u32,
     },
-    /// `Recorder::int_ops` — preserved so replay reproduces the recorded
-    /// statistics exactly.
-    IntOps {
-        /// Instruction count.
-        n: u64,
-    },
-    /// A `VectorSection` opened.
-    VectorEnter,
-    /// A `VectorSection` closed.
-    VectorExit,
 }
 
 /// How replay reconstructs the program's output vector.
@@ -195,8 +199,7 @@ pub(crate) enum Tag {
     Abs,
     CmpLt,
     CmpLe,
-    /// Fused `Bin` + `Cast`-of-its-result (raw view only; the full tape
-    /// keeps the two ops distinct for the observed interpreter). Produces
+    /// Fused `Bin` + `Cast`-of-its-result ([`TapeOp::BinCast`]). Produces
     /// TWO values — the bin result, then the cast result — preserving the
     /// tape's value numbering.
     AddCast,
@@ -209,9 +212,20 @@ pub(crate) enum Tag {
     Extract,
     ExtractArray,
     ExtractElement,
-    IntOps,
-    VectorEnter,
-    VectorExit,
+}
+
+impl Tag {
+    /// The arithmetic of an `Add..Div` or `AddCast..DivCast` tag (any other
+    /// tag reads as `Div`).
+    #[inline(always)]
+    pub(crate) fn bin_op(self) -> BinOp {
+        match self {
+            Tag::Add | Tag::AddCast => BinOp::Add,
+            Tag::Sub | Tag::SubCast => BinOp::Sub,
+            Tag::Mul | Tag::MulCast => BinOp::Mul,
+            _ => BinOp::Div,
+        }
+    }
 }
 
 /// One fixed-width (12-byte) tape entry.
@@ -237,14 +251,12 @@ pub(crate) enum Tag {
 /// | `Store` | array | index | value |
 /// | `Cast` | dst slot | value | — |
 /// | `Add..Div`, `Min`, `Max` | — | lhs | rhs |
-/// | `AddCast..DivCast` (raw view) | dst slot | lhs | rhs |
+/// | `AddCast..DivCast` | dst slot | lhs | rhs |
 /// | `Sqrt`, `Neg`, `Abs` | — | value | — |
 /// | `CmpLt`/`CmpLe` | outcome (0/1) | lhs | rhs |
 /// | `Extract` | — | value | — |
 /// | `ExtractArray` | array | — | — |
 /// | `ExtractElement` | array | index | — |
-/// | `IntOps` | — | count | — |
-/// | `VectorEnter`/`Exit` | — | — | — |
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Packed {
     pub(crate) tag: Tag,
@@ -272,16 +284,10 @@ impl Packed {
 /// of concurrent replays.
 #[derive(Debug, Clone)]
 pub struct Trace {
+    /// The tape, with every `Cast` of a just-produced `Bin` result fused
+    /// into an `AddCast..DivCast` entry. Scanning fewer entries matters —
+    /// the tape is memory-bound.
     pub(crate) ops: Vec<Packed>,
-    /// The raw interpreter's stripped view of `ops`: statistics-only
-    /// entries (`IntOps`, `VectorEnter`/`Exit`) removed and `Cast`s of a
-    /// just-produced `Bin` result fused into `AddCast..DivCast` entries.
-    /// Scanning fewer entries matters — the tape is memory-bound.
-    pub(crate) raw_ops: Vec<Packed>,
-    /// Full-tape index of each comparison, in tape order — maps the raw
-    /// interpreter's k-th comparison back to a [`Replayed::Divergent`]
-    /// address on the full tape.
-    pub(crate) cmp_sites: Vec<u32>,
     /// Out-of-line `f64` payloads (leaf literals, array initializers).
     pub(crate) pool: Vec<f64>,
     /// Interned format slots; `Packed::fmt` indexes here. Replay resolves
@@ -296,17 +302,17 @@ pub struct Trace {
     pub(crate) outputs: Vec<f64>,
     pub(crate) comparisons: u32,
     /// Structural fingerprint ([`ShapeHash`]) over everything the batched
-    /// interpreter needs in common across lanes: the raw op stream
-    /// *excluding* recorded comparison outcomes (data-dependent, read
-    /// per lane), format slots, variable names, table sizes, pool length
-    /// and output plan. Computed once at record time, in the pass that
-    /// builds `raw_ops`; see [`Trace::same_shape`].
+    /// interpreter needs in common across lanes: the op stream *excluding*
+    /// recorded comparison outcomes (data-dependent, read per lane), format
+    /// slots, variable names, table sizes, pool length and output plan.
+    /// Computed once at record time, in the pass that builds `ops`; see
+    /// [`Trace::same_shape`].
     pub(crate) struct_hash: u64,
 }
 
 /// The word-wise fingerprint behind [`Trace::same_shape`].
 ///
-/// Each raw entry is folded in as two 64-bit words, one per accumulator:
+/// Each entry is folded in as two 64-bit words, one per accumulator:
 /// `tag | fmt << 8 | a << 32` and `b`. Every fold `h = (h ^ w) * K` is a
 /// bijection of `h` (K is odd), so two streams that differ in exactly one
 /// field of one entry always end in different fingerprints; the two
@@ -335,7 +341,7 @@ impl ShapeHash {
         self.hi = (self.hi ^ hi).wrapping_mul(SHAPE_K);
     }
 
-    /// Folds in one finished raw entry.
+    /// Folds in one finished entry.
     #[inline(always)]
     pub(crate) fn entry(&mut self, p: &Packed) {
         // A comparison's `fmt` field holds its *recorded outcome*, which
@@ -349,8 +355,7 @@ impl ShapeHash {
         self.fold(head, u64::from(p.b));
     }
 
-    /// Folds in everything but the raw entries and returns the
-    /// fingerprint.
+    /// Folds in everything but the entries and returns the fingerprint.
     pub(crate) fn finish(mut self, trace: &Trace) -> u64 {
         for slot in &trace.fmt_slots {
             match *slot {
@@ -383,7 +388,7 @@ impl ShapeHash {
 
 impl Trace {
     /// `true` when `other` records the *same program shape* as `self`:
-    /// identical raw op stream (comparison outcomes aside), format slots,
+    /// identical op stream (comparison outcomes aside), format slots,
     /// variable names and table sizes — i.e. the same kernel taped on a
     /// different input set, with possibly different recorded branch
     /// outcomes. Shape-equal traces can ride one batched replay pass
@@ -392,11 +397,12 @@ impl Trace {
     #[must_use]
     pub fn same_shape(&self, other: &Trace) -> bool {
         self.struct_hash == other.struct_hash
-            && self.raw_ops.len() == other.raw_ops.len()
+            && self.ops.len() == other.ops.len()
             && self.pool.len() == other.pool.len()
     }
 
-    /// Number of tape entries.
+    /// Number of tape entries — the entries a replay runs, each fused
+    /// bin+cast counted once.
     #[must_use]
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -446,23 +452,8 @@ impl Trace {
                 v: p.a,
                 dst: fmt(p.fmt),
             },
-            Tag::Add => TapeOp::Bin {
-                op: BinOp::Add,
-                a: p.a,
-                b: p.b,
-            },
-            Tag::Sub => TapeOp::Bin {
-                op: BinOp::Sub,
-                a: p.a,
-                b: p.b,
-            },
-            Tag::Mul => TapeOp::Bin {
-                op: BinOp::Mul,
-                a: p.a,
-                b: p.b,
-            },
-            Tag::Div => TapeOp::Bin {
-                op: BinOp::Div,
+            Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => TapeOp::Bin {
+                op: p.tag.bin_op(),
                 a: p.a,
                 b: p.b,
             },
@@ -491,9 +482,12 @@ impl Trace {
                 b: p.b,
                 outcome: p.fmt != 0,
             },
-            Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                unreachable!("fused tags only exist on the raw view")
-            }
+            Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => TapeOp::BinCast {
+                op: p.tag.bin_op(),
+                a: p.a,
+                b: p.b,
+                dst: fmt(p.fmt),
+            },
             Tag::Extract => TapeOp::Extract { v: p.a },
             Tag::ExtractArray => TapeOp::ExtractArray {
                 arr: u32::from(p.fmt),
@@ -502,9 +496,6 @@ impl Trace {
                 arr: u32::from(p.fmt),
                 idx: p.a,
             },
-            Tag::IntOps => TapeOp::IntOps { n: u64::from(p.a) },
-            Tag::VectorEnter => TapeOp::VectorEnter,
-            Tag::VectorExit => TapeOp::VectorExit,
         }
     }
 
@@ -554,7 +545,7 @@ mod tests {
     /// [`Trace::struct_hash`] folded afresh over the whole trace.
     fn rehash(trace: &Trace) -> u64 {
         let mut shape = ShapeHash::new();
-        for p in &trace.raw_ops {
+        for p in &trace.ops {
             shape.entry(p);
         }
         shape.finish(trace)
@@ -598,7 +589,11 @@ mod tests {
     fn one_kernel_on_other_inputs_has_the_same_shape() {
         let traces: Vec<Trace> = (0..3).map(record).collect();
         let outcomes = |t: &Trace| -> Vec<u16> {
-            t.cmp_sites.iter().map(|&i| t.ops[i as usize].fmt).collect()
+            t.ops
+                .iter()
+                .filter(|p| matches!(p.tag, Tag::CmpLt | Tag::CmpLe))
+                .map(|p| p.fmt)
+                .collect()
         };
         assert_ne!(
             outcomes(&traces[0]),
@@ -614,7 +609,7 @@ mod tests {
     #[test]
     fn every_raw_field_and_format_slot_is_in_the_shape() {
         let trace = record(0);
-        assert!(trace.raw_ops.iter().any(|p| p.tag == Tag::AddCast));
+        assert!(trace.ops.iter().any(|p| p.tag == Tag::AddCast));
         assert!(trace
             .fmt_slots
             .iter()
@@ -625,25 +620,19 @@ mod tests {
             other.struct_hash = rehash(&other);
             assert!(!other.same_shape(&trace), "{what} is not in the shape");
         };
-        for i in 0..trace.raw_ops.len() {
-            let p = trace.raw_ops[i];
+        for i in 0..trace.ops.len() {
+            let p = trace.ops[i];
             let tag = if p.tag == Tag::Add {
                 Tag::Sub
             } else {
                 Tag::Add
             };
-            differs(
-                &|t| t.raw_ops[i].tag = tag,
-                &format!("tag of raw entry {i}"),
-            );
+            differs(&|t| t.ops[i].tag = tag, &format!("tag of entry {i}"));
             if !matches!(p.tag, Tag::CmpLt | Tag::CmpLe) {
-                differs(
-                    &|t| t.raw_ops[i].fmt ^= 1,
-                    &format!("slot of raw entry {i}"),
-                );
+                differs(&|t| t.ops[i].fmt ^= 1, &format!("slot of entry {i}"));
             }
-            differs(&|t| t.raw_ops[i].a ^= 1, &format!("a of raw entry {i}"));
-            differs(&|t| t.raw_ops[i].b ^= 1, &format!("b of raw entry {i}"));
+            differs(&|t| t.ops[i].a ^= 1, &format!("a of entry {i}"));
+            differs(&|t| t.ops[i].b ^= 1, &format!("b of entry {i}"));
         }
         for i in 0..trace.fmt_slots.len() {
             let other = match trace.fmt_slots[i] {
@@ -654,12 +643,12 @@ mod tests {
         }
         // A recorded comparison outcome is data, not shape.
         let site = trace
-            .raw_ops
+            .ops
             .iter()
             .position(|p| matches!(p.tag, Tag::CmpLt | Tag::CmpLe))
             .expect("comparisons recorded");
         let mut flipped = trace.clone();
-        flipped.raw_ops[site].fmt ^= 1;
+        flipped.ops[site].fmt ^= 1;
         flipped.struct_hash = rehash(&flipped);
         assert!(flipped.same_shape(&trace));
     }

@@ -30,9 +30,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-use flexfloat::{Recorder, TraceCounts, TypeConfig, VarSpec};
+use flexfloat::{Engine, Recorder, TraceCounts, TypeConfig, VarSpec};
 use tp_formats::{FpFormat, TypeSystem};
 use tp_trace::{Replayed, Trace};
 
@@ -50,6 +50,10 @@ use crate::tunable::Tunable;
 /// what keeps the two modes **bit-identical in chosen formats** (and in
 /// [`TuningOutcome::evaluations`]); `tests/replay_equivalence.rs` pins
 /// this across the kernel suite, every backend and several worker counts.
+///
+/// A replay is invisible to a [`Recorder`] and to an installed backend, so
+/// a search whose thread is observed by either (a running `Recorder`, or
+/// [`Engine::is_active`]) runs live in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunerMode {
     /// Every candidate evaluation runs the kernel.
@@ -59,24 +63,8 @@ pub enum TunerMode {
 }
 
 impl TunerMode {
-    /// The process-wide default mode: the `TP_TUNER_MODE` environment
-    /// variable (`"live"` or `"replay"`), or `Replay` when unset. Read
-    /// once and cached; unknown values fail fast, mirroring `TP_BACKEND`.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static MODE: OnceLock<TunerMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("TP_TUNER_MODE").as_deref() {
-            Ok("live") => TunerMode::Live,
-            Ok("replay") | Err(std::env::VarError::NotPresent) => TunerMode::Replay,
-            Ok(other) => {
-                panic!("TP_TUNER_MODE={other:?} is not a tuner mode (use \"live\" or \"replay\")")
-            }
-            Err(e) => panic!("TP_TUNER_MODE is set but unreadable: {e}"),
-        })
-    }
-
-    /// The canonical spelling (`"live"` / `"replay"`) — the string
-    /// `TP_TUNER_MODE` speaks, also used in job keys and wire requests.
+    /// The canonical spelling (`"live"` / `"replay"`), used in job keys
+    /// and wire requests.
     #[must_use]
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -90,7 +78,7 @@ impl std::str::FromStr for TunerMode {
     type Err = String;
 
     /// Parses the canonical spelling; anything else is an error (callers
-    /// are expected to fail fast, like the env readers do).
+    /// are expected to fail fast).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "live" => Ok(TunerMode::Live),
@@ -108,8 +96,9 @@ impl std::fmt::Display for TunerMode {
     }
 }
 
-/// How much of a tuning run the replay engine carried (all zero in
-/// [`TunerMode::Live`]).
+/// How much of a tuning run the replay engine carried. All zero in
+/// [`TunerMode::Live`], and for every search whose thread is observed (a
+/// running [`Recorder`] or [`Engine::is_active`]), which runs live.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplaySummary {
     /// Input sets whose op stream was successfully recorded.
@@ -206,7 +195,7 @@ type LaneVerdicts = Vec<Option<(Verdict, bool)>>;
 /// input set, the shared tally, and — when batching is on — the same-shape
 /// set groups plus a candidate-keyed verdict cache so one structure-of-
 /// arrays pass over a group's tapes serves every member's quality check.
-/// Empty (all-`None`) in [`TunerMode::Live`].
+/// Empty (all-`None`) in [`TunerMode::Live`] and on an observed thread.
 struct ReplayCtx<'a> {
     traces: Vec<Option<Trace>>,
     gates: Vec<std::sync::atomic::AtomicU32>,
@@ -577,7 +566,8 @@ pub struct SearchParams {
     /// count varies (speculative probes — see the module docs).
     pub workers: usize,
     /// Candidate evaluation strategy: live kernel runs, or record/replay
-    /// with live fallback. Chosen formats are bit-identical either way.
+    /// with live fallback. Chosen formats are bit-identical either way,
+    /// and an observed search runs live in both (see [`TunerMode`]).
     pub mode: TunerMode,
     /// Batched replay ([`TunerMode::Replay`] only): evaluate all
     /// same-shape input sets of a candidate in one structure-of-arrays
@@ -591,7 +581,7 @@ pub struct SearchParams {
 impl SearchParams {
     /// Parameters used throughout the paper's evaluation: the given error
     /// threshold, three input sets, the V2 type system, auto worker count,
-    /// batched replay on.
+    /// replay mode with batched replay on.
     #[must_use]
     pub fn paper(threshold: f64) -> Self {
         SearchParams {
@@ -601,7 +591,7 @@ impl SearchParams {
             max_precision: 24,
             passes: 2,
             workers: 0,
-            mode: TunerMode::from_env(),
+            mode: TunerMode::Replay,
             batch: true,
         }
     }
@@ -675,8 +665,9 @@ pub struct TuningOutcome {
     pub vars: Vec<TunedVar>,
     /// Number of program evaluations spent (live and replayed alike).
     pub evaluations: u64,
-    /// How much of the run the replay engine carried
-    /// ([`TunerMode::Replay`] only; all zero under [`TunerMode::Live`]).
+    /// How much of the run the replay engine carried (all zero under
+    /// [`TunerMode::Live`] and for observed searches; see
+    /// [`ReplaySummary`]).
     pub replay: ReplaySummary,
 }
 
@@ -766,12 +757,6 @@ fn candidate_passes(
 /// non-divergent replay reproduces the live outputs exactly), so the two
 /// paths are interchangeable decision-wise — which is what makes
 /// [`TunerMode`] invisible in the chosen formats.
-///
-/// If the calling thread has a [`Recorder`] running, a successful replay's
-/// counts are absorbed (they equal the live run's counts — pinned by
-/// `tests/replay_equivalence.rs`) while a divergent replay's partial
-/// counts are discarded before the live fallback records the real thing:
-/// ops are counted exactly once either way.
 fn eval_candidate(
     app: &dyn Tunable,
     params: &SearchParams,
@@ -782,28 +767,15 @@ fn eval_candidate(
     replay: &ReplayCtx<'_>,
 ) -> bool {
     // Batched fast path: serve this set's verdict from (or compute into)
-    // the group verdict cache. Skipped when the thread records — the
-    // observed interpreter must drive real Fx ops per evaluation.
-    if !Recorder::is_enabled() {
-        match replay.batched(params, vars, cand, set) {
-            Served::Done(passes) => return passes,
-            Served::Diverged => return candidate_passes(app, params, vars, cand, reference, set),
-            Served::NoBatch => {}
-        }
+    // the group verdict cache.
+    match replay.batched(params, vars, cand, set) {
+        Served::Done(passes) => return passes,
+        Served::Diverged => return candidate_passes(app, params, vars, cand, reference, set),
+        Served::NoBatch => {}
     }
     if let Some(trace) = replay.trace_for(set) {
         let cfg = cand.config(params.type_system, vars);
-        let replayed = if Recorder::is_enabled() {
-            let (replayed, counts) = Recorder::scoped(|| trace.replay(&cfg));
-            let out = replayed.output();
-            if out.is_some() {
-                Recorder::absorb(&counts);
-            }
-            out
-        } else {
-            trace.replay(&cfg).output()
-        };
-        match replayed {
+        match trace.replay(&cfg).output() {
             Some(out) => {
                 replay.note_outcome(set, false);
                 return relative_rms_error(reference, &out) <= params.threshold;
@@ -826,7 +798,7 @@ struct SearchState<'a> {
     /// inflates `evaluations` (see the module docs).
     speculate: bool,
     /// Per-input-set tapes + divergence latches for replay-first
-    /// evaluation (all-`None` in [`TunerMode::Live`]).
+    /// evaluation (all-`None` in [`TunerMode::Live`] and when observed).
     replay: &'a ReplayCtx<'a>,
 }
 
@@ -864,8 +836,7 @@ impl<'a> SearchState<'a> {
             wide.wide[i] = true;
             let (app, params, vars) = (self.app, self.params, self.vars);
             let replay = self.replay;
-            let batch_pair =
-                replay.batch && !Recorder::is_enabled() && replay.trace_for(set).is_some();
+            let batch_pair = replay.batch && replay.trace_for(set).is_some();
             let (narrow_ok, wide_ok) = if batch_pair {
                 // Both hypotheses always get evaluated on this branch, so
                 // a shared-prefix multi-candidate pass over the tape is a
@@ -1075,14 +1046,18 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     // Replay mode: record each input set's op stream once, up front, fanned
     // out over the same worker pool. A set that cannot be recorded (outside
     // the trace contract) simply keeps evaluating live — `None` entries are
-    // the per-set fallback switch. `Trace::record` isolates itself from any
-    // enclosing Recorder (its counts are bookkeeping, discarded), so no
-    // scoping is needed here.
+    // the per-set fallback switch. Replay runs only where nothing observes:
+    // a replay feeds no Recorder and drives no installed backend, so an
+    // observed search evaluates every candidate live and records nothing.
+    // Replay is decision-transparent, so formats and evaluations are the
+    // same either way.
+    let live = params.mode == TunerMode::Live || recording || Engine::is_active();
     let replay = {
         let _span = tp_obs::Span::enter("tuner.phase_record_ns");
-        match params.mode {
-            TunerMode::Live => ReplayCtx::live(app.name(), params.input_sets, &references),
-            TunerMode::Replay => ReplayCtx::new(
+        if live {
+            ReplayCtx::live(app.name(), params.input_sets, &references)
+        } else {
+            ReplayCtx::new(
                 app.name(),
                 pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
                     Trace::record(&vars, |cfg| app.run(cfg, set)).ok()
@@ -1090,7 +1065,7 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
                 &references,
                 params.threshold,
                 params.batch,
-            ),
+            )
         }
     };
 
@@ -1206,7 +1181,9 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexfloat::backend::Emulated;
     use flexfloat::Fx;
+    use std::sync::Arc;
     use tp_formats::{BINARY16, BINARY16ALT, BINARY32, BINARY8};
 
     /// y = Σ xᵢ·wᵢ with two variables; x needs little precision, w needs a
@@ -1410,8 +1387,14 @@ mod tests {
                 input_sets: 2,
                 ..SearchParams::paper(threshold)
             };
-            let live = distributed_search(&TwoVars, params.with_mode(TunerMode::Live));
-            let replay = distributed_search(&TwoVars, params.with_mode(TunerMode::Replay));
+            // The native installation keeps the thread unobserved (so
+            // replay runs) under any `TP_BACKEND`.
+            let (live, replay) = Engine::with(Arc::new(Emulated), || {
+                (
+                    distributed_search(&TwoVars, params.with_mode(TunerMode::Live)),
+                    distributed_search(&TwoVars, params.with_mode(TunerMode::Replay)),
+                )
+            });
             for (a, b) in live.vars.iter().zip(&replay.vars) {
                 assert_eq!(a.precision_bits, b.precision_bits, "{threshold:e}");
                 assert_eq!(a.needs_wide_range, b.needs_wide_range, "{threshold:e}");

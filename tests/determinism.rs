@@ -93,15 +93,25 @@ fn full_suite_workers_1_4_8() {
 fn evaluate_app_is_worker_count_invariant() {
     let app = Conv::small();
     let params = PlatformParams::paper();
-    let seq = evaluate_app_with(&app, 1e-1, &params, 1, TunerMode::from_env());
-    let par = evaluate_app_with(&app, 1e-1, &params, 8, TunerMode::from_env());
-    assert_eq!(fingerprint(&seq.outcome), fingerprint(&par.outcome));
-    assert_eq!(seq.storage, par.storage);
-    assert_eq!(seq.baseline_counts, par.baseline_counts);
-    assert_eq!(seq.tuned_counts, par.tuned_counts);
-    assert_eq!(seq.baseline.cycles.total(), par.baseline.cycles.total());
-    assert_eq!(seq.tuned.cycles.total(), par.tuned.cycles.total());
-    assert_eq!(seq.tuned.energy.total(), par.tuned.energy.total());
+    for mode in [TunerMode::Live, TunerMode::Replay] {
+        let seq = evaluate_app_with(&app, 1e-1, &params, 1, mode);
+        let par = evaluate_app_with(&app, 1e-1, &params, 8, mode);
+        assert_eq!(
+            fingerprint(&seq.outcome),
+            fingerprint(&par.outcome),
+            "{mode}"
+        );
+        assert_eq!(seq.storage, par.storage, "{mode}");
+        assert_eq!(seq.baseline_counts, par.baseline_counts, "{mode}");
+        assert_eq!(seq.tuned_counts, par.tuned_counts, "{mode}");
+        assert_eq!(
+            seq.baseline.cycles.total(),
+            par.baseline.cycles.total(),
+            "{mode}"
+        );
+        assert_eq!(seq.tuned.cycles.total(), par.tuned.cycles.total(), "{mode}");
+        assert_eq!(seq.tuned.energy.total(), par.tuned.energy.total(), "{mode}");
+    }
 }
 
 /// Metrics are observational by contract (DESIGN.md §12): the obs layer

@@ -1,16 +1,18 @@
-//! The two tape interpreters agree through every replay entry point.
+//! The tape interpreter agrees with live runs through every replay entry
+//! point.
 //!
-//! An unobserved [`Trace::replay`] runs the raw structure-of-arrays loop
-//! with one lane; [`Trace::replay_batch`] runs the same loop with one lane
-//! per input set; [`Trace::replay_candidates`] runs it over a shared
-//! prefix and forks per configuration; an observed replay (a running
-//! [`Recorder`]) drives the `Fx`-driven interpreter instead. For every
-//! kernel of the small suite, every input set's trace and a list of
-//! uniform, recorded and mixed configurations, all four must return the
-//! same [`Replayed`]: the same output bits, or a divergence at the same
-//! tape site. The observed replay's counts must equal the live run's.
+//! [`Trace::replay`] runs the raw structure-of-arrays loop with one lane;
+//! [`Trace::replay_batch`] runs the same loop with one lane per input set;
+//! [`Trace::replay_candidates`] runs it over a shared prefix and forks per
+//! configuration. For every kernel of the small suite, every input set's
+//! trace and a list of uniform, recorded and mixed configurations, all
+//! three must return the same [`Replayed`]: the same output bits, or a
+//! divergence at the same tape site — and a completed replay must return
+//! the live run's output bits on the thread's datapath (`TP_BACKEND`).
+//! The test keeps its historical name; the `Fx`-driven interpreter for
+//! observed threads it once compared against is gone.
 
-use flexfloat::{Recorder, TypeConfig};
+use flexfloat::TypeConfig;
 use tp_formats::ALL_KINDS;
 use tp_kernels::all_kernels_small;
 use tp_trace::{Replayed, Trace};
@@ -66,16 +68,13 @@ fn every_entry_point_agrees_with_the_observed_interpreter() {
 
             for (cfg, candidate) in cfgs.iter().zip(&candidates) {
                 let raw = key(&trace.replay(cfg));
-                let (observed, counts) = Recorder::scoped(|| trace.replay(cfg));
-                assert_eq!(raw, key(&observed), "{name} set {set} observed {cfg}");
                 if raw.is_err() {
                     diverged += 1;
                 } else {
                     completed += 1;
-                    let (live, live_counts) = Recorder::scoped(|| app.run(cfg, set));
+                    let live = app.run(cfg, set);
                     let live_bits = live.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(raw, Ok(live_bits), "{name} set {set} live {cfg}");
-                    assert_eq!(counts, live_counts, "{name} set {set} counts {cfg}");
                 }
                 let batched = Trace::replay_batch(&lanes, cfg);
                 assert_eq!(raw, key(&batched[set]), "{name} set {set} batch {cfg}");

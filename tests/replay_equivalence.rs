@@ -5,22 +5,29 @@
 //! 1. **Trace-level**: for every kernel, a recorded tape replayed under the
 //!    recorded configuration reproduces the recording bit for bit; replayed
 //!    under arbitrary candidate configurations it either matches the live
-//!    run bit for bit or reports divergence (never a wrong output). Counts
-//!    (`TraceCounts`) of a successful replay equal the live run's counts.
+//!    run bit for bit or reports divergence (never a wrong output).
 //! 2. **Tuner-level**: `distributed_search` in `TunerMode::Replay` returns
 //!    bit-identical chosen formats — and evaluation counts — to
 //!    `TunerMode::Live`, across the small suite × backends × worker counts,
-//!    and across the paper-size suite at the tightest threshold.
+//!    and across the paper-size suite at the tightest threshold. A search
+//!    on an observed thread (a non-native backend or a running `Recorder`)
+//!    records no tape and runs live, with the same outcome.
 //! 3. **Divergence guard**: a deliberately value-dependent micro-kernel
 //!    raises `Divergent` and the tuner transparently falls back to live
 //!    evaluation, still matching Live mode exactly.
 
+use std::sync::Arc;
+
+use flexfloat::backend::{Emulated, SoftFloat};
 use flexfloat::{Engine, Fx, Recorder, TypeConfig, VarSpec};
 use proptest::prelude::*;
 use tp_formats::{FormatKind, ALL_KINDS};
+use tp_fpu::FpuModel;
 use tp_kernels::all_kernels_small;
 use tp_trace::{Replayed, Trace};
-use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode, TuningOutcome};
+use tp_tuner::{
+    distributed_search, ReplaySummary, SearchParams, Tunable, TunerMode, TuningOutcome,
+};
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -79,29 +86,6 @@ fn every_kernel_replays_bit_identically() {
                 }
             }
         }
-    }
-}
-
-/// Layer 1, satellite regression: `TraceCounts` of a successful replay are
-/// equal to the live run's counts — ops are counted exactly once, through
-/// the same `Recorder` events in the same order.
-#[test]
-fn replay_counts_equal_live_counts() {
-    for app in all_kernels_small() {
-        let app = app.as_ref();
-        let trace = Trace::record(&app.variables(), |cfg| app.run(cfg, 0)).unwrap();
-        let mut checked = 0;
-        for kind in ALL_KINDS {
-            let cfg = TypeConfig::uniform(kind.format());
-            let (replayed, replay_counts) = Recorder::scoped(|| trace.replay(&cfg));
-            if let Replayed::Output(out) = replayed {
-                let (live_out, live_counts) = Recorder::scoped(|| app.run(&cfg, 0));
-                assert_eq!(bits(&out), bits(&live_out), "{} {kind}", app.name());
-                assert_eq!(replay_counts, live_counts, "{} {kind}", app.name());
-                checked += 1;
-            }
-        }
-        assert!(checked > 0, "{}: no config replayed", app.name());
     }
 }
 
@@ -341,13 +325,18 @@ fn divergence_guard_and_fallback_on_value_dependent_kernel() {
     );
 
     // Tuner level: divergent candidates fall back to live runs, and the
-    // chosen formats match Live mode exactly.
+    // chosen formats match Live mode exactly. The native installation keeps
+    // the thread unobserved (so replay runs) under any `TP_BACKEND`.
     let params = SearchParams {
         input_sets: 2,
         ..SearchParams::paper(1e-3)
     };
-    let live = distributed_search(&Branchy, params.with_mode(TunerMode::Live));
-    let replay = distributed_search(&Branchy, params.with_mode(TunerMode::Replay));
+    let (live, replay) = Engine::with(Arc::new(Emulated), || {
+        (
+            distributed_search(&Branchy, params.with_mode(TunerMode::Live)),
+            distributed_search(&Branchy, params.with_mode(TunerMode::Replay)),
+        )
+    });
     assert_eq!(fingerprint(&live), fingerprint(&replay));
     assert!(
         replay.replay.diverged > 0,
@@ -357,16 +346,58 @@ fn divergence_guard_and_fallback_on_value_dependent_kernel() {
     assert!(live.replay.diverged == 0 && live.replay.replayed == 0);
 }
 
-/// The `TP_TUNER_MODE` knob: explicit `with_mode` always wins; the summary
-/// tells which engine ran.
+/// An explicit `with_mode` picks the engine of an unobserved search,
+/// whatever the process default datapath (`TP_BACKEND`): the native
+/// installation keeps the thread unobserved. The summary tells which
+/// engine ran.
 #[test]
 fn explicit_mode_beats_environment() {
     let app = tp_kernels::Conv::small();
-    let live = distributed_search(&app, SearchParams::paper(1e-1).with_mode(TunerMode::Live));
+    let (live, replay) = Engine::with(Arc::new(Emulated), || {
+        (
+            distributed_search(&app, SearchParams::paper(1e-1).with_mode(TunerMode::Live)),
+            distributed_search(&app, SearchParams::paper(1e-1).with_mode(TunerMode::Replay)),
+        )
+    });
     assert_eq!(live.replay, tp_tuner::ReplaySummary::default());
-    let replay = distributed_search(&app, SearchParams::paper(1e-1).with_mode(TunerMode::Replay));
     assert_eq!(replay.replay.traces, 3, "one trace per input set");
     assert!(replay.replay.replayed > 0);
+}
+
+/// Replay runs only where nothing observes. A replay-mode search under an
+/// installed `SoftFloat` or `FpuModel`, or inside `Recorder::record`,
+/// records no tape and evaluates every candidate live — and returns the
+/// formats and evaluation count of the unobserved replay-mode search,
+/// because replay is decision-transparent.
+#[test]
+fn observed_searches_run_live() {
+    for app in all_kernels_small() {
+        let app = app.as_ref();
+        let name = app.name();
+        for workers in [1usize, 4] {
+            let params = SearchParams::paper(1e-1)
+                .with_workers(workers)
+                .with_mode(TunerMode::Replay);
+            let search = || distributed_search(app, params);
+            let want = Engine::with(Arc::new(Emulated), search);
+            assert_ne!(want.replay, ReplaySummary::default(), "{name}: replayed");
+            let observed = [
+                (
+                    "softfloat",
+                    Engine::with(Arc::new(SoftFloat::new()), search),
+                ),
+                ("fpu", Engine::with(Arc::new(FpuModel::new()), search)),
+                ("recorder", Recorder::record(search).0),
+            ];
+            for (how, got) in observed {
+                let at = format!("{name} workers={workers} {how}");
+                assert_eq!(got.replay, ReplaySummary::default(), "{at}: replayed");
+                assert_eq!(got.vars, want.vars, "{at}: vars");
+                assert_eq!(got.evaluations, want.evaluations, "{at}: evaluations");
+                assert_eq!(got.eval_config(), want.eval_config(), "{at}: config");
+            }
+        }
+    }
 }
 
 /// Wall-clock probe for development (`--ignored --nocapture`): where the
