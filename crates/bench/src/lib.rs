@@ -228,10 +228,10 @@ pub fn evaluate_app(app: &dyn Tunable, threshold: f64, params: &PlatformParams) 
 }
 
 /// [`evaluate_app`] with an explicit worker count for the precision search
-/// (`0` = auto) and an explicit [`TunerMode`]. The result is bit-identical
-/// at any worker count *and* in either mode;
-/// [`TuningOutcome::evaluations`] aside for workers,
-/// [`TuningOutcome::replay`] aside for the mode.
+/// (`0` = auto) and an explicit [`TunerMode`] (which selects nothing but
+/// stays in the store key). The result is bit-identical at any worker
+/// count *and* in either mode, [`TuningOutcome::evaluations`] aside for
+/// workers.
 ///
 /// Routed through the environment-configured result store
 /// ([`env::shared_store`], resolved once per process): with

@@ -10,10 +10,9 @@
 //! intermediate visible to the precision tuner.
 //!
 //! The Abramowitz–Stegun CDF approximation branches on the sign of its
-//! argument (`d.lt(zero)` is a *recorded* comparison), so BLACKSCHOLES
-//! is expected to latch the replay divergence guard under aggressive
-//! formats, exactly like KNN and PCA: replay then falls back to live
-//! evaluation and outcomes stay identical.
+//! argument (`d.lt(zero)` is a *recorded* comparison), so a recorded
+//! BLACKSCHOLES tape trips the replay divergence guard under aggressive
+//! formats, exactly like KNN and PCA.
 
 use flexfloat::{Fx, FxArray, Recorder, TypeConfig, VarSpec};
 use tp_tuner::Tunable;

@@ -5,7 +5,8 @@
 //! filter) and then stored in a tunable format of their own, so the tuner
 //! decides how coarsely the table may be quantized independently of the
 //! signal. The butterfly arithmetic is straight-line (no data-dependent
-//! comparisons), so precision search in replay mode never diverges.
+//! comparisons), so a recorded tape replays under any formats without
+//! diverging.
 
 use flexfloat::{FxArray, Recorder, TypeConfig, VarSpec, VectorSection};
 use tp_tuner::Tunable;

@@ -178,7 +178,8 @@ pub struct SubmitRequest {
     pub threshold: f64,
     /// Input sets (default 3, the paper's evaluation setting).
     pub input_sets: usize,
-    /// Tuner mode (default `replay`).
+    /// Tuner mode (default `replay`); selects nothing, see
+    /// [`TunerMode`].
     pub mode: TunerMode,
     /// Type system (default V2).
     pub type_system: tp_formats::TypeSystem,
@@ -207,9 +208,6 @@ impl SubmitRequest {
             passes: self.passes,
             workers,
             mode: self.mode,
-            // Batching is outcome-invariant (like `workers`), so it is the
-            // server's choice, never wire-controlled.
-            batch: true,
         }
     }
 }

@@ -15,11 +15,13 @@
 //! * the **tuner version** ([`tp_tuner::TUNER_VERSION`]) — an algorithm
 //!   change silently invalidates every cached result, so it must change
 //!   the key rather than the cache serve stale answers;
-//! * the **backend** and [`TunerMode`] — both are proven
-//!   outcome-invariant by the test suites, but the stored record also
-//!   carries mode-dependent accounting ([`ReplaySummary`]), and "proven
-//!   invariant today" is not an invariant of future backends; keying on
-//!   them trades a little dedup for never serving a wrong artifact.
+//! * the **backend** and [`TunerMode`] — the backend is proven
+//!   outcome-invariant by the test suites, but "proven invariant today"
+//!   is not an invariant of future backends; keying on it trades a
+//!   little dedup for never serving a wrong artifact. The mode selects
+//!   nothing since the tuner stopped replaying; it stays in the key
+//!   (and in the stored record's all-zero [`ReplaySummary`]) until the
+//!   benchmark stops naming it.
 //!
 //! **Deliberately excluded:** `SearchParams::workers` — chosen formats
 //! and recorded counts are worker-count invariant by the determinism
@@ -27,11 +29,6 @@
 //! that an 8-worker server and a 1-worker laptop hit the same entries.
 //! (The `evaluations` counter inside a stored outcome consequently
 //! reflects the worker count of whoever computed it first.)
-//! `SearchParams::batch` is excluded for the same reason: batched replay
-//! is decision-transparent — formats, evaluation counts *and* the replay
-//! summary are bit-identical on or off (`DESIGN.md §10`,
-//! `tests/replay_equivalence.rs`) — so a batched search and a
-//! `with_batch(false)` search must share entries.
 //!
 //! [`SearchParams::input_sets`]: tp_tuner::SearchParams::input_sets
 //! [`ReplaySummary`]: tp_tuner::ReplaySummary

@@ -66,7 +66,7 @@ mod tunable;
 /// *some* input (new phases, different probe order, changed join rules…);
 /// cached results from older versions then simply stop being found instead
 /// of being served stale.
-pub const TUNER_VERSION: u32 = 1;
+pub const TUNER_VERSION: u32 = 2;
 
 pub use builder::{BuildError, TunableBuilder};
 pub use cast_aware::{cast_aware_refine, CastAwareOutcome};

@@ -6,6 +6,13 @@
 //! bits that still meets the threshold — first per input set, then joined
 //! across input sets by a statistical refinement phase.
 //!
+//! Every candidate is evaluated the way the paper's flow does it: by running
+//! the program on FlexFloat types under the candidate's formats. A search
+//! asks the same (input set, candidate) question more than once — a repair
+//! re-validates a binding phase 1 already tried, phase 2 re-asks a set's own
+//! phase-1 winner — so a per-search [`Memo`] answers repeats without running
+//! the kernel again.
+//!
 //! # Parallel driver and the determinism contract
 //!
 //! The paper fans this search out over an HPC cluster (Section V); here the
@@ -29,36 +36,26 @@
 //! contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use flexfloat::{Engine, Recorder, TraceCounts, TypeConfig, VarSpec};
+use flexfloat::{Recorder, TraceCounts, TypeConfig, VarSpec};
 use tp_formats::{FpFormat, TypeSystem};
-use tp_trace::{Replayed, Trace};
 
 use crate::metrics::relative_rms_error;
 use crate::pool;
 use crate::tunable::Tunable;
 
-/// How candidate evaluations are executed.
+/// The retired choice between live and record/replay evaluation.
 ///
-/// In `Replay` mode the search records each input set's dynamic op stream
-/// once (a [`Trace`] per set, fanned out over the worker pool) and
-/// evaluates candidates by replaying the tape under the candidate's
-/// formats — falling back to a live kernel run whenever the trace is
-/// unavailable or the replay hits the divergence guard. The fallback is
-/// what keeps the two modes **bit-identical in chosen formats** (and in
-/// [`TuningOutcome::evaluations`]); `tests/replay_equivalence.rs` pins
-/// this across the kernel suite, every backend and several worker counts.
-///
-/// A replay is invisible to a [`Recorder`] and to an installed backend, so
-/// a search whose thread is observed by either (a running `Recorder`, or
-/// [`Engine::is_active`]) runs live in both modes.
+/// It selects nothing: every search runs each candidate live, in either
+/// mode, with the same formats and evaluation count. It stays in
+/// [`SearchParams`], the store's job key and the `mode=` SUBMIT token
+/// until the benchmark stops naming it; then it goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunerMode {
     /// Every candidate evaluation runs the kernel.
     Live,
-    /// Record once per input set, replay per candidate (the default).
+    /// Same as `Live`; the value [`SearchParams::paper`] sets.
     Replay,
 }
 
@@ -96,18 +93,17 @@ impl std::fmt::Display for TunerMode {
     }
 }
 
-/// How much of a tuning run the replay engine carried. All zero in
-/// [`TunerMode::Live`], and for every search whose thread is observed (a
-/// running [`Recorder`] or [`Engine::is_active`]), which runs live.
+/// How much of a tuning run the retired replay engine carried: always all
+/// zero, because every search now runs its candidates live. It stays in
+/// [`TuningOutcome`] (and in the store's record shape) until the benchmark
+/// stops reading it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplaySummary {
-    /// Input sets whose op stream was successfully recorded.
+    /// Input sets whose op stream was recorded.
     pub traces: usize,
     /// Candidate evaluations served from a tape replay.
     pub replayed: u64,
-    /// Candidate evaluations that hit the divergence guard (a recorded
-    /// comparison flipped under the candidate formats) and fell back to a
-    /// live kernel run.
+    /// Candidate evaluations whose replay diverged and ran live instead.
     pub diverged: u64,
 }
 
@@ -124,416 +120,8 @@ impl ReplaySummary {
     }
 }
 
-/// Shared tally behind [`ReplaySummary`] — atomics, because speculative
-/// probes evaluate candidates on pool workers.
-#[derive(Debug, Default)]
-struct ReplayCounters {
-    replayed: AtomicU64,
-    diverged: AtomicU64,
-}
-
-/// After this many *consecutive* divergent replays of one input set's
-/// trace, stop attempting replays for that set: a kernel whose control
-/// flow is this precision-sensitive (KNN's selection scan, PCA's rotation
-/// thresholds) would otherwise pay a wasted replay prefix per candidate on
-/// top of the live fallback it needs anyway. A later successful replay
-/// resets the latch. This is performance-only — a skipped replay *is* the
-/// live evaluation, so verdicts and chosen formats are unchanged.
-const DIVERGENCE_LATCH: u32 = 8;
-
-/// A cached per-set replay verdict from a batched pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    /// Replay completed and the output met the threshold.
-    Pass,
-    /// Replay completed and the output missed the threshold.
-    Fail,
-    /// Replay hit the divergence guard; the consumer must evaluate live.
-    Diverged,
-}
-
-/// What the batched fast path served for one `(set, candidate)` query.
-enum Served {
-    /// A completed-replay verdict (counted as a replay for `set`).
-    Done(bool),
-    /// Replay diverged for this set (counted); the caller runs live.
-    Diverged,
-    /// The set cannot batch here — fall through to per-trace replay.
-    NoBatch,
-}
-
-/// Sibling lanes are speculative: phase 1 tunes each input set
-/// independently, so a sibling set only profits from a batched lane if its
-/// own search later asks for the *same* candidate (which happens when the
-/// per-set trajectories coincide — common on straight-line kernels with
-/// similar input sets, rare when pass/fail patterns differ). Each group
-/// carries a debt counter: an extra lane costs [`LANE_COST`] and a
-/// consumed extra credits [`HIT_CREDIT`]. Full-group passes stop while
-/// the debt exceeds this limit, falling back to memoized single-lane
-/// replay; consumption pays debt down, so a group whose hit rate stays
-/// above `LANE_COST / HIT_CREDIT` batches indefinitely, while a
-/// never-hitting group wastes at most `LANE_DEBT_LIMIT / LANE_COST`
-/// lanes. Measured with the repository benchmark (`perfbench`, workload
-/// `straight`, 6 alternating pairs of 20 s runs, 2-vCPU Xeon host):
-/// removing this throttle together with the done-set mask raised the
-/// median `round_s` from 0.498 s to 0.624 s (+25%, slower in 6 of 6
-/// pairs); turning batching off altogether raised it from 0.490 s to
-/// 0.558 s (+14%, 6 of 6). Throttled speculation is the fastest of the
-/// three (DESIGN.md §10). Performance-only: verdicts and tallies are
-/// identical on every path.
-const LANE_DEBT_LIMIT: i64 = 16;
-/// Debt charged per speculative extra lane in a batched pass.
-const LANE_COST: i64 = 1;
-/// Debt repaid when a sibling consumes a speculatively computed lane.
-const HIT_CREDIT: i64 = 2;
-
-/// One cached verdict per input set (by set index), each tagged with
-/// whether it is a still-unconsumed speculative extra lane.
-type LaneVerdicts = Vec<Option<(Verdict, bool)>>;
-
-/// Per-run replay context: one optional tape and one divergence latch per
-/// input set, the shared tally, and — when batching is on — the same-shape
-/// set groups plus a candidate-keyed verdict cache so one structure-of-
-/// arrays pass over a group's tapes serves every member's quality check.
-/// Empty (all-`None`) in [`TunerMode::Live`] and on an observed thread.
-struct ReplayCtx<'a> {
-    traces: Vec<Option<Trace>>,
-    gates: Vec<std::sync::atomic::AtomicU32>,
-    stats: ReplayCounters,
-    /// Golden outputs per input set — the batched pass checks quality
-    /// directly (the sequential path keeps doing it at the call site).
-    references: &'a [Vec<f64>],
-    /// Quality threshold the verdicts encode.
-    threshold: f64,
-    /// Same-shape group id per set (`None` = no tape, or batching off).
-    group: Vec<Option<usize>>,
-    /// Members of each group, in set order. Only groups with ≥ 2 members
-    /// ever batch; singletons use the ordinary per-trace path.
-    groups: Vec<Vec<usize>>,
-    /// candidate key → per-set verdicts computed by an earlier batched
-    /// pass, each tagged with whether it is still an unconsumed *extra*
-    /// lane (counted in the group's debt). Entries are kept (not
-    /// consumed): re-validations of the same candidate serve the same
-    /// verdict, exactly like re-replaying would.
-    cache: Mutex<HashMap<Vec<u8>, LaneVerdicts>>,
-    /// Speculative-lane debt per group (see [`LANE_DEBT_LIMIT`]).
-    lane_debt: Vec<std::sync::atomic::AtomicI64>,
-    /// Sets whose phase-1 search has completed. A done set only re-asks
-    /// for the (typically fresh) joined candidate in phase 2, so batching
-    /// speculative lanes for it is near-pure waste — the driver marks
-    /// sets done and [`ReplayCtx::batched`] stops computing their lanes.
-    done: Vec<std::sync::atomic::AtomicBool>,
-    /// Batched evaluation enabled ([`SearchParams::batch`]).
-    batch: bool,
-    /// The kernel under search — labels the per-kernel `trace.*` metrics
-    /// (`trace.replayed.CONV`, …). Observational only.
-    app_name: String,
-}
-
-impl<'a> ReplayCtx<'a> {
-    fn new(
-        app_name: &str,
-        traces: Vec<Option<Trace>>,
-        references: &'a [Vec<f64>],
-        threshold: f64,
-        batch: bool,
-    ) -> Self {
-        let gates = traces
-            .iter()
-            .map(|_| std::sync::atomic::AtomicU32::new(0))
-            .collect();
-        // Group the sets whose tapes share a program shape: same kernel,
-        // different inputs (and possibly different recorded branch
-        // outcomes) batch into one structure-of-arrays pass.
-        let mut group: Vec<Option<usize>> = vec![None; traces.len()];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        if batch {
-            for set in 0..traces.len() {
-                let Some(trace) = traces[set].as_ref() else {
-                    continue;
-                };
-                let gid = groups.iter().position(|members: &Vec<usize>| {
-                    traces[members[0]]
-                        .as_ref()
-                        .is_some_and(|leader| leader.same_shape(trace))
-                });
-                match gid {
-                    Some(g) => {
-                        groups[g].push(set);
-                        group[set] = Some(g);
-                    }
-                    None => {
-                        group[set] = Some(groups.len());
-                        groups.push(vec![set]);
-                    }
-                }
-            }
-        }
-        let lane_debt = groups
-            .iter()
-            .map(|_| std::sync::atomic::AtomicI64::new(0))
-            .collect();
-        let done = (0..traces.len())
-            .map(|_| std::sync::atomic::AtomicBool::new(false))
-            .collect();
-        ReplayCtx {
-            traces,
-            gates,
-            stats: ReplayCounters::default(),
-            references,
-            threshold,
-            group,
-            groups,
-            cache: Mutex::new(HashMap::new()),
-            lane_debt,
-            done,
-            batch,
-            app_name: app_name.to_owned(),
-        }
-    }
-
-    /// Marks `set`'s phase-1 search complete (perf-only; see `done`).
-    fn mark_done(&self, set: usize) {
-        self.done[set].store(true, Ordering::Relaxed);
-    }
-
-    fn live(app_name: &str, input_sets: usize, references: &'a [Vec<f64>]) -> Self {
-        Self::new(
-            app_name,
-            vec![None; input_sets],
-            references,
-            f64::INFINITY,
-            false,
-        )
-    }
-
-    /// The tape to try for `set`, unless none was recorded or the
-    /// divergence latch tripped.
-    fn trace_for(&self, set: usize) -> Option<&Trace> {
-        let trace = self.traces.get(set)?.as_ref()?;
-        if self.gates[set].load(Ordering::Relaxed) >= DIVERGENCE_LATCH {
-            return None;
-        }
-        Some(trace)
-    }
-
-    fn note_outcome(&self, set: usize, diverged: bool) {
-        if diverged {
-            self.stats.diverged.fetch_add(1, Ordering::Relaxed);
-            let gate = self.gates[set].fetch_add(1, Ordering::Relaxed) + 1;
-            if tp_obs::enabled() {
-                tp_obs::counter_inc(&format!("trace.diverged.{}", self.app_name));
-                if gate == DIVERGENCE_LATCH {
-                    // The exact divergence that latched this set back to
-                    // live evaluation — rare, and worth seeing per kernel.
-                    tp_obs::counter_inc(&format!("trace.divergence_latch.{}", self.app_name));
-                }
-            }
-        } else {
-            self.stats.replayed.fetch_add(1, Ordering::Relaxed);
-            self.gates[set].store(0, Ordering::Relaxed);
-            if tp_obs::enabled() {
-                tp_obs::counter_inc(&format!("trace.replayed.{}", self.app_name));
-            }
-        }
-    }
-
-    /// Converts one lane's replay result into a cacheable verdict.
-    fn verdict_of(&self, set: usize, result: &Replayed) -> Verdict {
-        match result {
-            Replayed::Output(out) => {
-                if relative_rms_error(&self.references[set], out) <= self.threshold {
-                    Verdict::Pass
-                } else {
-                    Verdict::Fail
-                }
-            }
-            Replayed::Divergent { .. } => Verdict::Diverged,
-        }
-    }
-
-    /// Tallies a consumed verdict for `set` and translates it for the
-    /// caller. The tally discipline mirrors the sequential path exactly:
-    /// one note per evaluation call that attempted replay — which is what
-    /// keeps the [`ReplaySummary`] bit-identical with batching off.
-    fn serve(&self, set: usize, verdict: Verdict) -> Served {
-        match verdict {
-            Verdict::Pass => {
-                self.note_outcome(set, false);
-                Served::Done(true)
-            }
-            Verdict::Fail => {
-                self.note_outcome(set, false);
-                Served::Done(false)
-            }
-            Verdict::Diverged => {
-                self.note_outcome(set, true);
-                Served::Diverged
-            }
-        }
-    }
-
-    /// The batched fast path for one `(set, candidate)` quality check.
-    ///
-    /// On a cache hit the stored verdict is served (paying down the
-    /// group's speculative-lane debt if the hit consumed a sibling-
-    /// computed extra lane). On a miss with the debt under
-    /// [`LANE_DEBT_LIMIT`], **all** currently-replayable lanes of `set`'s
-    /// same-shape group are evaluated in one [`Trace::replay_batch`] pass
-    /// and their verdicts cached; with the debt over the limit, only
-    /// `set`'s own lane is replayed (still cached — re-validations of the
-    /// same candidate stay free). Either way only `set`'s own verdict is
-    /// tallied now — each other member's is tallied when (and only when)
-    /// that member's own evaluation call consumes it, so per-set attempt
-    /// sequences (and the divergence latches they drive) evolve exactly
-    /// as without batching.
-    fn batched(
-        &self,
-        params: &SearchParams,
-        vars: &[VarSpec],
-        cand: &Candidate,
-        set: usize,
-    ) -> Served {
-        if !self.batch {
-            return Served::NoBatch;
-        }
-        let Some(gid) = self.group[set] else {
-            return Served::NoBatch;
-        };
-        if self.groups[gid].len() < 2 {
-            return Served::NoBatch;
-        }
-        // A latched set would not attempt replay sequentially; it must not
-        // consume (or compute) batched verdicts either.
-        if self.trace_for(set).is_none() {
-            return Served::NoBatch;
-        }
-        let key = cand_key(cand);
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            if let Some(slot) = cache.get_mut(&key).and_then(|entry| entry[set].as_mut()) {
-                let (verdict, extra) = *slot;
-                if extra {
-                    // A sibling's speculative lane paid off; credit the
-                    // consumed extra lane = one full sequential pass this
-                    // set did not have to run; credit it at full value so
-                    // a group whose hit rate stays above the marginal
-                    // lane cost keeps batching indefinitely.
-                    slot.1 = false;
-                    self.lane_debt[gid].fetch_sub(HIT_CREDIT, Ordering::Relaxed);
-                    tp_obs::counter_inc("tuner.speculation_hits");
-                }
-                drop(cache);
-                return self.serve(set, verdict);
-            }
-        }
-
-        let cfg = cand.config(params.type_system, vars);
-        let throttled = self.lane_debt[gid].load(Ordering::Relaxed) >= LANE_DEBT_LIMIT;
-        if throttled {
-            tp_obs::counter_inc("tuner.speculation_throttled");
-        }
-        let (members, results) = if throttled {
-            // Siblings have not been consuming their lanes: replay only
-            // the requesting set (one sequential tape pass), but keep
-            // caching so identical future requests still hit.
-            let trace = self.traces[set].as_ref().expect("grouped sets have tapes");
-            (vec![set], vec![trace.replay(&cfg)])
-        } else {
-            // One structure-of-arrays pass over every lane of the group
-            // that is currently allowed to replay and still searching (a
-            // done set's speculative lane would almost surely go unread).
-            let members: Vec<usize> = self.groups[gid]
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    s == set
-                        || (!self.done[s].load(Ordering::Relaxed) && self.trace_for(s).is_some())
-                })
-                .collect();
-            if members.len() < 2 {
-                let trace = self.traces[set].as_ref().expect("grouped sets have tapes");
-                (vec![set], vec![trace.replay(&cfg)])
-            } else {
-                let lane_traces: Vec<&Trace> = members
-                    .iter()
-                    .map(|&s| self.traces[s].as_ref().expect("grouped sets have tapes"))
-                    .collect();
-                let results = Trace::replay_batch(&lane_traces, &cfg);
-                self.lane_debt[gid]
-                    .fetch_add((members.len() as i64 - 1) * LANE_COST, Ordering::Relaxed);
-                tp_obs::counter_add("tuner.speculation_lanes", members.len() as u64 - 1);
-                (members, results)
-            }
-        };
-
-        let mut own = None;
-        let mut entry: LaneVerdicts = vec![None; self.traces.len()];
-        for (&s, result) in members.iter().zip(&results) {
-            let verdict = self.verdict_of(s, result);
-            entry[s] = Some((verdict, s != set));
-            if s == set {
-                own = Some(verdict);
-            }
-        }
-        let mut cache = self.cache.lock().expect("verdict cache poisoned");
-        let slot = cache.entry(key).or_insert_with(|| vec![None; entry.len()]);
-        for (have, computed) in slot.iter_mut().zip(entry) {
-            if have.is_none() {
-                *have = computed;
-            }
-        }
-        drop(cache);
-        self.serve(set, own.expect("own set is always a member"))
-    }
-
-    /// Evaluates the narrow and wide hypotheses of one speculative probe
-    /// as a two-candidate pass over `set`'s tape ([`Trace::replay_candidates`]
-    /// shares the tape prefix on which the two configurations agree),
-    /// falling back to live execution per hypothesis on divergence.
-    /// Decision- and tally-equivalent to two independent `eval_candidate`
-    /// calls.
-    #[allow(clippy::too_many_arguments)]
-    fn speculative_pair(
-        &self,
-        app: &dyn Tunable,
-        params: &SearchParams,
-        vars: &[VarSpec],
-        narrow: &Candidate,
-        wide: &Candidate,
-        reference: &[f64],
-        set: usize,
-    ) -> (bool, bool) {
-        let trace = self.trace_for(set).expect("caller checked trace_for");
-        let ncfg = narrow.config(params.type_system, vars);
-        let wcfg = wide.config(params.type_system, vars);
-        let results = trace.replay_candidates(&[&ncfg, &wcfg]);
-        let resolve = |cand: &Candidate, result: &Replayed| match result {
-            Replayed::Output(out) => {
-                self.note_outcome(set, false);
-                relative_rms_error(reference, out) <= params.threshold
-            }
-            Replayed::Divergent { .. } => {
-                self.note_outcome(set, true);
-                candidate_passes(app, params, vars, cand, reference, set)
-            }
-        };
-        let narrow_ok = resolve(narrow, &results[0]);
-        let wide_ok = resolve(wide, &results[1]);
-        (narrow_ok, wide_ok)
-    }
-
-    fn summary(&self) -> ReplaySummary {
-        ReplaySummary {
-            traces: self.traces.iter().flatten().count(),
-            replayed: self.stats.replayed.load(Ordering::Relaxed),
-            diverged: self.stats.diverged.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The verdict cache's candidate key: the `(precision, wide)` assignment,
-/// two bytes per variable (precision ≤ 24 fits a byte).
+/// The memo's candidate key: the `(precision, wide)` assignment, two bytes
+/// per variable (precision ≤ 24 fits a byte).
 fn cand_key(cand: &Candidate) -> Vec<u8> {
     let mut key = Vec::with_capacity(cand.precision.len() * 2);
     for (&p, &w) in cand.precision.iter().zip(&cand.wide) {
@@ -541,6 +129,63 @@ fn cand_key(cand: &Candidate) -> Vec<u8> {
         key.push(u8::from(w));
     }
     key
+}
+
+/// Per-search verdict memo: one map per input set from a candidate
+/// ([`cand_key`]) to whether it met the threshold on that set.
+///
+/// Decision-transparent, because a kernel run is a pure function of
+/// (configuration, input set) by the [`Tunable`] contract. A verdict enters
+/// only for an ask the sequential driver makes (see [`SearchState::try_p`]),
+/// so which asks hit — and so which kernel runs an enclosing [`Recorder`]
+/// sees — does not depend on the worker count.
+struct Memo {
+    sets: Vec<Mutex<HashMap<Vec<u8>, bool>>>,
+}
+
+impl Memo {
+    fn new(input_sets: usize) -> Self {
+        Memo {
+            sets: (0..input_sets)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+        }
+    }
+
+    fn set(&self, set: usize) -> MutexGuard<'_, HashMap<Vec<u8>, bool>> {
+        self.sets[set].lock().expect("verdict memo poisoned")
+    }
+
+    fn knows(&self, set: usize, cand: &Candidate) -> bool {
+        self.set(set).contains_key(&cand_key(cand))
+    }
+
+    fn insert(&self, set: usize, cand: &Candidate, passes: bool) {
+        self.set(set).insert(cand_key(cand), passes);
+    }
+
+    /// The stored verdict for `cand` on `set`, or a live run's, stored.
+    fn passes(
+        &self,
+        app: &dyn Tunable,
+        params: &SearchParams,
+        vars: &[VarSpec],
+        cand: &Candidate,
+        reference: &[f64],
+        set: usize,
+    ) -> bool {
+        let key = cand_key(cand);
+        let known = self.set(set).get(&key).copied();
+        if let Some(passes) = known {
+            if tp_obs::enabled() {
+                tp_obs::counter_inc(&format!("tuner.memo_hits.{}", app.name()));
+            }
+            return passes;
+        }
+        let passes = candidate_passes(app, params, vars, cand, reference, set);
+        self.set(set).insert(key, passes);
+        passes
+    }
 }
 
 /// Parameters of a tuning run.
@@ -565,23 +210,17 @@ pub struct SearchParams {
     /// formats are bit-identical at any worker count; only the evaluation
     /// count varies (speculative probes — see the module docs).
     pub workers: usize,
-    /// Candidate evaluation strategy: live kernel runs, or record/replay
-    /// with live fallback. Chosen formats are bit-identical either way,
-    /// and an observed search runs live in both (see [`TunerMode`]).
+    /// Selects nothing (see [`TunerMode`]); kept in the store's job key
+    /// until the benchmark stops naming it.
     pub mode: TunerMode,
-    /// Batched replay ([`TunerMode::Replay`] only): evaluate all
-    /// same-shape input sets of a candidate in one structure-of-arrays
-    /// pass, and speculative hypothesis pairs in one multi-candidate pass.
-    /// Decision-transparent — formats, evaluation counts and the
-    /// [`ReplaySummary`] are bit-identical on or off — so it is excluded
-    /// from the store's `JobKey`, like `workers`.
-    pub batch: bool,
 }
 
 impl SearchParams {
     /// Parameters used throughout the paper's evaluation: the given error
-    /// threshold, three input sets, the V2 type system, auto worker count,
-    /// replay mode with batched replay on.
+    /// threshold, three input sets, the V2 type system, binary32's 24 bits
+    /// as the precision bound, two descent passes and the auto worker
+    /// count. `mode` reads [`TunerMode::Replay`], which keeps job keys of
+    /// earlier versions spelled the same.
     #[must_use]
     pub fn paper(threshold: f64) -> Self {
         SearchParams {
@@ -592,7 +231,6 @@ impl SearchParams {
             passes: 2,
             workers: 0,
             mode: TunerMode::Replay,
-            batch: true,
         }
     }
 
@@ -603,17 +241,18 @@ impl SearchParams {
         self
     }
 
-    /// Builder-style override of the evaluation mode.
+    /// Builder-style override of [`SearchParams::mode`], which selects
+    /// nothing.
     #[must_use]
     pub fn with_mode(mut self, mode: TunerMode) -> Self {
         self.mode = mode;
         self
     }
 
-    /// Builder-style override of the batched-replay switch.
+    /// Does nothing: batched replay is gone with the replay engine. Kept
+    /// for the benchmark's one call until it drops it, then removed.
     #[must_use]
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
+    pub fn with_batch(self, _batch: bool) -> Self {
         self
     }
 }
@@ -663,11 +302,10 @@ pub struct TuningOutcome {
     pub type_system: TypeSystem,
     /// Per-variable results, in the application's declaration order.
     pub vars: Vec<TunedVar>,
-    /// Number of program evaluations spent (live and replayed alike).
+    /// Number of program evaluations asked for, whether a kernel run or
+    /// the search's verdict memo answered them.
     pub evaluations: u64,
-    /// How much of the run the replay engine carried (all zero under
-    /// [`TunerMode::Live`] and for observed searches; see
-    /// [`ReplaySummary`]).
+    /// Always all zero (see [`ReplaySummary`]).
     pub replay: ReplaySummary,
 }
 
@@ -743,47 +381,10 @@ fn candidate_passes(
     set: usize,
 ) -> bool {
     if tp_obs::enabled() {
-        tp_obs::counter_inc(&format!("trace.live.{}", app.name()));
+        tp_obs::counter_inc(&format!("tuner.runs.{}", app.name()));
     }
     let out = app.run(&cand.config(params.type_system, vars), set);
     relative_rms_error(reference, &out) <= params.threshold
-}
-
-/// Replay-first candidate evaluation: serve the quality check from `set`'s
-/// recorded tape when one exists and the replay does not diverge, else run
-/// the kernel live ([`candidate_passes`]).
-///
-/// Bit-identical to [`candidate_passes`] by the replay contract (a
-/// non-divergent replay reproduces the live outputs exactly), so the two
-/// paths are interchangeable decision-wise — which is what makes
-/// [`TunerMode`] invisible in the chosen formats.
-fn eval_candidate(
-    app: &dyn Tunable,
-    params: &SearchParams,
-    vars: &[VarSpec],
-    cand: &Candidate,
-    reference: &[f64],
-    set: usize,
-    replay: &ReplayCtx<'_>,
-) -> bool {
-    // Batched fast path: serve this set's verdict from (or compute into)
-    // the group verdict cache.
-    match replay.batched(params, vars, cand, set) {
-        Served::Done(passes) => return passes,
-        Served::Diverged => return candidate_passes(app, params, vars, cand, reference, set),
-        Served::NoBatch => {}
-    }
-    if let Some(trace) = replay.trace_for(set) {
-        let cfg = cand.config(params.type_system, vars);
-        match trace.replay(&cfg).output() {
-            Some(out) => {
-                replay.note_outcome(set, false);
-                return relative_rms_error(reference, &out) <= params.threshold;
-            }
-            None => replay.note_outcome(set, true),
-        }
-    }
-    candidate_passes(app, params, vars, cand, reference, set)
 }
 
 /// Internal mutable search state for one `(application, input set)` pair.
@@ -797,22 +398,21 @@ struct SearchState<'a> {
     /// concurrently instead of short-circuiting. Decision-neutral;
     /// inflates `evaluations` (see the module docs).
     speculate: bool,
-    /// Per-input-set tapes + divergence latches for replay-first
-    /// evaluation (all-`None` in [`TunerMode::Live`] and when observed).
-    replay: &'a ReplayCtx<'a>,
+    memo: &'a Memo,
 }
 
 impl<'a> SearchState<'a> {
+    /// Does the current candidate meet the threshold on `set`? Counted as
+    /// an evaluation whether the memo or a kernel run answers.
     fn passes(&mut self, reference: &[f64], set: usize) -> bool {
         self.evaluations += 1;
-        eval_candidate(
+        self.memo.passes(
             self.app,
             &self.params,
             self.vars,
             &self.cand,
             reference,
             set,
-            self.replay,
         )
     }
 
@@ -830,49 +430,48 @@ impl<'a> SearchState<'a> {
             // Speculative probe: evaluate both hypotheses concurrently.
             // Narrow still wins ties, so the decision matches the
             // sequential short-circuit exactly; only the evaluation count
-            // differs (the wide run happens even when narrow passes).
+            // differs (two, even when narrow passes).
             let narrow = self.cand.clone();
             let mut wide = self.cand.clone();
             wide.wide[i] = true;
-            let (app, params, vars) = (self.app, self.params, self.vars);
-            let replay = self.replay;
-            let batch_pair = replay.batch && replay.trace_for(set).is_some();
-            let (narrow_ok, wide_ok) = if batch_pair {
-                // Both hypotheses always get evaluated on this branch, so
-                // a shared-prefix multi-candidate pass over the tape is a
-                // strict win over two threads replaying it in full.
-                replay.speculative_pair(app, &params, vars, &narrow, &wide, reference, set)
-            } else if Recorder::is_enabled() {
-                // The caller is recording: capture both probes' counts in
-                // their own scopes (the spawned thread's recorder starts
-                // disabled). Absorb the narrow counts always, the wide
-                // counts only when the narrow hypothesis failed — exactly
-                // the evaluations a sequential run executes — so recorded
-                // totals stay worker-count invariant even though the
-                // speculative wide run happened (it is dropped when narrow
-                // passes, like the speculated work it is).
-                let ((narrow_ok, nc), (wide_ok, wc)) = pool::join2(
-                    || {
-                        Recorder::scoped(|| {
-                            eval_candidate(app, &params, vars, &narrow, reference, set, replay)
-                        })
-                    },
-                    || {
-                        Recorder::scoped(|| {
-                            eval_candidate(app, &params, vars, &wide, reference, set, replay)
-                        })
-                    },
-                );
-                Recorder::absorb(&nc);
-                if !narrow_ok {
-                    Recorder::absorb(&wc);
-                }
+            let (app, params, vars, memo) = (self.app, self.params, self.vars, self.memo);
+            let (narrow_ok, wide_ok) = if memo.knows(set, &narrow) || memo.knows(set, &wide) {
+                // One answer is free, so nothing is worth running ahead:
+                // ask in the sequential order.
+                let narrow_ok = memo.passes(app, &params, vars, &narrow, reference, set);
+                let wide_ok = !narrow_ok && memo.passes(app, &params, vars, &wide, reference, set);
                 (narrow_ok, wide_ok)
             } else {
-                pool::join2(
-                    || eval_candidate(app, &params, vars, &narrow, reference, set, replay),
-                    || eval_candidate(app, &params, vars, &wide, reference, set, replay),
-                )
+                let run =
+                    |cand: &Candidate| candidate_passes(app, &params, vars, cand, reference, set);
+                let (narrow_ok, wide_ok) = if Recorder::is_enabled() {
+                    // The caller is recording: capture both probes' counts
+                    // in their own scopes (the spawned thread's recorder
+                    // starts disabled), then absorb what a sequential run
+                    // executes — see the memo rule below.
+                    let ((narrow_ok, nc), (wide_ok, wc)) = pool::join2(
+                        || Recorder::scoped(|| run(&narrow)),
+                        || Recorder::scoped(|| run(&wide)),
+                    );
+                    Recorder::absorb(&nc);
+                    if !narrow_ok {
+                        Recorder::absorb(&wc);
+                    }
+                    (narrow_ok, wide_ok)
+                } else {
+                    pool::join2(|| run(&narrow), || run(&wide))
+                };
+                // The narrow verdict always enters the memo, the wide one
+                // only when narrow failed — exactly the asks a sequential
+                // run makes — so the memo, and with it every later hit and
+                // the recorded totals, stay worker-count invariant. A
+                // speculative wide run after a narrow pass is dropped, like
+                // the speculated work it is.
+                memo.insert(set, &narrow, narrow_ok);
+                if !narrow_ok {
+                    memo.insert(set, &wide, wide_ok);
+                }
+                (narrow_ok, wide_ok)
             };
             self.evaluations += 2;
             if narrow_ok {
@@ -955,7 +554,7 @@ fn tune_one_set(
     order: &[usize],
     set: usize,
     speculate: bool,
-    replay: &ReplayCtx<'_>,
+    memo: &Memo,
     reference: &[f64],
 ) -> (Candidate, u64) {
     let mut st = SearchState {
@@ -968,7 +567,7 @@ fn tune_one_set(
         },
         evaluations: 0,
         speculate,
-        replay,
+        memo,
     };
     for _ in 0..params.passes {
         for &i in order {
@@ -1015,9 +614,8 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
 
     // Golden outputs, one per input set, computed once and shared by both
     // phases (implementations are deterministic by the `Tunable` contract,
-    // so re-deriving them per phase was pure waste). Computed before the
-    // replay context, which borrows them to grade batched lanes. Under an
-    // enclosing Recorder each reference run is scoped on its worker and
+    // so re-deriving them per phase was pure waste). Under an enclosing
+    // Recorder each reference run is scoped on its worker and
     // absorbed in set order, exactly like the phase-1 fan-out below, so
     // recorded totals stay worker-count invariant.
     let recording = Recorder::is_enabled();
@@ -1043,31 +641,7 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
             .collect()
     };
 
-    // Replay mode: record each input set's op stream once, up front, fanned
-    // out over the same worker pool. A set that cannot be recorded (outside
-    // the trace contract) simply keeps evaluating live — `None` entries are
-    // the per-set fallback switch. Replay runs only where nothing observes:
-    // a replay feeds no Recorder and drives no installed backend, so an
-    // observed search evaluates every candidate live and records nothing.
-    // Replay is decision-transparent, so formats and evaluations are the
-    // same either way.
-    let live = params.mode == TunerMode::Live || recording || Engine::is_active();
-    let replay = {
-        let _span = tp_obs::Span::enter("tuner.phase_record_ns");
-        if live {
-            ReplayCtx::live(app.name(), params.input_sets, &references)
-        } else {
-            ReplayCtx::new(
-                app.name(),
-                pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
-                    Trace::record(&vars, |cfg| app.run(cfg, set)).ok()
-                }),
-                &references,
-                params.threshold,
-                params.batch,
-            )
-        }
-    };
+    let memo = Memo::new(params.input_sets);
 
     // Phase 1: tune every input set independently, in parallel. Recording
     // is left alone in the common (not-recording) case — the per-op
@@ -1078,33 +652,23 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     let phase1_span = tp_obs::Span::enter("tuner.phase1_ns");
     let per_set: Vec<(Candidate, u64, Option<TraceCounts>)> =
         pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
-            if recording {
-                let ((cand, evals), counts) = Recorder::scoped(|| {
-                    tune_one_set(
-                        app,
-                        params,
-                        &vars,
-                        &order,
-                        set,
-                        speculate,
-                        &replay,
-                        &references[set],
-                    )
-                });
-                replay.mark_done(set);
-                (cand, evals, Some(counts))
-            } else {
-                let (cand, evals) = tune_one_set(
+            let tune = || {
+                tune_one_set(
                     app,
                     params,
                     &vars,
                     &order,
                     set,
                     speculate,
-                    &replay,
+                    &memo,
                     &references[set],
-                );
-                replay.mark_done(set);
+                )
+            };
+            if recording {
+                let ((cand, evals), counts) = Recorder::scoped(tune);
+                (cand, evals, Some(counts))
+            } else {
+                let (cand, evals) = tune();
                 (cand, evals, None)
             }
         });
@@ -1142,7 +706,7 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
         cand: joined,
         evaluations: 0,
         speculate: false,
-        replay: &replay,
+        memo: &memo,
     };
     loop {
         let mut clean = true;
@@ -1174,7 +738,7 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
             })
             .collect(),
         evaluations,
-        replay: replay.summary(),
+        replay: ReplaySummary::default(),
     }
 }
 
@@ -1182,7 +746,8 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
 mod tests {
     use super::*;
     use flexfloat::backend::Emulated;
-    use flexfloat::Fx;
+    use flexfloat::{Engine, Fx};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use tp_formats::{BINARY16, BINARY16ALT, BINARY32, BINARY8};
 
@@ -1335,36 +900,167 @@ mod tests {
         assert_eq!(eval_format(V2, 11, false), BINARY16);
     }
 
+    /// Wraps a program and counts its `run` and `reference` calls.
+    struct Counted<T> {
+        inner: T,
+        runs: AtomicU64,
+        references: AtomicU64,
+    }
+
+    impl<T> Counted<T> {
+        fn new(inner: T) -> Self {
+            Counted {
+                inner,
+                runs: AtomicU64::new(0),
+                references: AtomicU64::new(0),
+            }
+        }
+
+        fn runs(&self) -> u64 {
+            self.runs.load(Ordering::Relaxed)
+        }
+
+        fn references(&self) -> u64 {
+            self.references.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<T: Tunable> Tunable for Counted<T> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn variables(&self) -> Vec<VarSpec> {
+            self.inner.variables()
+        }
+        fn run(&self, config: &TypeConfig, input_set: usize) -> Vec<f64> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run(config, input_set)
+        }
+        fn reference(&self, input_set: usize) -> Vec<f64> {
+            self.references.fetch_add(1, Ordering::Relaxed);
+            self.inner.reference(input_set)
+        }
+    }
+
     #[test]
     fn enclosing_recorder_absorbs_worker_ops() {
         use flexfloat::Recorder;
         let run = |workers: usize| {
-            Recorder::record(|| {
+            let app = Counted::new(TwoVars);
+            let (outcome, counts) = Recorder::record(|| {
                 distributed_search(
-                    &TwoVars,
+                    &app,
                     SearchParams {
                         input_sets: 2,
                         ..SearchParams::paper(1e-1).with_workers(workers)
                     },
                 )
-            })
+            });
+            (outcome, counts, app.runs() + app.references())
         };
-        // Worker-thread evaluations were absorbed back: the recording saw
-        // at least one FP op per counted evaluation (TwoVars does 8 muls
-        // per run; at workers=1 no speculation inflates the count).
-        let (seq_outcome, seq_counts) = run(1);
-        assert!(
-            seq_counts.total_fp_ops() >= seq_outcome.evaluations * 8,
-            "{} ops for {} evaluations",
+        // Worker-thread kernel runs were absorbed back: the recording saw
+        // exactly TwoVars's 8 muls per kernel execution, candidate or
+        // reference (at workers=1 nothing runs speculatively).
+        let (_, seq_counts, executions) = run(1);
+        assert_eq!(
             seq_counts.total_fp_ops(),
-            seq_outcome.evaluations
+            executions * 8,
+            "{} ops for {executions} kernel executions",
+            seq_counts.total_fp_ops()
         );
         // Recorded counts are worker-count invariant: speculative wide
         // probes that a sequential run short-circuits past are evaluated
         // but *not* absorbed, so the totals match exactly even though the
         // evaluation counters differ.
-        let (_, par_counts) = run(8);
+        let (_, par_counts, _) = run(8);
         assert_eq!(seq_counts, par_counts);
+    }
+
+    /// A micro-kernel whose output rides on a comparison that flips once
+    /// `x` drops below ~10 significand bits.
+    struct Branchy;
+
+    impl Tunable for Branchy {
+        fn name(&self) -> &str {
+            "BRANCHY"
+        }
+        fn variables(&self) -> Vec<VarSpec> {
+            vec![VarSpec::array("x", 8)]
+        }
+        fn run(&self, config: &TypeConfig, input_set: usize) -> Vec<f64> {
+            let fmt = config.format_of("x");
+            let limit = Fx::new(1.0 + 4.0 / 1024.0, fmt);
+            (0..8)
+                .map(|i| {
+                    let x = Fx::new(1.0 + 3.0 / 1024.0 + (i + input_set) as f64 * 0.25, fmt);
+                    let y = if x.lt(limit) { x + x } else { x * x };
+                    y.value()
+                })
+                .collect()
+        }
+    }
+
+    /// The verdict memo answers repeated asks without running the kernel,
+    /// and every ask still counts as an evaluation: the counts below are
+    /// those of the record/replay engine the memo replaced.
+    #[test]
+    fn memo_serves_repeats_and_keeps_evaluation_counts() {
+        fn check(app: &dyn Tunable, runs: impl Fn() -> u64, threshold: f64, evaluations: u64) {
+            let params = SearchParams {
+                input_sets: 2,
+                ..SearchParams::paper(threshold).with_workers(1)
+            };
+            for mode in [TunerMode::Live, TunerMode::Replay] {
+                let before = runs();
+                let outcome = distributed_search(app, params.with_mode(mode));
+                let ran = runs() - before;
+                let at = format!("{} {threshold:e} {mode}", app.name());
+                assert_eq!(outcome.evaluations, evaluations, "{at}");
+                assert!(ran < outcome.evaluations, "{at}: {ran} runs");
+            }
+        }
+        let two_vars = Counted::new(TwoVars);
+        let branchy = Counted::new(Branchy);
+        for (threshold, evaluations) in [(1e-1, 34), (1e-4, 48)] {
+            check(&two_vars, || two_vars.runs(), threshold, evaluations);
+        }
+        for (threshold, evaluations) in [(1e-1, 25), (1e-3, 28)] {
+            check(&branchy, || branchy.runs(), threshold, evaluations);
+        }
+    }
+
+    /// A speculative probe stores the narrow verdict always and the wide
+    /// one only when narrow failed — the asks a sequential run makes —
+    /// so later hits, and the runs a `Recorder` sees, do not depend on
+    /// the worker count.
+    #[test]
+    fn speculative_probe_memoizes_only_sequential_asks() {
+        let vars = TwoVars.variables();
+        let reference = TwoVars.reference(0);
+        for (threshold, var, p, narrow_passes) in [(1e-1, 0, 10, true), (1e-4, 1, 3, false)] {
+            let memo = Memo::new(1);
+            let mut st = SearchState {
+                app: &TwoVars,
+                params: SearchParams::paper(threshold),
+                vars: &vars,
+                cand: Candidate {
+                    precision: vec![24; vars.len()],
+                    wide: vec![false; vars.len()],
+                },
+                evaluations: 0,
+                speculate: true,
+                memo: &memo,
+            };
+            let accepted = st.try_p(var, p, &reference, 0);
+            assert_eq!(accepted == Some(false), narrow_passes, "{threshold:e}");
+            assert_eq!(st.evaluations, 2, "{threshold:e}");
+            let mut narrow = st.cand.clone();
+            narrow.wide[var] = false;
+            let mut wide = narrow.clone();
+            wide.wide[var] = true;
+            assert!(memo.knows(0, &narrow), "{threshold:e}");
+            assert_eq!(memo.knows(0, &wide), !narrow_passes, "{threshold:e}");
+        }
     }
 
     #[test]
@@ -1387,8 +1083,7 @@ mod tests {
                 input_sets: 2,
                 ..SearchParams::paper(threshold)
             };
-            // The native installation keeps the thread unobserved (so
-            // replay runs) under any `TP_BACKEND`.
+            // Both modes run every candidate live now; they must agree.
             let (live, replay) = Engine::with(Arc::new(Emulated), || {
                 (
                     distributed_search(&TwoVars, params.with_mode(TunerMode::Live)),
@@ -1399,14 +1094,9 @@ mod tests {
                 assert_eq!(a.precision_bits, b.precision_bits, "{threshold:e}");
                 assert_eq!(a.needs_wide_range, b.needs_wide_range, "{threshold:e}");
             }
-            // Replay is decision-transparent: even the evaluation counter
-            // matches, because every replay serves the same verdict the
-            // live run would have.
+            // Even the evaluation counter matches.
             assert_eq!(live.evaluations, replay.evaluations);
-            // And the summary shows the tape actually carried the run.
             assert_eq!(live.replay, ReplaySummary::default());
-            assert_eq!(replay.replay.traces, 2);
-            assert!(replay.replay.replayed > 0, "{:?}", replay.replay);
             assert_eq!(replay.replay.diverged, 0, "TwoVars is straight-line");
         }
     }

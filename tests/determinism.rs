@@ -15,6 +15,7 @@
 //! counts stay within the speculative envelope (parallel never evaluates
 //! fewer candidates than sequential, and at most twice as many).
 
+use flexfloat::Recorder;
 use tp_bench::evaluate_app_with;
 use tp_kernels::{all_kernels_small, Conv, Knn};
 use tp_platform::PlatformParams;
@@ -84,6 +85,32 @@ fn full_suite_workers_1_4_8() {
                 app.name()
             );
         }
+    }
+}
+
+/// Speculative probes under the verdict memo: two input sets at four
+/// workers turn speculation on. A speculative pair stores the narrow
+/// verdict always and the wide one only when narrow failed — the asks a
+/// sequential run makes — so the memo serves the same later hits, and an
+/// enclosing `Recorder` sees the same totals, as at one worker.
+#[test]
+fn speculative_probes_keep_formats_and_recorded_totals() {
+    for app in all_kernels_small() {
+        let run = |workers: usize| {
+            Recorder::record(|| {
+                distributed_search(
+                    app.as_ref(),
+                    SearchParams {
+                        input_sets: 2,
+                        ..SearchParams::paper(1e-1).with_workers(workers)
+                    },
+                )
+            })
+        };
+        let (seq, seq_counts) = run(1);
+        let (par, par_counts) = run(4);
+        assert_eq!(fingerprint(&seq), fingerprint(&par), "{}", app.name());
+        assert_eq!(seq_counts, par_counts, "{}: recorded totals", app.name());
     }
 }
 
