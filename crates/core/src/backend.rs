@@ -454,8 +454,8 @@ pub(crate) fn hooked() -> bool {
 /// Runs `f` against the effective backend, or returns `None` when the
 /// thread computes natively (no backend, or a [native](FpBackend::is_native)
 /// one such as [`Emulated`] or the `tp-trace` recorder), where the caller
-/// computes with the native helpers. Called from the hooked paths of
-/// `Fx`/`FlexFloat` ops only.
+/// computes with the native helpers. Called from the op
+/// [cells](crate::cell) only.
 #[inline]
 pub(crate) fn dispatch<R>(f: impl FnOnce(&dyn FpBackend) -> R) -> Option<R> {
     if resolved_state() != BK_HOOKED {
@@ -496,21 +496,6 @@ pub(crate) fn tap_hooked<R>(f: impl FnOnce(&dyn TapeSink) -> R) -> Option<R> {
         return None;
     }
     ACTIVE.with(|a| a.borrow().as_ref().and_then(|i| i.tape.as_deref()).map(f))
-}
-
-/// Dispatch-or-fallback for min/max, shared by the hooked paths of `Fx`
-/// and `FlexFloat`: the active backend if one is installed, else the
-/// native RISC-V semantics.
-#[inline]
-pub(crate) fn min_max(fmt: FpFormat, a: f64, b: f64, want_min: bool) -> f64 {
-    dispatch(|bk| {
-        if want_min {
-            bk.min(fmt, a, b)
-        } else {
-            bk.max(fmt, a, b)
-        }
-    })
-    .unwrap_or_else(|| native_min_max(a, b, want_min))
 }
 
 /// `true` when native-f64 arithmetic plus one final rounding is provably

@@ -7,7 +7,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 use tp_formats::{FloatClass, FpFormat};
 
 use crate::backend::{self, BinOp, Emulated, FpBackend};
-use crate::stats::{OpKind, Recorder};
+use crate::cell;
 
 /// A floating-point value with `E` exponent bits and `M` explicit mantissa
 /// bits, emulated on the native `f64` datapath.
@@ -100,13 +100,7 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
 
     #[inline(never)]
     fn cast_from_hooked<const E2: u32, const M2: u32>(x: FlexFloat<E2, M2>) -> Self {
-        if Recorder::is_enabled() {
-            Recorder::cast(FlexFloat::<E2, M2>::FORMAT, Self::FORMAT);
-        }
-        let (from, to) = (FlexFloat::<E2, M2>::FORMAT, Self::FORMAT);
-        let val = backend::dispatch(|b| b.cast(from, to, x.0))
-            .unwrap_or_else(|| Emulated.cast(from, to, x.0));
-        FlexFloat(val)
+        FlexFloat(cell::cast(FlexFloat::<E2, M2>::FORMAT, Self::FORMAT, x.0))
     }
 
     /// Explicit conversion into another instantiation.
@@ -152,12 +146,7 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
 
     #[inline(never)]
     fn sqrt_hooked(self) -> Self {
-        if Recorder::is_enabled() {
-            Recorder::fp_op(Self::FORMAT, OpKind::Sqrt, 0, 0);
-        }
-        let val = backend::dispatch(|b| b.sqrt(Self::FORMAT, self.0))
-            .unwrap_or_else(|| Emulated.sqrt(Self::FORMAT, self.0));
-        FlexFloat(val)
+        FlexFloat(cell::sqrt(Self::FORMAT, self.0, 0).0)
     }
 
     /// Fused multiply-add `self * b + c` with a single rounding.
@@ -176,12 +165,7 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
 
     #[inline(never)]
     fn mul_add_hooked(self, b: Self, c: Self) -> Self {
-        if Recorder::is_enabled() {
-            Recorder::fp_op(Self::FORMAT, OpKind::Fma, 0, 0);
-        }
-        let val = backend::dispatch(|bk| bk.fma(Self::FORMAT, self.0, b.0, c.0))
-            .unwrap_or_else(|| Emulated.fma(Self::FORMAT, self.0, b.0, c.0));
-        FlexFloat(val)
+        FlexFloat(cell::fma(Self::FORMAT, self.0, b.0, c.0))
     }
 
     /// The smaller of two values (RISC-V `fmin`: NaN loses, `-0 < +0`).
@@ -208,34 +192,25 @@ impl<const E: u32, const M: u32> FlexFloat<E, M> {
 
     #[inline(never)]
     fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
-        if Recorder::is_enabled() {
-            Recorder::fp_op(Self::FORMAT, OpKind::Cmp, 0, 0);
-        }
-        FlexFloat(backend::min_max(Self::FORMAT, self.0, other.0, want_min))
+        FlexFloat(cell::min_max(Self::FORMAT, self.0, other.0, want_min, (0, 0)).0)
     }
 
     /// One binary op: the inlined fast path while no hook is live (no
     /// `Recorder`, native datapath), else the outlined hooked path — the
-    /// same split as every `Fx` op (see the `fx` module docs).
+    /// same split as every `Fx` op (see the `fx` module docs). A
+    /// `FlexFloat` carries no producer id, so its events never form a
+    /// dependent pair.
     #[inline(always)]
-    fn sanitize_op(kind: OpKind, a: Self, b: Self, bin: BinOp) -> Self {
+    fn sanitize_op(a: Self, b: Self, bin: BinOp) -> Self {
         if backend::hooked() {
-            return Self::sanitize_op_hooked(kind, a, b, bin);
+            return Self::sanitize_op_hooked(a, b, bin);
         }
         FlexFloat(Emulated.bin_op(Self::FORMAT, bin, a.0, b.0))
     }
 
     #[inline(never)]
-    fn sanitize_op_hooked(kind: OpKind, a: Self, b: Self, bin: BinOp) -> Self {
-        if Recorder::is_enabled() {
-            Recorder::fp_op(Self::FORMAT, kind, 0, 0);
-        }
-        // The fallback is the fast path's `Emulated` arithmetic (native
-        // f64 + sanitize under the 2m+2 bound, integer kernels beyond), so
-        // there is no second arithmetic to drift out of sync.
-        let val = backend::dispatch(|bk| bk.bin_op(Self::FORMAT, bin, a.0, b.0))
-            .unwrap_or_else(|| Emulated.bin_op(Self::FORMAT, bin, a.0, b.0));
-        FlexFloat(val)
+    fn sanitize_op_hooked(a: Self, b: Self, bin: BinOp) -> Self {
+        FlexFloat(cell::bin_op(Self::FORMAT, bin, a.0, b.0, (0, 0)).0)
     }
 }
 
@@ -263,7 +238,7 @@ impl<const E: u32, const M: u32> Add for FlexFloat<E, M> {
     type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        Self::sanitize_op(OpKind::AddSub, self, rhs, BinOp::Add)
+        Self::sanitize_op(self, rhs, BinOp::Add)
     }
 }
 
@@ -271,7 +246,7 @@ impl<const E: u32, const M: u32> Sub for FlexFloat<E, M> {
     type Output = Self;
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        Self::sanitize_op(OpKind::AddSub, self, rhs, BinOp::Sub)
+        Self::sanitize_op(self, rhs, BinOp::Sub)
     }
 }
 
@@ -279,7 +254,7 @@ impl<const E: u32, const M: u32> Mul for FlexFloat<E, M> {
     type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        Self::sanitize_op(OpKind::Mul, self, rhs, BinOp::Mul)
+        Self::sanitize_op(self, rhs, BinOp::Mul)
     }
 }
 
@@ -287,7 +262,7 @@ impl<const E: u32, const M: u32> Div for FlexFloat<E, M> {
     type Output = Self;
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
-        Self::sanitize_op(OpKind::Div, self, rhs, BinOp::Div)
+        Self::sanitize_op(self, rhs, BinOp::Div)
     }
 }
 
@@ -453,10 +428,19 @@ mod tests {
             let c = a + b;
             let d = c * c;
             let _e: Binary16 = d.cast_to();
+            let _ = a.min(b);
+            let _ = a.max(b);
+            let _ = a.mul_add(b, c);
             d.sqrt()
         });
-        assert_eq!(counts.total_fp_ops(), 3); // add, mul, sqrt
+        assert_eq!(counts.total_fp_ops(), 6); // add, mul, min, max, fma, sqrt
         assert_eq!(counts.total_casts(), 1);
+        let kind = |k| counts.ops.get(&(Binary8::FORMAT, k)).map(|c| c.total());
+        assert_eq!(kind(crate::OpKind::Cmp), Some(2));
+        assert_eq!(kind(crate::OpKind::Fma), Some(1));
+        // `c * c` follows the add that produced `c`, yet a FlexFloat
+        // carries no producer id, so no dependent pair is recorded.
+        assert!(counts.dependent_pairs.is_empty());
     }
 
     #[test]

@@ -23,15 +23,18 @@
 //! path runs while [`backend::hooked`] is false — no `Recorder`, native
 //! datapath — and computes with the shared native helpers
 //! ([`common_format`], [`Fx::native_in`], [`Emulated`]'s methods). The
-//! outlined `*_hooked` twin holds the tape taps, `Recorder` events and
-//! backend dispatch, and falls back to the same helpers; with no hook live
-//! it returns exactly what the fast path returns. Ops that only report to
-//! the tape keep one body: [`backend::tap`] is itself split that way.
+//! outlined `*_hooked` twin taps the tape, promotes its operands and
+//! hands them to the op's [cell](crate::cell), which records the
+//! `Recorder` event, dispatches to the backend and falls back to the same
+//! `Emulated` methods; with no hook live it returns exactly what the fast
+//! path returns. Ops that only report to the tape keep one body:
+//! [`backend::tap`] is itself split that way.
 
 use tp_formats::{FpFormat, BINARY32};
 
 use crate::backend::{self, native_min_max, ArrayId, BinOp, Emulated, FpBackend, ValueId};
-use crate::stats::{EventId, OpKind, Recorder};
+use crate::cell::{self, CmpOp};
+use crate::stats::{EventId, Recorder};
 
 /// A floating-point value with a runtime-chosen format.
 ///
@@ -134,9 +137,9 @@ impl Fx {
         }
     }
 
-    /// This value rounded into `fmt` on the native datapath — the
-    /// conversion rule both paths share (the hooked path falls back to it
-    /// when no backend computes the cast).
+    /// This value rounded into `fmt` on the native datapath — the fast
+    /// paths' conversion, and the cast cell's fallback when no backend
+    /// computes the cast.
     #[inline(always)]
     fn native_in(self, fmt: FpFormat) -> f64 {
         if fmt == self.fmt {
@@ -146,20 +149,15 @@ impl Fx {
         }
     }
 
-    /// The conversion behind [`Fx::to`], *without* the tape event — used
-    /// by the hooked paths for the implicit casts (operand promotion,
-    /// array-store rounding) that a tape replay re-derives from the formats
-    /// in force instead of copying from the recorded run.
+    /// The [cast cell](cell::cast) behind [`Fx::to`], *without* the tape
+    /// event — used by the hooked paths for the implicit casts (operand
+    /// promotion, array-store rounding) that a tape replay re-derives from
+    /// the formats in force instead of copying from the recorded run.
     fn convert(self, dst: FpFormat) -> Self {
         if dst == self.fmt {
             return self;
         }
-        if Recorder::is_enabled() {
-            Recorder::cast(self.fmt, dst);
-        }
-        let val = backend::dispatch(|b| b.cast(self.fmt, dst, self.val))
-            .unwrap_or_else(|| self.native_in(dst));
-        Fx::native(val, dst)
+        Fx::native(cell::cast(self.fmt, dst, self.val), dst)
     }
 
     /// Square root in this value's format.
@@ -175,13 +173,7 @@ impl Fx {
     #[inline(never)]
     fn sqrt_hooked(self) -> Self {
         let vid = backend::tap_hooked(|t| t.sqrt(self.vid)).unwrap_or(0);
-        let prod = if Recorder::is_enabled() {
-            Recorder::fp_op(self.fmt, OpKind::Sqrt, self.prod, 0)
-        } else {
-            0
-        };
-        let val = backend::dispatch(|b| b.sqrt(self.fmt, self.val))
-            .unwrap_or_else(|| Emulated.sqrt(self.fmt, self.val));
+        let (val, prod) = cell::sqrt(self.fmt, self.val, self.prod);
         Fx {
             val,
             fmt: self.fmt,
@@ -231,12 +223,7 @@ impl Fx {
     fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
         let vid = backend::tap_hooked(|t| t.min_max(want_min, self.vid, other.vid)).unwrap_or(0);
         let (a, b, fmt) = Self::promote(self, other);
-        let prod = if Recorder::is_enabled() {
-            Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod)
-        } else {
-            0
-        };
-        let val = backend::min_max(fmt, a.val, b.val, want_min);
+        let (val, prod) = cell::min_max(fmt, a.val, b.val, want_min, (a.prod, b.prod));
         Fx {
             val,
             fmt,
@@ -251,23 +238,10 @@ impl Fx {
     #[must_use]
     pub fn lt(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.lt_hooked(other);
+            return self.cmp_hooked(other, CmpOp::Lt);
         }
         let fmt = common_format(self.fmt, other.fmt);
         Emulated.lt(fmt, self.native_in(fmt), other.native_in(fmt))
-    }
-
-    #[inline(never)]
-    fn lt_hooked(self, other: Self) -> bool {
-        let (src_a, src_b) = (self.vid, other.vid);
-        let (a, b, fmt) = Self::promote(self, other);
-        if Recorder::is_enabled() {
-            Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
-        }
-        let out = backend::dispatch(|bk| bk.lt(fmt, a.val, b.val))
-            .unwrap_or_else(|| Emulated.lt(fmt, a.val, b.val));
-        let _ = backend::tap_hooked(|t| t.cmp(false, src_a, src_b, out));
-        out
     }
 
     /// `self <= other` as a hardware comparison — IEEE quiet predicate,
@@ -276,22 +250,18 @@ impl Fx {
     #[must_use]
     pub fn le(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.le_hooked(other);
+            return self.cmp_hooked(other, CmpOp::Le);
         }
         let fmt = common_format(self.fmt, other.fmt);
         Emulated.le(fmt, self.native_in(fmt), other.native_in(fmt))
     }
 
     #[inline(never)]
-    fn le_hooked(self, other: Self) -> bool {
+    fn cmp_hooked(self, other: Self, op: CmpOp) -> bool {
         let (src_a, src_b) = (self.vid, other.vid);
         let (a, b, fmt) = Self::promote(self, other);
-        if Recorder::is_enabled() {
-            Recorder::fp_op(fmt, OpKind::Cmp, a.prod, b.prod);
-        }
-        let out = backend::dispatch(|bk| bk.le(fmt, a.val, b.val))
-            .unwrap_or_else(|| Emulated.le(fmt, a.val, b.val));
-        let _ = backend::tap_hooked(|t| t.cmp(true, src_a, src_b, out));
+        let out = cell::cmp(fmt, op, a.val, b.val, (a.prod, b.prod));
+        let _ = backend::tap_hooked(|t| t.cmp(op == CmpOp::Le, src_a, src_b, out));
         out
     }
 
@@ -304,9 +274,9 @@ impl Fx {
     }
 
     #[inline(always)]
-    fn bin_op(self, rhs: Fx, kind: OpKind, op: BinOp) -> Fx {
+    fn bin_op(self, rhs: Fx, op: BinOp) -> Fx {
         if backend::hooked() {
-            return self.bin_op_hooked(rhs, kind, op);
+            return self.bin_op_hooked(rhs, op);
         }
         let fmt = common_format(self.fmt, rhs.fmt);
         let (a, b) = (self.native_in(fmt), rhs.native_in(fmt));
@@ -314,19 +284,10 @@ impl Fx {
     }
 
     #[inline(never)]
-    fn bin_op_hooked(self, rhs: Fx, kind: OpKind, op: BinOp) -> Fx {
+    fn bin_op_hooked(self, rhs: Fx, op: BinOp) -> Fx {
         let vid = backend::tap_hooked(|t| t.bin_op(op, self.vid, rhs.vid)).unwrap_or(0);
         let (a, b, fmt) = Self::promote(self, rhs);
-        let prod = if Recorder::is_enabled() {
-            Recorder::fp_op(fmt, kind, a.prod, b.prod)
-        } else {
-            0
-        };
-        // The fallback is the fast path's `Emulated` arithmetic (native f64
-        // + sanitize where the 2m+2 bound holds, integer kernels beyond),
-        // so there is no second arithmetic to drift out of sync.
-        let val = backend::dispatch(|bk| bk.bin_op(fmt, op, a.val, b.val))
-            .unwrap_or_else(|| Emulated.bin_op(fmt, op, a.val, b.val));
+        let (val, prod) = cell::bin_op(fmt, op, a.val, b.val, (a.prod, b.prod));
         Fx {
             val,
             fmt,
@@ -354,7 +315,7 @@ impl std::ops::Add for Fx {
     type Output = Fx;
     #[inline(always)]
     fn add(self, rhs: Fx) -> Fx {
-        self.bin_op(rhs, OpKind::AddSub, BinOp::Add)
+        self.bin_op(rhs, BinOp::Add)
     }
 }
 
@@ -362,7 +323,7 @@ impl std::ops::Sub for Fx {
     type Output = Fx;
     #[inline(always)]
     fn sub(self, rhs: Fx) -> Fx {
-        self.bin_op(rhs, OpKind::AddSub, BinOp::Sub)
+        self.bin_op(rhs, BinOp::Sub)
     }
 }
 
@@ -370,7 +331,7 @@ impl std::ops::Mul for Fx {
     type Output = Fx;
     #[inline(always)]
     fn mul(self, rhs: Fx) -> Fx {
-        self.bin_op(rhs, OpKind::Mul, BinOp::Mul)
+        self.bin_op(rhs, BinOp::Mul)
     }
 }
 
@@ -378,7 +339,7 @@ impl std::ops::Div for Fx {
     type Output = Fx;
     #[inline(always)]
     fn div(self, rhs: Fx) -> Fx {
-        self.bin_op(rhs, OpKind::Div, BinOp::Div)
+        self.bin_op(rhs, BinOp::Div)
     }
 }
 

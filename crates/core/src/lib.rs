@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod cell;
 mod config;
 mod flex;
 mod fx;

@@ -404,37 +404,24 @@ impl Recorder {
 
     /// Records a conversion from `from` to `to`. Casts are 1-cycle
     /// operations and never stall a consumer.
-    pub fn cast(from: FpFormat, to: FpFormat) -> EventId {
-        if !Recorder::is_enabled() {
-            return 0;
-        }
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.next_id += 1;
-            let vector = s.vector_depth > 0;
-            s.counts.casts.entry((from, to)).or_default().bump(vector);
-            s.last_fp = None;
-            s.next_id
-        })
+    pub fn cast(from: FpFormat, to: FpFormat) {
+        Recorder::unpaired(|c, vector| c.casts.entry((from, to)).or_default().bump(vector));
     }
 
-    /// Records a load of an FP element of `width_bits`.
-    pub fn load(width_bits: u32) -> EventId {
-        if !Recorder::is_enabled() {
-            return 0;
-        }
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.next_id += 1;
-            let vector = s.vector_depth > 0;
-            s.counts.loads.entry(width_bits).or_default().bump(vector);
-            s.last_fp = None;
-            s.next_id
-        })
+    /// Records a load of an FP element of `width_bits`. TCDM loads are
+    /// single-cycle, so the loaded value never stalls a consumer.
+    pub fn load(width_bits: u32) {
+        Recorder::unpaired(|c, vector| c.loads.entry(width_bits).or_default().bump(vector));
     }
 
     /// Records a store of an FP element of `width_bits`.
     pub fn store(width_bits: u32) {
+        Recorder::unpaired(|c, vector| c.stores.entry(width_bits).or_default().bump(vector));
+    }
+
+    /// Records one instruction that produces no id to pair on and ends any
+    /// producer→consumer adjacency; `bump` counts it.
+    fn unpaired(bump: impl FnOnce(&mut TraceCounts, bool)) {
         if !Recorder::is_enabled() {
             return;
         }
@@ -442,7 +429,7 @@ impl Recorder {
             let mut s = r.borrow_mut();
             s.next_id += 1;
             let vector = s.vector_depth > 0;
-            s.counts.stores.entry(width_bits).or_default().bump(vector);
+            bump(&mut s.counts, vector);
             s.last_fp = None;
         });
     }

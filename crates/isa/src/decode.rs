@@ -184,17 +184,10 @@ pub enum SgnjMode {
     Xor,
 }
 
-/// Comparison predicate of an [`Instr::FCmp`] (quiet, writes 0/1 to an
-/// integer register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `FLE`: `rs1 <= rs2`.
-    Le,
-    /// `FLT`: `rs1 < rs2`.
-    Lt,
-    /// `FEQ`: `rs1 == rs2`.
-    Eq,
-}
+/// Comparison predicate of an [`Instr::FCmp`] (`FLE`/`FLT`/`FEQ`, quiet,
+/// writes 0/1 to an integer register): the predicate the compare op cell
+/// evaluates.
+pub use flexfloat::cell::CmpOp;
 
 /// CSR addresses the platform implements — the floating-point control and
 /// status register and its two shadows. Any other address decodes as

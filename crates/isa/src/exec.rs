@@ -8,38 +8,39 @@
 //!
 //! Two contracts make the executor useful rather than just plausible:
 //!
-//! * **Bit-exactness.** Every FP operation is routed through the active
-//!   [`FpBackend`] — resolved once per run via `Engine::current()`, with
-//!   the [`Emulated`] fast path as the uninstalled default. An FP register
-//!   read decodes the register's bits in the instruction's format, the
-//!   backend computes on the in-grid `f64`, and the result is re-encoded
-//!   with `encode_in_grid` (an exact inverse for in-grid values). This is
-//!   the *same* call sequence the `Fx` closure kernels make, which is why
-//!   an instruction stream and its closure twin produce bit-identical
-//!   outputs under any backend (pinned by `tests/isa_equivalence.rs`).
-//! * **Counting parity.** The executor feeds the same
-//!   [`Recorder`] the closure kernels feed, mirroring their event rules
-//!   exactly: FP loads produce no stall dependency (`prod = 0`), casts
-//!   break dependency chains, sign-injection and moves are free (never
-//!   recorded — they mirror `Fx::neg`/`Fx::new`, which hardware folds
-//!   into register reads), and every integer instruction counts one
-//!   `int_ops`. The analytic cycle model therefore prices an instruction
-//!   stream with the same rules it prices a closure trace.
+//! * **Bit-exactness.** Every FP arithmetic, comparison and conversion
+//!   instruction calls the [op cell](flexfloat::cell) its `Fx` twin calls,
+//!   on the thread's active [`FpBackend`]. An FP register read decodes the
+//!   register's bits in the instruction's format, the cell computes on the
+//!   in-grid `f64`, and the result is re-encoded with `encode_in_grid` (an
+//!   exact inverse for in-grid values). So a stream and its closure twin
+//!   produce bit-identical outputs under any backend (pinned per kernel by
+//!   `tests/isa_equivalence.rs`, per instruction by
+//!   `tests/isa_op_parity.rs`).
+//! * **Counting parity.** The cells emit those instructions' [`Recorder`]
+//!   events, from the producer ids the executor keeps per FP register as
+//!   `Fx` keeps one per value. The executor records the rest under the
+//!   closure kernels' rules: FP loads produce no stall dependency,
+//!   sign-injection and moves are free (never recorded — they mirror
+//!   `Fx::neg`/`Fx::new`, which hardware folds into register reads), and
+//!   every integer instruction counts one `int_ops`. The analytic cycle
+//!   model therefore prices a stream with the rules it prices a closure
+//!   trace.
 //!
-//! Exception flags accrue into `fcsr.fflags` after every backend call, so
-//! at any halt point the architectural flags equal the union the backend
+//! Exception flags accrue into `fcsr.fflags` after every cell call, so at
+//! any halt point the architectural flags equal the union the backend
 //! raised since the last `fflags` write (`Engine::flags` reconciliation).
 
 use std::sync::Arc;
 
 use flexfloat::backend::{Emulated, Engine, FpBackend};
-use flexfloat::{EventId, OpKind, Recorder};
+use flexfloat::{cell, BinOp, EventId, Recorder};
 use tp_formats::FormatKind;
 
 use crate::asm::Program;
 use crate::csr::{Fcsr, FRM_RNE};
 use crate::decode::{
-    csr_addr, decode, CmpOp, FpAluOp, IllegalInstruction, Instr, Reg, Rm, SgnjMode,
+    csr_addr, decode, FReg, FpAluOp, IllegalInstruction, Instr, Reg, Rm, SgnjMode,
 };
 
 /// Why a run stopped abnormally.
@@ -108,7 +109,8 @@ impl std::error::Error for ExecError {}
 /// Retirement counts of one [`Machine::run`].
 ///
 /// `backend_fp_ops()` is the bridge to the measured side: every retired
-/// instruction in that count made exactly one `FpBackend` call, so under
+/// instruction in that count made exactly one op-cell call, and so one
+/// `FpBackend` call when a backend is installed, so under
 /// `tp_fpu::FpuModel` it equals the model's retired-FP-instruction count —
 /// the per-retired-instruction accounting hook `exp_isa_validate` checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -277,6 +279,14 @@ impl Machine {
         fmt.format().decode_to_f64(self.fregs[n as usize] & mask)
     }
 
+    /// Two FP source registers read in `fmt`, with their producer ids as
+    /// an op cell takes them.
+    fn operands(&self, fmt: FormatKind, rs1: FReg, rs2: FReg) -> (f64, f64, (EventId, EventId)) {
+        let (i, j) = (rs1.num(), rs2.num());
+        let deps = (self.fp_prod[i as usize], self.fp_prod[j as usize]);
+        (self.fp_read(i, fmt), self.fp_read(j, fmt), deps)
+    }
+
     /// Writes an in-grid `f64` into FP register `n`, re-encoded in `fmt`.
     fn fp_write(&mut self, n: u8, fmt: FormatKind, value: f64, prod: EventId) {
         self.fregs[n as usize] = fmt.format().encode_in_grid(value);
@@ -320,9 +330,10 @@ impl Machine {
     }
 
     /// Runs from the current pc until `ecall`, an error, or fuel
-    /// exhaustion. The active backend is resolved once via
-    /// [`Engine::current`]; FP events feed the thread's [`Recorder`] under
-    /// the closure kernels' exact rules (module docs).
+    /// exhaustion. FP instructions compute through the op cells on the
+    /// thread's active backend, whose flags (resolved once via
+    /// [`Engine::current`]) accrue into `fcsr`; events feed the thread's
+    /// [`Recorder`] under the closure kernels' exact rules (module docs).
     ///
     /// # Errors
     ///
@@ -496,26 +507,14 @@ impl Machine {
             } => {
                 self.check_rm(rm)?;
                 stats.fp_arith += 1;
-                let a = self.fp_read(rs1.num(), fmt);
-                let b = self.fp_read(rs2.num(), fmt);
-                let (kind, bin) = match op {
-                    FpAluOp::Add => (OpKind::AddSub, flexfloat::BinOp::Add),
-                    FpAluOp::Sub => (OpKind::AddSub, flexfloat::BinOp::Sub),
-                    FpAluOp::Mul => (OpKind::Mul, flexfloat::BinOp::Mul),
-                    FpAluOp::Div => (OpKind::Div, flexfloat::BinOp::Div),
+                let (a, b, deps) = self.operands(fmt, rs1, rs2);
+                let op = match op {
+                    FpAluOp::Add => BinOp::Add,
+                    FpAluOp::Sub => BinOp::Sub,
+                    FpAluOp::Mul => BinOp::Mul,
+                    FpAluOp::Div => BinOp::Div,
                 };
-                // Record first, then dispatch — the Fx::bin_op order.
-                let prod = if Recorder::is_enabled() {
-                    Recorder::fp_op(
-                        fmt.format(),
-                        kind,
-                        self.fp_prod[rs1.num() as usize],
-                        self.fp_prod[rs2.num() as usize],
-                    )
-                } else {
-                    0
-                };
-                let val = backend.bin_op(fmt.format(), bin, a, b);
+                let (val, prod) = cell::bin_op(fmt.format(), op, a, b, deps);
                 self.fp_write(rd.num(), fmt, val, prod);
                 self.fcsr.accrue(backend.flags());
             }
@@ -523,17 +522,7 @@ impl Machine {
                 self.check_rm(rm)?;
                 stats.fp_arith += 1;
                 let a = self.fp_read(rs1.num(), fmt);
-                let prod = if Recorder::is_enabled() {
-                    Recorder::fp_op(
-                        fmt.format(),
-                        OpKind::Sqrt,
-                        self.fp_prod[rs1.num() as usize],
-                        0,
-                    )
-                } else {
-                    0
-                };
-                let val = backend.sqrt(fmt.format(), a);
+                let (val, prod) = cell::sqrt(fmt.format(), a, self.fp_prod[rs1.num() as usize]);
                 self.fp_write(rd.num(), fmt, val, prod);
                 self.fcsr.accrue(backend.flags());
             }
@@ -567,23 +556,8 @@ impl Machine {
                 rs2,
             } => {
                 stats.fp_cmp += 1;
-                let a = self.fp_read(rs1.num(), fmt);
-                let b = self.fp_read(rs2.num(), fmt);
-                let prod = if Recorder::is_enabled() {
-                    Recorder::fp_op(
-                        fmt.format(),
-                        OpKind::Cmp,
-                        self.fp_prod[rs1.num() as usize],
-                        self.fp_prod[rs2.num() as usize],
-                    )
-                } else {
-                    0
-                };
-                let val = if max {
-                    backend.max(fmt.format(), a, b)
-                } else {
-                    backend.min(fmt.format(), a, b)
-                };
+                let (a, b, deps) = self.operands(fmt, rs1, rs2);
+                let (val, prod) = cell::min_max(fmt.format(), a, b, !max, deps);
                 self.fp_write(rd.num(), fmt, val, prod);
                 self.fcsr.accrue(backend.flags());
             }
@@ -595,21 +569,8 @@ impl Machine {
                 rs2,
             } => {
                 stats.fp_cmp += 1;
-                let a = self.fp_read(rs1.num(), fmt);
-                let b = self.fp_read(rs2.num(), fmt);
-                if Recorder::is_enabled() {
-                    Recorder::fp_op(
-                        fmt.format(),
-                        OpKind::Cmp,
-                        self.fp_prod[rs1.num() as usize],
-                        self.fp_prod[rs2.num() as usize],
-                    );
-                }
-                let out = match cmp {
-                    CmpOp::Le => backend.le(fmt.format(), a, b),
-                    CmpOp::Lt => backend.lt(fmt.format(), a, b),
-                    CmpOp::Eq => backend.eq(fmt.format(), a, b),
-                };
+                let (a, b, deps) = self.operands(fmt, rs1, rs2);
+                let out = cell::cmp(fmt.format(), cmp, a, b, deps);
                 self.set_xreg(rd, u32::from(out));
                 self.fcsr.accrue(backend.flags());
             }
@@ -623,10 +584,7 @@ impl Machine {
                 self.check_rm(rm)?;
                 stats.fp_casts += 1;
                 let a = self.fp_read(rs1.num(), from);
-                if Recorder::is_enabled() {
-                    Recorder::cast(from.format(), to.format());
-                }
-                let val = backend.cast(from.format(), to.format(), a);
+                let val = cell::cast(from.format(), to.format(), a);
                 // A conversion breaks the dependency chain (prod = 0),
                 // exactly as Fx::convert does.
                 self.fp_write(rd.num(), to, val, 0);
