@@ -9,11 +9,18 @@
 //! measured difference is purely emulation overhead. The `fx` rows run the
 //! same sweep on the runtime-format [`Fx`]/[`FxArray`] types the precision
 //! tuner executes, where the format is a value rather than a type.
+//!
+//! The `mac_sweep_recorded` rows run the `fx` sweep inside
+//! [`Recorder::scoped`], as the trace-count runs of a tuning job do. Each
+//! element records four events (two loads, a multiply, an add), and the
+//! group's throughput counts events, so its `Melem/s` is millions of
+//! recorded ops per second: ns per recorded op is `1000 / (Melem/s)`, and
+//! the row's ns/iter over its `mac_sweep/fx` twin is the cost of recording.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8, Fx, FxArray};
+use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8, Fx, FxArray, Recorder};
 use tp_formats::{RoundingMode, BINARY16, BINARY16ALT, BINARY32, BINARY8};
 use tp_softfloat::ops;
 
@@ -48,6 +55,15 @@ fn fx_sweep(a: &FxArray, b: &FxArray) -> f64 {
         acc = acc + a.get(i) * b.get(i);
     }
     acc.value()
+}
+
+/// Recorder events per element of [`fx_sweep`]: two loads, a multiply
+/// and an add.
+const EVENTS_PER_ELEMENT: u64 = 4;
+
+/// [`fx_sweep`] inside a recording scope.
+fn recorded_fx_sweep(a: &FxArray, b: &FxArray) -> f64 {
+    Recorder::scoped(|| fx_sweep(a, b)).0
 }
 
 fn softfloat_sweep(fmt: tp_formats::FpFormat, a: &[f64], b: &[f64]) -> f64 {
@@ -114,6 +130,32 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_recorded(c: &mut Criterion) {
+    let (a, b) = inputs();
+    let mut group = c.benchmark_group("mac_sweep_recorded");
+    group.throughput(Throughput::Elements(EVENTS_PER_ELEMENT * N as u64));
+    for (name, fmt) in [
+        ("binary8", BINARY8),
+        ("binary16", BINARY16),
+        ("binary16alt", BINARY16ALT),
+        ("binary32", BINARY32),
+    ] {
+        let (fa, fb) = (FxArray::from_f64s(fmt, &a), FxArray::from_f64s(fmt, &b));
+        // The sweep records what the throughput claims, and computes what
+        // the unrecorded sweep computes.
+        let (sum, counts) = Recorder::scoped(|| fx_sweep(&fa, &fb));
+        assert_eq!(sum.to_bits(), fx_sweep(&fa, &fb).to_bits());
+        assert_eq!(
+            counts.total_fp_ops() + counts.total_mem_accesses(),
+            EVENTS_PER_ELEMENT * N as u64
+        );
+        group.bench_function(BenchmarkId::new("fx", name), |bch| {
+            bch.iter(|| black_box(recorded_fx_sweep(&fa, &fb)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_single_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_op");
     let x = Binary16::from(1.2345);
@@ -155,6 +197,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(400))
         .measurement_time(std::time::Duration::from_millis(1600))
         .sample_size(20);
-    targets = bench_backends, bench_single_ops
+    targets = bench_backends, bench_recorded, bench_single_ops
 }
 criterion_main!(benches);

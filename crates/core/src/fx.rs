@@ -460,11 +460,9 @@ impl FxArray {
     #[inline(never)]
     fn get_hooked(&self, i: usize) -> Fx {
         let vid = backend::tap_hooked(|t| t.array_load(self.tid, i)).unwrap_or(0);
-        if Recorder::is_enabled() {
-            // Loads complete in one cycle on the PULPino TCDM, so the loaded
-            // value never stalls a consumer (prod stays 0).
-            Recorder::load(self.fmt.total_bits());
-        }
+        // Loads complete in one cycle on the PULPino TCDM, so the loaded
+        // value never stalls a consumer (prod stays 0).
+        Recorder::load(self.fmt.total_bits());
         Fx {
             val: self.data[i],
             fmt: self.fmt,
@@ -492,9 +490,7 @@ impl FxArray {
     fn set_hooked(&mut self, i: usize, v: Fx) {
         let _ = backend::tap_hooked(|t| t.array_store(self.tid, i, v.vid));
         let v = v.convert(self.fmt);
-        if Recorder::is_enabled() {
-            Recorder::store(self.fmt.total_bits());
-        }
+        Recorder::store(self.fmt.total_bits());
         self.data[i] = v.val;
     }
 

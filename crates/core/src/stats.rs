@@ -17,6 +17,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 use tp_formats::FpFormat;
 
@@ -234,24 +235,236 @@ impl std::iter::Sum for TraceCounts {
 /// producer/consumer pairs. `0` means "no producer".
 pub type EventId = u64;
 
-#[derive(Debug, Default)]
-struct RecorderState {
-    counts: TraceCounts,
+/// Formats the counter table holds at once. A recording that meets more
+/// moves the table's counts into the overflow map and starts it afresh.
+const SLOTS: usize = 8;
+/// Counter pairs per format slot: one per [`OpKind`], then the format's
+/// dependent pairs.
+const PER_SLOT: usize = OpKind::ALL.len() + 1;
+/// Load and store widths with a counter pair each (`0..=64` bits); a
+/// wider element is counted in the overflow map.
+const WIDTHS: usize = 65;
+/// Where the cast, load and store pairs start, and the pair count.
+const CASTS: usize = SLOTS * PER_SLOT;
+const LOADS: usize = CASTS + SLOTS * SLOTS;
+const STORES: usize = LOADS + WIDTHS;
+const PAIRS: usize = STORES + WIDTHS;
+/// Format codes `exp_bits << 6 | man_bits`: an [`FpFormat`] has at most
+/// 11 exponent and 52 mantissa bits.
+const CODES: usize = 12 << 6;
+
+#[inline]
+fn format_code(fmt: FpFormat) -> usize {
+    (fmt.exp_bits() as usize) << 6 | fmt.man_bits() as usize
+}
+
+/// Adds `n` to `key`'s entry of `map` when `n` counts anything.
+fn add_to<K: Eq + Hash>(map: &mut HashMap<K, OpCounts>, key: K, n: OpCounts) {
+    if n.total() > 0 {
+        map.entry(key).or_default().merge(n);
+    }
+}
+
+/// A recording's counters and cursor, all in `Cell`s of one `const`
+/// thread-local, so an event is a handful of loads and stores with no
+/// borrow flag, heap pointer or lazy initialisation on its way.
+///
+/// Counter pairs live in one flat table: per format slot, one pair per op
+/// kind and one for dependent pairs; one per (source, destination) slot
+/// pair for casts; one per element width for loads and stores. A format
+/// gets the next free slot on first sight (`slot_of`).
+struct Live {
     /// Monotone instruction counter (1-based; 0 = none).
-    next_id: EventId,
-    /// Format of the most recent *FP arithmetic* instruction, if it was the
-    /// most recent instruction overall.
-    last_fp: Option<(EventId, FpFormat)>,
-    vector_depth: u32,
+    next_id: Cell<EventId>,
+    /// Id and format of the most recent *FP arithmetic* instruction, if it
+    /// was the most recent instruction overall.
+    last_fp: Cell<Option<(EventId, FpFormat)>>,
+    vector_depth: Cell<u32>,
+    int_ops: Cell<u64>,
+    /// Pair `i`'s scalar and vector counters, at `2i` and `2i + 1`.
+    counts: Cell<[u64; 2 * PAIRS]>,
+    /// `1 + slot` of each format holding one, by [`format_code`]; 0: none.
+    slot_of: Cell<[u8; CODES]>,
+    /// The format in each slot.
+    formats: Cell<[Option<FpFormat>; SLOTS]>,
+}
+
+impl Live {
+    const fn new() -> Self {
+        Live {
+            next_id: Cell::new(0),
+            last_fp: Cell::new(None),
+            vector_depth: Cell::new(0),
+            int_ops: Cell::new(0),
+            counts: Cell::new([0; 2 * PAIRS]),
+            slot_of: Cell::new([0; CODES]),
+            formats: Cell::new([None; SLOTS]),
+        }
+    }
+
+    /// Exchanges every field with `other`'s.
+    fn swap(&self, other: &Live) {
+        self.next_id.swap(&other.next_id);
+        self.last_fp.swap(&other.last_fp);
+        self.vector_depth.swap(&other.vector_depth);
+        self.int_ops.swap(&other.int_ops);
+        self.counts.swap(&other.counts);
+        self.slot_of.swap(&other.slot_of);
+        self.formats.swap(&other.formats);
+    }
+
+    /// Starts the next instruction: returns its id and its counter column
+    /// (0: scalar, 1: inside a vectorizable section).
+    #[inline]
+    fn next(&self) -> (EventId, usize) {
+        let id = self.next_id.get() + 1;
+        self.next_id.set(id);
+        (id, usize::from(self.vector_depth.get() > 0))
+    }
+
+    /// Counts one event in column `col` of pair `pair`.
+    #[inline]
+    fn bump(&self, pair: usize, col: usize) {
+        let c = &self.counts.as_array_of_cells()[2 * pair + col];
+        c.set(c.get() + 1);
+    }
+
+    /// The slot of `fmt`, assigned on first sight.
+    #[inline]
+    fn slot(&self, fmt: FpFormat) -> usize {
+        match self.slot_of.as_array_of_cells()[format_code(fmt)].get() {
+            0 => self.new_slot(fmt),
+            s => usize::from(s - 1),
+        }
+    }
+
+    /// Gives `fmt` the first free slot. With none free, the table's counts
+    /// move to the overflow map first, which empties every slot, so a slot
+    /// taken before this call may have changed hands.
+    #[cold]
+    fn new_slot(&self, fmt: FpFormat) -> usize {
+        let slot = match self.formats.get().iter().position(Option::is_none) {
+            Some(slot) => slot,
+            None => {
+                OVERFLOW.with_borrow_mut(|o| self.add_table_to(o));
+                self.clear_table();
+                0
+            }
+        };
+        let mut formats = self.formats.get();
+        formats[slot] = Some(fmt);
+        self.formats.set(formats);
+        // `slot < SLOTS`, so `1 + slot` fits.
+        self.slot_of.as_array_of_cells()[format_code(fmt)].set(slot as u8 + 1);
+        slot
+    }
+
+    /// The pair counting casts from `from` to `to`.
+    #[inline]
+    fn cast_pair(&self, from: FpFormat, to: FpFormat) -> usize {
+        self.slot(from);
+        let to_slot = self.slot(to);
+        // A new slot for `to` may have emptied the table, `from`'s slot
+        // included: look `from` up again (a hit unless that happened, and
+        // then it takes a slot without emptying the table again).
+        CASTS + self.slot(from) * SLOTS + to_slot
+    }
+
+    /// Counts a load or store of `width_bits` in column `col`: in the
+    /// table from `base`, or in `field` of the overflow map when wider.
+    #[inline]
+    fn bump_width(
+        &self,
+        base: usize,
+        field: fn(&mut TraceCounts) -> &mut HashMap<u32, OpCounts>,
+        width_bits: u32,
+        col: usize,
+    ) {
+        let w = width_bits as usize;
+        if w < WIDTHS {
+            self.bump(base + w, col);
+        } else {
+            OVERFLOW.with_borrow_mut(|o| field(o).entry(width_bits).or_default().bump(col == 1));
+        }
+    }
+
+    /// Adds the table's counts to `c`.
+    fn add_table_to(&self, c: &mut TraceCounts) {
+        let counts = self.counts.get();
+        let formats = self.formats.get();
+        let pair = |i: usize| OpCounts {
+            scalar: counts[2 * i],
+            vector: counts[2 * i + 1],
+        };
+        let slots = || {
+            formats
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, fmt)| Some((slot, (*fmt)?)))
+        };
+        for (s, fmt) in slots() {
+            for (k, &kind) in OpKind::ALL.iter().enumerate() {
+                add_to(&mut c.ops, (fmt, kind), pair(s * PER_SLOT + k));
+            }
+            add_to(
+                &mut c.dependent_pairs,
+                fmt,
+                pair(s * PER_SLOT + OpKind::ALL.len()),
+            );
+            for (t, to) in slots() {
+                add_to(&mut c.casts, (fmt, to), pair(CASTS + s * SLOTS + t));
+            }
+        }
+        for w in 0..WIDTHS {
+            add_to(&mut c.loads, w as u32, pair(LOADS + w));
+            add_to(&mut c.stores, w as u32, pair(STORES + w));
+        }
+    }
+
+    /// Empties the table, freeing every slot.
+    fn clear_table(&self) {
+        self.counts.set([0; 2 * PAIRS]);
+        self.slot_of.set([0; CODES]);
+        self.formats.set([None; SLOTS]);
+    }
+
+    /// Takes the counts out, table and overflow map together, leaving
+    /// empty ones; the cursor stays.
+    fn take_counts(&self) -> TraceCounts {
+        let mut c = OVERFLOW.take();
+        self.add_table_to(&mut c);
+        self.clear_table();
+        c.int_ops += self.int_ops.replace(0);
+        c
+    }
 }
 
 thread_local! {
     /// Whether recording is on — a `const`, destructor-free `Cell` kept
-    /// apart from the lazily-initialised `RECORDER` state, so the check
-    /// guarding every op is a single thread-local load. `start`, `stop`,
-    /// `scoped` (and its panic restore) keep it in sync.
+    /// apart from the `LIVE` state, so the check guarding every op is a
+    /// single thread-local load. `start`, `stop`, `scoped` (and its panic
+    /// restore) keep it in sync.
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static RECORDER: RefCell<RecorderState> = RefCell::new(RecorderState::default());
+    static LIVE: Live = const { Live::new() };
+    /// Counts the table does not hold: those of formats that no longer
+    /// had a slot, of loads and stores wider than 64 bits, and those merged
+    /// in by [`Recorder::absorb`].
+    static OVERFLOW: RefCell<TraceCounts> = RefCell::new(TraceCounts::new());
+}
+
+/// A recording's whole state, moved out of the thread-locals while a
+/// [`Recorder::scoped`] call runs.
+struct Saved {
+    live: Live,
+    overflow: TraceCounts,
+}
+
+impl Saved {
+    /// Exchanges this state with the thread's.
+    fn swap_with_thread(&mut self) {
+        LIVE.with(|l| l.swap(&self.live));
+        OVERFLOW.with_borrow_mut(|o| std::mem::swap(o, &mut self.overflow));
+    }
 }
 
 /// Handle for the thread-local statistics recorder.
@@ -262,6 +475,20 @@ thread_local! {
 /// two `const` thread-local loads: this recorder's flag and the backend
 /// state. An enabled recorder sends every op to its outlined hooked path,
 /// which emits the events below (DESIGN.md §6, "Dispatch cost").
+///
+/// # How counts accumulate
+///
+/// An event bumps one counter in a flat table of `Cell`s in a `const`
+/// thread-local: per format (the first eight formats a recording meets
+/// each get a slot), one counter pair per op kind, one for dependent pairs
+/// and one per destination format for casts; per element width, one for
+/// loads and one for stores. The [`TraceCounts`] maps are built only when
+/// counts leave the recorder — [`stop`](Recorder::stop), the end of a
+/// [`scoped`](Recorder::scoped) or [`record`](Recorder::record) call,
+/// [`snapshot`](Recorder::snapshot) — or when they cannot stay in the
+/// table: [`absorb`](Recorder::absorb) merges its counts into an overflow
+/// map, and a ninth format moves the table's counts there and starts the
+/// table afresh.
 ///
 /// # Interaction with a recording trace backend
 ///
@@ -283,7 +510,11 @@ pub struct Recorder;
 impl Recorder {
     /// Enables recording and clears any previously-collected counts.
     pub fn start() {
-        RECORDER.with(|r| *r.borrow_mut() = RecorderState::default());
+        Saved {
+            live: Live::new(),
+            overflow: TraceCounts::new(),
+        }
+        .swap_with_thread();
         ENABLED.with(|e| e.set(true));
     }
 
@@ -291,7 +522,7 @@ impl Recorder {
     #[must_use]
     pub fn stop() -> TraceCounts {
         ENABLED.with(|e| e.set(false));
-        RECORDER.with(|r| std::mem::take(&mut r.borrow_mut().counts))
+        LIVE.with(Live::take_counts)
     }
 
     /// Runs `f` with recording enabled and returns its result together with
@@ -332,20 +563,22 @@ impl Recorder {
     pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, TraceCounts) {
         /// Restores the saved recorder state when dropped, so a panicking
         /// scope cannot leave the thread recording into the wrong counts.
-        struct Restore(bool, Option<RecorderState>);
+        struct Restore(bool, Saved);
         impl Drop for Restore {
             fn drop(&mut self) {
-                if let Some(saved) = self.1.take() {
-                    RECORDER.with(|r| *r.borrow_mut() = saved);
-                }
+                self.1.swap_with_thread();
                 ENABLED.with(|e| e.set(self.0));
             }
         }
 
-        let saved = RECORDER.with(|r| std::mem::take(&mut *r.borrow_mut()));
-        let restore = Restore(ENABLED.with(|e| e.replace(true)), Some(saved));
+        let mut saved = Saved {
+            live: Live::new(),
+            overflow: TraceCounts::new(),
+        };
+        saved.swap_with_thread();
+        let restore = Restore(ENABLED.with(|e| e.replace(true)), saved);
         let out = f();
-        let counts = RECORDER.with(|r| std::mem::take(&mut r.borrow_mut().counts));
+        let counts = LIVE.with(Live::take_counts);
         drop(restore);
         (out, counts)
     }
@@ -361,11 +594,8 @@ impl Recorder {
         if !Recorder::is_enabled() {
             return;
         }
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.counts.merge(counts);
-            s.last_fp = None;
-        });
+        OVERFLOW.with_borrow_mut(|o| o.merge(counts));
+        LIVE.with(|l| l.last_fp.set(None));
     }
 
     /// `true` while recording is enabled on this thread.
@@ -378,60 +608,55 @@ impl Recorder {
     /// Records an FP arithmetic operation in `fmt` whose operands were
     /// produced by instructions `dep_a` and `dep_b` (0 = constant/none).
     /// Returns the id of the new instruction, to be attached to its result.
+    #[inline]
     pub fn fp_op(fmt: FpFormat, kind: OpKind, dep_a: EventId, dep_b: EventId) -> EventId {
         if !Recorder::is_enabled() {
             return 0;
         }
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.next_id += 1;
-            let id = s.next_id;
-            let vector = s.vector_depth > 0;
-            s.counts.ops.entry((fmt, kind)).or_default().bump(vector);
-            if let Some((pid, pfmt)) = s.last_fp {
+        LIVE.with(|l| {
+            let (id, col) = l.next();
+            l.bump(l.slot(fmt) * PER_SLOT + kind as usize, col);
+            if let Some((pid, pfmt)) = l.last_fp.get() {
                 if pid + 1 == id && (dep_a == pid || dep_b == pid) {
-                    s.counts
-                        .dependent_pairs
-                        .entry(pfmt)
-                        .or_default()
-                        .bump(vector);
+                    l.bump(l.slot(pfmt) * PER_SLOT + OpKind::ALL.len(), col);
                 }
             }
-            s.last_fp = Some((id, fmt));
+            l.last_fp.set(Some((id, fmt)));
             id
         })
     }
 
     /// Records a conversion from `from` to `to`. Casts are 1-cycle
     /// operations and never stall a consumer.
+    #[inline]
     pub fn cast(from: FpFormat, to: FpFormat) {
-        Recorder::unpaired(|c, vector| c.casts.entry((from, to)).or_default().bump(vector));
+        Recorder::unpaired(|l, col| l.bump(l.cast_pair(from, to), col));
     }
 
     /// Records a load of an FP element of `width_bits`. TCDM loads are
     /// single-cycle, so the loaded value never stalls a consumer.
+    #[inline]
     pub fn load(width_bits: u32) {
-        Recorder::unpaired(|c, vector| c.loads.entry(width_bits).or_default().bump(vector));
+        Recorder::unpaired(|l, col| l.bump_width(LOADS, |c| &mut c.loads, width_bits, col));
     }
 
     /// Records a store of an FP element of `width_bits`.
+    #[inline]
     pub fn store(width_bits: u32) {
-        Recorder::unpaired(|c, vector| c.stores.entry(width_bits).or_default().bump(vector));
+        Recorder::unpaired(|l, col| l.bump_width(STORES, |c| &mut c.stores, width_bits, col));
     }
 
     /// Records one instruction that produces no id to pair on and ends any
-    /// producer→consumer adjacency; `bump` counts it.
-    fn unpaired(bump: impl FnOnce(&mut TraceCounts, bool)) {
-        if !Recorder::is_enabled() {
-            return;
+    /// producer→consumer adjacency; `count` counts it in the given column.
+    #[inline]
+    fn unpaired(count: impl FnOnce(&Live, usize)) {
+        if Recorder::is_enabled() {
+            LIVE.with(|l| {
+                let (_, col) = l.next();
+                count(l, col);
+                l.last_fp.set(None);
+            });
         }
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.next_id += 1;
-            let vector = s.vector_depth > 0;
-            bump(&mut s.counts, vector);
-            s.last_fp = None;
-        });
     }
 
     /// Records `n` integer/control instructions (loop bookkeeping, address
@@ -445,29 +670,33 @@ impl Recorder {
 
     #[inline(never)]
     fn count_int_ops(n: u64) {
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            s.next_id += n;
-            s.counts.int_ops += n;
-            s.last_fp = None;
+        LIVE.with(|l| {
+            l.next_id.set(l.next_id.get() + n);
+            l.int_ops.set(l.int_ops.get() + n);
+            l.last_fp.set(None);
         });
     }
 
     /// Takes a snapshot of the counts collected so far without stopping.
     #[must_use]
     pub fn snapshot() -> TraceCounts {
-        RECORDER.with(|r| r.borrow().counts.clone())
+        let mut c = OVERFLOW.with_borrow(TraceCounts::clone);
+        LIVE.with(|l| {
+            l.add_table_to(&mut c);
+            c.int_ops += l.int_ops.get();
+        });
+        c
     }
 
     fn enter_vector() {
-        RECORDER.with(|r| r.borrow_mut().vector_depth += 1);
+        LIVE.with(|l| l.vector_depth.set(l.vector_depth.get() + 1));
     }
 
     fn exit_vector() {
-        RECORDER.with(|r| {
-            let mut s = r.borrow_mut();
-            debug_assert!(s.vector_depth > 0, "unbalanced vector section");
-            s.vector_depth = s.vector_depth.saturating_sub(1);
+        LIVE.with(|l| {
+            let depth = l.vector_depth.get();
+            debug_assert!(depth > 0, "unbalanced vector section");
+            l.vector_depth.set(depth.saturating_sub(1));
         });
     }
 }
@@ -731,5 +960,248 @@ mod tests {
         let ((), b) = Recorder::record(|| {});
         assert_eq!(a.total_fp_ops(), 1);
         assert_eq!(b.total_fp_ops(), 0);
+    }
+
+    /// One recorded instruction, for [`replay`] and [`model`].
+    #[derive(Clone, Copy)]
+    enum Ev {
+        /// An op; `true` when it consumes the previous instruction's result.
+        Op(FpFormat, OpKind, bool),
+        Cast(FpFormat, FpFormat),
+        Load(u32),
+        Store(u32),
+        Int(u64),
+        /// Opens a vectorizable section, or closes the innermost one.
+        Vector(bool),
+    }
+
+    /// Emits `events` to the thread's recorder.
+    fn replay(events: &[Ev]) {
+        let (mut last, mut sections) = (0, Vec::new());
+        for &e in events {
+            last = match e {
+                Ev::Op(f, k, dep) => Recorder::fp_op(f, k, if dep { last } else { 0 }, 0),
+                Ev::Cast(a, b) => {
+                    Recorder::cast(a, b);
+                    0
+                }
+                Ev::Load(w) => {
+                    Recorder::load(w);
+                    0
+                }
+                Ev::Store(w) => {
+                    Recorder::store(w);
+                    0
+                }
+                Ev::Int(n) => {
+                    Recorder::int_ops(n);
+                    0
+                }
+                Ev::Vector(true) => {
+                    sections.push(VectorSection::enter());
+                    last
+                }
+                Ev::Vector(false) => {
+                    sections.pop();
+                    last
+                }
+            };
+        }
+    }
+
+    /// The counts `events` must record, kept in plain maps.
+    fn model(events: &[Ev]) -> TraceCounts {
+        let mut c = TraceCounts::new();
+        let (mut depth, mut last_fp) = (0, None);
+        for &e in events {
+            let v = depth > 0;
+            let mut fp = None;
+            match e {
+                Ev::Op(f, k, dep) => {
+                    c.ops.entry((f, k)).or_default().bump(v);
+                    if let (true, Some(p)) = (dep, last_fp) {
+                        c.dependent_pairs.entry(p).or_default().bump(v);
+                    }
+                    fp = Some(f);
+                }
+                Ev::Cast(a, b) => c.casts.entry((a, b)).or_default().bump(v),
+                Ev::Load(w) => c.loads.entry(w).or_default().bump(v),
+                Ev::Store(w) => c.stores.entry(w).or_default().bump(v),
+                Ev::Int(n) => c.int_ops += n,
+                Ev::Vector(open) => {
+                    depth = if open { depth + 1 } else { depth - 1 };
+                    fp = last_fp;
+                }
+            }
+            last_fp = fp;
+        }
+        c
+    }
+
+    /// A stream over every format with 5 exponent and 1..=40 mantissa
+    /// bits — more formats than the counter table has slots — with ops of
+    /// each kind, dependent chains, casts between neighbours, memory
+    /// traffic of each width, integer work and vector sections.
+    fn many_formats() -> Vec<Ev> {
+        let fmts: Vec<FpFormat> = (1..=40).map(|m| FpFormat::new(5, m).unwrap()).collect();
+        let mut ev = Vec::new();
+        for (i, &f) in fmts.iter().enumerate() {
+            let prev = fmts[i.saturating_sub(1)];
+            let vector = i % 3 == 0;
+            if vector {
+                ev.push(Ev::Vector(true));
+            }
+            ev.push(Ev::Load(f.total_bits()));
+            ev.push(Ev::Cast(prev, f));
+            for (j, &k) in OpKind::ALL.iter().enumerate() {
+                ev.push(Ev::Op(f, k, j % 2 == 1));
+            }
+            // Reach back to a format that has left the table.
+            ev.push(Ev::Op(fmts[i / 4], OpKind::Mul, true));
+            ev.push(Ev::Cast(f, fmts[i / 2]));
+            ev.push(Ev::Store(f.total_bits()));
+            ev.push(Ev::Int(i as u64));
+            if vector {
+                ev.push(Ev::Vector(false));
+            }
+        }
+        ev
+    }
+
+    #[test]
+    fn model_matches_on_a_small_stream() {
+        let ev = [
+            Ev::Op(BINARY32, OpKind::Mul, false),
+            Ev::Op(BINARY32, OpKind::AddSub, true),
+            Ev::Vector(true),
+            Ev::Op(BINARY16, OpKind::Fma, true),
+            Ev::Cast(BINARY16, BINARY8),
+            Ev::Op(BINARY8, OpKind::Cmp, true),
+            Ev::Vector(false),
+            Ev::Load(16),
+            Ev::Int(3),
+        ];
+        let ((), counts) = Recorder::record(|| replay(&ev));
+        let want = model(&ev);
+        assert_eq!(counts, want);
+        // Mul→AddSub and AddSub→Fma pair; the cast breaks Fma→Cmp.
+        assert_eq!(
+            want.dependent_pairs[&BINARY32],
+            OpCounts {
+                scalar: 1,
+                vector: 1
+            }
+        );
+    }
+
+    #[test]
+    fn more_formats_than_slots_count_exactly() {
+        let ev = many_formats();
+        let ((), counts) = Recorder::record(|| replay(&ev));
+        assert_eq!(counts.ops.len(), 40 * OpKind::ALL.len());
+        assert_eq!(counts, model(&ev));
+        // The same stream inside a scope, and in a scope on a worker.
+        assert_eq!(Recorder::scoped(|| replay(&ev)).1, counts);
+        let worker = std::thread::spawn(move || Recorder::scoped(|| replay(&ev)).1);
+        assert_eq!(worker.join().unwrap(), counts);
+    }
+
+    #[test]
+    fn widths_beyond_the_table_count_exactly() {
+        let ev = [
+            Ev::Load(64),
+            Ev::Load(65),
+            Ev::Store(128),
+            Ev::Store(u32::MAX),
+        ];
+        let ((), counts) = Recorder::record(|| replay(&ev));
+        assert_eq!(counts, model(&ev));
+    }
+
+    #[test]
+    fn snapshot_mid_recording_equals_one_recording() {
+        let ev = many_formats();
+        let (head, tail) = ev.split_at(ev.len() / 2);
+        let ((), whole) = Recorder::record(|| {
+            replay(head);
+            let snap = Recorder::snapshot();
+            assert_eq!(snap, model(head));
+            // A snapshot leaves the recording as it was.
+            assert_eq!(Recorder::snapshot(), snap);
+            replay(tail);
+        });
+        assert_eq!(whole, model(&ev));
+    }
+
+    #[test]
+    fn absorb_adds_to_tallied_keys() {
+        let batch_ev = [
+            Ev::Op(BINARY16, OpKind::Mul, false),
+            Ev::Op(BINARY16, OpKind::Mul, true),
+            Ev::Cast(BINARY16, BINARY32),
+            Ev::Load(16),
+            Ev::Int(2),
+        ];
+        let ((), batch) = Recorder::record(|| replay(&batch_ev));
+        let own = [
+            Ev::Op(BINARY16, OpKind::Mul, false),
+            Ev::Op(BINARY16, OpKind::Mul, true),
+            Ev::Cast(BINARY16, BINARY32),
+            Ev::Load(16),
+        ];
+        let ((), counts) = Recorder::record(|| {
+            replay(&own);
+            Recorder::absorb(&batch);
+            replay(&own);
+        });
+        let mut want = model(&own);
+        want += model(&own);
+        want += &batch;
+        assert_eq!(counts, want);
+        assert_eq!(counts.ops[&(BINARY16, OpKind::Mul)].scalar, 6);
+        assert_eq!(counts.dependent_pairs[&BINARY16].scalar, 3);
+    }
+
+    #[test]
+    fn nested_scope_on_the_enclosing_key() {
+        let ev = [
+            Ev::Op(BINARY8, OpKind::AddSub, false),
+            Ev::Op(BINARY8, OpKind::AddSub, true),
+            Ev::Store(8),
+        ];
+        let ((), outer) = Recorder::record(|| {
+            replay(&ev);
+            let ((), inner) = Recorder::scoped(|| {
+                replay(&ev);
+                let ((), innermost) = Recorder::scoped(|| replay(&ev));
+                assert_eq!(innermost, model(&ev));
+                replay(&ev);
+            });
+            let mut twice = model(&ev);
+            twice += model(&ev);
+            assert_eq!(inner, twice);
+            replay(&ev);
+        });
+        let mut twice = model(&ev);
+        twice += model(&ev);
+        assert_eq!(outer, twice);
+    }
+
+    #[test]
+    fn panicking_scope_leaves_enclosing_tallies_intact() {
+        let ev = many_formats();
+        let (head, tail) = ev.split_at(ev.len() / 2);
+        let ((), outer) = Recorder::record(|| {
+            replay(head);
+            let result = std::panic::catch_unwind(|| {
+                Recorder::scoped(|| {
+                    replay(&ev);
+                    panic!("scope dies");
+                })
+            });
+            assert!(result.is_err());
+            replay(tail);
+        });
+        assert_eq!(outer, model(&ev));
     }
 }
