@@ -4,8 +4,15 @@
 //! of operations and casts a program performs, with a separate report for
 //! manually-tagged *vectorizable* sections (Section III-B, step 4 of the
 //! paper). This module reproduces that machinery: a thread-local
-//! [`Recorder`] accumulates [`TraceCounts`] while instrumented code
-//! (`FlexFloat`, [`Fx`](crate::Fx), [`FxArray`](crate::FxArray)) executes.
+//! [`Recorder`] counts while instrumented code (`FlexFloat`,
+//! [`Fx`](crate::Fx), [`FxArray`](crate::FxArray)) executes, and hands the
+//! counts out as [`TraceCounts`].
+//!
+//! While a recording runs, each event bumps one counter of a flat table
+//! of `Cell`s in a `const` thread-local (per format, per element width),
+//! not a map entry: the [`TraceCounts`] maps are built only when counts
+//! leave the recorder, and counts the table cannot hold wait in an
+//! overflow map (see [`Recorder`], "How counts accumulate").
 //!
 //! The counts are exactly the quantities the PULPino-like platform model
 //! (`tp-platform`) needs to reproduce Figures 5–7: FP operations per format
@@ -460,6 +467,14 @@ struct Saved {
 }
 
 impl Saved {
+    /// The state of a thread that has recorded nothing.
+    fn new() -> Self {
+        Saved {
+            live: Live::new(),
+            overflow: TraceCounts::new(),
+        }
+    }
+
     /// Exchanges this state with the thread's.
     fn swap_with_thread(&mut self) {
         LIVE.with(|l| l.swap(&self.live));
@@ -481,14 +496,15 @@ impl Saved {
 /// An event bumps one counter in a flat table of `Cell`s in a `const`
 /// thread-local: per format (the first eight formats a recording meets
 /// each get a slot), one counter pair per op kind, one for dependent pairs
-/// and one per destination format for casts; per element width, one for
-/// loads and one for stores. The [`TraceCounts`] maps are built only when
-/// counts leave the recorder — [`stop`](Recorder::stop), the end of a
-/// [`scoped`](Recorder::scoped) or [`record`](Recorder::record) call,
-/// [`snapshot`](Recorder::snapshot) — or when they cannot stay in the
-/// table: [`absorb`](Recorder::absorb) merges its counts into an overflow
-/// map, and a ninth format moves the table's counts there and starts the
-/// table afresh.
+/// and one per destination format for casts; per element width up to 64
+/// bits, one for loads and one for stores. The [`TraceCounts`] maps are
+/// built only when counts leave the recorder — [`stop`](Recorder::stop),
+/// the end of a [`scoped`](Recorder::scoped) or [`record`](Recorder::record)
+/// call, [`snapshot`](Recorder::snapshot) — or when they cannot stay in
+/// the table: [`absorb`](Recorder::absorb) merges its counts into an
+/// overflow map, wider loads and stores are counted there, and a format
+/// met while all eight slots are taken moves the table's counts there
+/// and starts the table afresh.
 ///
 /// # Interaction with a recording trace backend
 ///
@@ -510,11 +526,7 @@ pub struct Recorder;
 impl Recorder {
     /// Enables recording and clears any previously-collected counts.
     pub fn start() {
-        Saved {
-            live: Live::new(),
-            overflow: TraceCounts::new(),
-        }
-        .swap_with_thread();
+        Saved::new().swap_with_thread();
         ENABLED.with(|e| e.set(true));
     }
 
@@ -571,10 +583,7 @@ impl Recorder {
             }
         }
 
-        let mut saved = Saved {
-            live: Live::new(),
-            overflow: TraceCounts::new(),
-        };
+        let mut saved = Saved::new();
         saved.swap_with_thread();
         let restore = Restore(ENABLED.with(|e| e.replace(true)), saved);
         let out = f();
