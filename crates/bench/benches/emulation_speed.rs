@@ -16,11 +16,20 @@
 //! group's throughput counts events, so its `Melem/s` is millions of
 //! recorded ops per second: ns per recorded op is `1000 / (Melem/s)`, and
 //! the row's ns/iter over its `mac_sweep/fx` twin is the cost of recording.
+//!
+//! The `mac_sweep_softfloat` rows run the `fx` sweep under
+//! `Engine::with(SoftFloat)`, so every op takes its outlined hooked path
+//! and dispatches to the integer kernels. The `mac_sweep_mixed` rows load
+//! the two operands from arrays of different formats, so every multiply
+//! promotes its narrower operand (a cast on the fast path, a recorded
+//! cast on the hooked path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8, Fx, FxArray, Recorder};
+use flexfloat::backend::SoftFloat;
+use flexfloat::{Binary16, Binary16Alt, Binary32, Binary8, Engine, Fx, FxArray, Recorder};
 use tp_formats::{RoundingMode, BINARY16, BINARY16ALT, BINARY32, BINARY8};
 use tp_softfloat::ops;
 
@@ -156,6 +165,48 @@ fn bench_recorded(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_softfloat_dispatch(c: &mut Criterion) {
+    let (a, b) = inputs();
+    let backend = Arc::new(SoftFloat::new());
+    let mut group = c.benchmark_group("mac_sweep_softfloat");
+    group.throughput(Throughput::Elements(N as u64));
+    for (name, fmt) in [
+        ("binary8", BINARY8),
+        ("binary16", BINARY16),
+        ("binary16alt", BINARY16ALT),
+        ("binary32", BINARY32),
+    ] {
+        let (fa, fb) = (FxArray::from_f64s(fmt, &a), FxArray::from_f64s(fmt, &b));
+        let dispatched = || Engine::with(backend.clone(), || fx_sweep(&fa, &fb));
+        // The integer kernels compute what the native datapath computes.
+        assert_eq!(dispatched().to_bits(), fx_sweep(&fa, &fb).to_bits());
+        group.bench_function(BenchmarkId::new("fx", name), |bch| {
+            bch.iter(|| black_box(dispatched()))
+        });
+    }
+    group.finish();
+}
+
+fn bench_mixed(c: &mut Criterion) {
+    let (a, b) = inputs();
+    let mut group = c.benchmark_group("mac_sweep_mixed");
+    group.throughput(Throughput::Elements(N as u64));
+    for (name, fmt_a, fmt_b) in [
+        ("binary8xbinary16", BINARY8, BINARY16),
+        ("binary8xbinary16alt", BINARY8, BINARY16ALT),
+        ("binary16altxbinary32", BINARY16ALT, BINARY32),
+    ] {
+        let (fa, fb) = (FxArray::from_f64s(fmt_a, &a), FxArray::from_f64s(fmt_b, &b));
+        // One promoting cast per multiply, plus the accumulator's first.
+        let (_, counts) = Recorder::scoped(|| fx_sweep(&fa, &fb));
+        assert_eq!(counts.total_casts(), N as u64 + 1);
+        group.bench_function(BenchmarkId::new("fx", name), |bch| {
+            bch.iter(|| black_box(fx_sweep(&fa, &fb)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_single_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_op");
     let x = Binary16::from(1.2345);
@@ -197,6 +248,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(400))
         .measurement_time(std::time::Duration::from_millis(1600))
         .sample_size(20);
-    targets = bench_backends, bench_recorded, bench_single_ops
+    targets = bench_backends, bench_recorded, bench_softfloat_dispatch, bench_mixed, bench_single_ops
 }
 criterion_main!(benches);

@@ -29,6 +29,18 @@
 //! `Emulated` methods; with no hook live it returns exactly what the fast
 //! path returns. Ops that only report to the tape keep one body:
 //! [`backend::tap`] is itself split that way.
+//!
+//! The outlined bodies take and return scalars, never an [`Fx`]: each
+//! operand as its format and its value with its producer id, both tape
+//! ids packed in one word, and the result as `(value, producer id)`,
+//! which comes back in registers. The caller rebuilds the `Fx` in the
+//! format it already knows, and the result's tape id comes back through
+//! a thread-local. A body that returned the 32-byte `Fx` would return it
+//! through a stack slot, and the fast path, which merges its result into
+//! the same value, would spill every result to that slot too (DESIGN.md
+//! §6, "Dispatch cost").
+
+use std::cell::Cell;
 
 use tp_formats::{FpFormat, BINARY32};
 
@@ -110,7 +122,7 @@ impl Fx {
     #[must_use]
     pub fn to(self, dst: FpFormat) -> Self {
         if backend::hooked() {
-            return self.to_hooked(dst);
+            return Fx::hooked(Fx::to_hooked(self.fmt, self.operand(), self.vid, dst), dst);
         }
         if dst == self.fmt {
             return Fx { vid: 0, ..self };
@@ -119,11 +131,9 @@ impl Fx {
     }
 
     #[inline(never)]
-    fn to_hooked(self, dst: FpFormat) -> Self {
-        let vid = backend::tap_hooked(|t| t.cast(self.vid, dst)).unwrap_or(0);
-        let mut out = self.convert(dst);
-        out.vid = vid;
-        out
+    fn to_hooked(fmt: FpFormat, x: Operand, src: ValueId, dst: FpFormat) -> Operand {
+        let vid = backend::tap_hooked(|t| t.cast(src, dst)).unwrap_or(0);
+        hooked_result(convert(fmt, x, dst), vid)
     }
 
     /// A fast-path result: no producing event, no tape id.
@@ -135,6 +145,24 @@ impl Fx {
             prod: 0,
             vid: 0,
         }
+    }
+
+    /// A hooked path's result: the value and producer id its outlined
+    /// body returned, in `fmt`, with the tape id the body left behind.
+    #[inline(always)]
+    fn hooked((val, prod): Operand, fmt: FpFormat) -> Self {
+        Fx {
+            val,
+            fmt,
+            prod,
+            vid: HOOKED_VID.with(Cell::get),
+        }
+    }
+
+    /// The value and its producer id, as the outlined bodies take them.
+    #[inline(always)]
+    fn operand(self) -> Operand {
+        (self.val, self.prod)
     }
 
     /// This value rounded into `fmt` on the native datapath — the fast
@@ -149,37 +177,23 @@ impl Fx {
         }
     }
 
-    /// The [cast cell](cell::cast) behind [`Fx::to`], *without* the tape
-    /// event — used by the hooked paths for the implicit casts (operand
-    /// promotion, array-store rounding) that a tape replay re-derives from
-    /// the formats in force instead of copying from the recorded run.
-    fn convert(self, dst: FpFormat) -> Self {
-        if dst == self.fmt {
-            return self;
-        }
-        Fx::native(cell::cast(self.fmt, dst, self.val), dst)
-    }
-
     /// Square root in this value's format.
     #[inline(always)]
     #[must_use]
     pub fn sqrt(self) -> Self {
         if backend::hooked() {
-            return self.sqrt_hooked();
+            return Fx::hooked(
+                Fx::sqrt_hooked(self.fmt, self.operand(), self.vid),
+                self.fmt,
+            );
         }
         Fx::native(Emulated.sqrt(self.fmt, self.val), self.fmt)
     }
 
     #[inline(never)]
-    fn sqrt_hooked(self) -> Self {
-        let vid = backend::tap_hooked(|t| t.sqrt(self.vid)).unwrap_or(0);
-        let (val, prod) = cell::sqrt(self.fmt, self.val, self.prod);
-        Fx {
-            val,
-            fmt: self.fmt,
-            prod,
-            vid,
-        }
+    fn sqrt_hooked(fmt: FpFormat, (x, dep): Operand, src: ValueId) -> Operand {
+        let vid = backend::tap_hooked(|t| t.sqrt(src)).unwrap_or(0);
+        hooked_result(cell::sqrt(fmt, x, dep), vid)
     }
 
     /// Absolute value (sign manipulation; free, not recorded).
@@ -211,25 +225,30 @@ impl Fx {
 
     #[inline(always)]
     fn min_max(self, other: Self, want_min: bool) -> Self {
-        if backend::hooked() {
-            return self.min_max_hooked(other, want_min);
-        }
         let fmt = common_format(self.fmt, other.fmt);
+        if backend::hooked() {
+            let (a, b) = (self.operand(), other.operand());
+            let out =
+                Fx::min_max_hooked(want_min, self.fmt, a, other.fmt, b, tape_ids(self, other));
+            return Fx::hooked(out, fmt);
+        }
         let (a, b) = (self.native_in(fmt), other.native_in(fmt));
         Fx::native(native_min_max(a, b, want_min), fmt)
     }
 
     #[inline(never)]
-    fn min_max_hooked(self, other: Self, want_min: bool) -> Self {
-        let vid = backend::tap_hooked(|t| t.min_max(want_min, self.vid, other.vid)).unwrap_or(0);
-        let (a, b, fmt) = Self::promote(self, other);
-        let (val, prod) = cell::min_max(fmt, a.val, b.val, want_min, (a.prod, b.prod));
-        Fx {
-            val,
-            fmt,
-            prod,
-            vid,
-        }
+    fn min_max_hooked(
+        want_min: bool,
+        a_fmt: FpFormat,
+        a: Operand,
+        b_fmt: FpFormat,
+        b: Operand,
+        srcs: u64,
+    ) -> Operand {
+        let (src_a, src_b) = split_tape_ids(srcs);
+        let vid = backend::tap_hooked(|t| t.min_max(want_min, src_a, src_b)).unwrap_or(0);
+        let (fmt, (a, dep_a), (b, dep_b)) = promote(a_fmt, a, b_fmt, b);
+        hooked_result(cell::min_max(fmt, a, b, want_min, (dep_a, dep_b)), vid)
     }
 
     /// `self < other` as a hardware comparison — IEEE quiet predicate,
@@ -238,7 +257,8 @@ impl Fx {
     #[must_use]
     pub fn lt(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.cmp_hooked(other, CmpOp::Lt);
+            let (a, b) = (self.operand(), other.operand());
+            return Fx::cmp_hooked(CmpOp::Lt, self.fmt, a, other.fmt, b, tape_ids(self, other));
         }
         let fmt = common_format(self.fmt, other.fmt);
         Emulated.lt(fmt, self.native_in(fmt), other.native_in(fmt))
@@ -250,51 +270,129 @@ impl Fx {
     #[must_use]
     pub fn le(self, other: Self) -> bool {
         if backend::hooked() {
-            return self.cmp_hooked(other, CmpOp::Le);
+            let (a, b) = (self.operand(), other.operand());
+            return Fx::cmp_hooked(CmpOp::Le, self.fmt, a, other.fmt, b, tape_ids(self, other));
         }
         let fmt = common_format(self.fmt, other.fmt);
         Emulated.le(fmt, self.native_in(fmt), other.native_in(fmt))
     }
 
     #[inline(never)]
-    fn cmp_hooked(self, other: Self, op: CmpOp) -> bool {
-        let (src_a, src_b) = (self.vid, other.vid);
-        let (a, b, fmt) = Self::promote(self, other);
-        let out = cell::cmp(fmt, op, a.val, b.val, (a.prod, b.prod));
+    fn cmp_hooked(
+        op: CmpOp,
+        a_fmt: FpFormat,
+        a: Operand,
+        b_fmt: FpFormat,
+        b: Operand,
+        srcs: u64,
+    ) -> bool {
+        let (fmt, (a, dep_a), (b, dep_b)) = promote(a_fmt, a, b_fmt, b);
+        let out = cell::cmp(fmt, op, a, b, (dep_a, dep_b));
+        let (src_a, src_b) = split_tape_ids(srcs);
         let _ = backend::tap_hooked(|t| t.cmp(op == CmpOp::Le, src_a, src_b, out));
         out
     }
 
-    /// Promotes the less precise operand to the [`common_format`] (the
-    /// hooked path), recording a cast if one is inserted. Returns both
-    /// operands in the common format.
-    fn promote(a: Fx, b: Fx) -> (Fx, Fx, FpFormat) {
-        let fmt = common_format(a.fmt, b.fmt);
-        (a.convert(fmt), b.convert(fmt), fmt)
-    }
-
     #[inline(always)]
     fn bin_op(self, rhs: Fx, op: BinOp) -> Fx {
-        if backend::hooked() {
-            return self.bin_op_hooked(rhs, op);
-        }
         let fmt = common_format(self.fmt, rhs.fmt);
+        if backend::hooked() {
+            let (a, b) = (self.operand(), rhs.operand());
+            let out = Fx::bin_op_hooked(op, self.fmt, a, rhs.fmt, b, tape_ids(self, rhs));
+            return Fx::hooked(out, fmt);
+        }
         let (a, b) = (self.native_in(fmt), rhs.native_in(fmt));
         Fx::native(Emulated.bin_op(fmt, op, a, b), fmt)
     }
 
     #[inline(never)]
-    fn bin_op_hooked(self, rhs: Fx, op: BinOp) -> Fx {
-        let vid = backend::tap_hooked(|t| t.bin_op(op, self.vid, rhs.vid)).unwrap_or(0);
-        let (a, b, fmt) = Self::promote(self, rhs);
-        let (val, prod) = cell::bin_op(fmt, op, a.val, b.val, (a.prod, b.prod));
-        Fx {
-            val,
-            fmt,
-            prod,
-            vid,
-        }
+    fn bin_op_hooked(
+        op: BinOp,
+        a_fmt: FpFormat,
+        a: Operand,
+        b_fmt: FpFormat,
+        b: Operand,
+        srcs: u64,
+    ) -> Operand {
+        let (src_a, src_b) = split_tape_ids(srcs);
+        let vid = backend::tap_hooked(|t| t.bin_op(op, src_a, src_b)).unwrap_or(0);
+        let (fmt, (a, dep_a), (b, dep_b)) = promote(a_fmt, a, b_fmt, b);
+        hooked_result(cell::bin_op(fmt, op, a, b, (dep_a, dep_b)), vid)
     }
+}
+
+/// A value and its producer id (`0`: none), as the outlined hooked bodies
+/// take their operands and return their results: two scalars, which pass
+/// in registers where a whole [`Fx`] would pass through memory.
+type Operand = (f64, EventId);
+
+thread_local! {
+    /// The tape id of the value the last hooked body produced. A body
+    /// returns an [`Operand`], not an [`Fx`], so that neither path of the
+    /// op spills its result (DESIGN.md §6, "Dispatch cost"); the id comes
+    /// back here instead. Every value-producing body sets it last, and
+    /// only the hooked branch of its caller reads it, at once
+    /// ([`Fx::hooked`]).
+    static HOOKED_VID: Cell<ValueId> = const { Cell::new(0) };
+}
+
+/// Ends a value-producing hooked body: leaves the result's tape id for
+/// [`Fx::hooked`] and returns the value and its producer id.
+#[inline(always)]
+fn hooked_result(out: Operand, vid: ValueId) -> Operand {
+    HOOKED_VID.with(|c| c.set(vid));
+    out
+}
+
+/// Both operands' tape ids in one word (`a` high, `b` low), so a binary
+/// op's hooked body takes six arguments.
+#[inline(always)]
+fn tape_ids(a: Fx, b: Fx) -> u64 {
+    u64::from(a.vid) << 32 | u64::from(b.vid)
+}
+
+/// The inverse of [`tape_ids`].
+#[inline(always)]
+fn split_tape_ids(ids: u64) -> (ValueId, ValueId) {
+    ((ids >> 32) as ValueId, ids as ValueId)
+}
+
+/// Operand `x` of format `fmt` converted to `dst` by the [cast
+/// cell](cell::cast), *without* the tape event — the hooked paths' implicit
+/// casts (operand promotion, array-store rounding), which a tape replay
+/// re-derives from the formats in force instead of copying from the
+/// recorded run. A converted value has no producer; an unconverted one
+/// keeps its own.
+#[inline(always)]
+fn convert(fmt: FpFormat, x: Operand, dst: FpFormat) -> Operand {
+    if fmt == dst {
+        x
+    } else {
+        (cast(fmt, dst, x.0), 0)
+    }
+}
+
+/// The cast cell, outlined once for every hooked body that converts.
+#[inline(never)]
+fn cast(from: FpFormat, to: FpFormat, x: f64) -> f64 {
+    cell::cast(from, to, x)
+}
+
+/// Promotes the less precise operand to the [`common_format`] (the hooked
+/// path), recording a cast if one is inserted. Returns the common format
+/// and both operands in it.
+#[inline(always)]
+fn promote(
+    a_fmt: FpFormat,
+    a: Operand,
+    b_fmt: FpFormat,
+    b: Operand,
+) -> (FpFormat, Operand, Operand) {
+    if a_fmt == b_fmt {
+        return (a_fmt, a, b);
+    }
+    let fmt = common_format(a_fmt, b_fmt);
+    (fmt, convert(a_fmt, a, fmt), convert(b_fmt, b, fmt))
 }
 
 /// The format two operands are promoted to: more mantissa bits wins; on
@@ -452,23 +550,18 @@ impl FxArray {
     #[must_use]
     pub fn get(&self, i: usize) -> Fx {
         if backend::hooked() {
-            return self.get_hooked(i);
+            return Fx::hooked(self.get_hooked(i), self.fmt);
         }
         Fx::native(self.data[i], self.fmt)
     }
 
     #[inline(never)]
-    fn get_hooked(&self, i: usize) -> Fx {
+    fn get_hooked(&self, i: usize) -> Operand {
         let vid = backend::tap_hooked(|t| t.array_load(self.tid, i)).unwrap_or(0);
         // Loads complete in one cycle on the PULPino TCDM, so the loaded
-        // value never stalls a consumer (prod stays 0).
+        // value never stalls a consumer (no producer id).
         Recorder::load(self.fmt.total_bits());
-        Fx {
-            val: self.data[i],
-            fmt: self.fmt,
-            prod: 0,
-            vid,
-        }
+        hooked_result((self.data[i], 0), vid)
     }
 
     /// Stores `v` into element `i`, rounding to the array's format
@@ -480,18 +573,18 @@ impl FxArray {
     #[inline(always)]
     pub fn set(&mut self, i: usize, v: Fx) {
         if backend::hooked() {
-            self.set_hooked(i, v);
+            self.set_hooked(i, v.fmt, v.val, v.vid);
         } else {
             self.data[i] = v.native_in(self.fmt);
         }
     }
 
     #[inline(never)]
-    fn set_hooked(&mut self, i: usize, v: Fx) {
-        let _ = backend::tap_hooked(|t| t.array_store(self.tid, i, v.vid));
-        let v = v.convert(self.fmt);
+    fn set_hooked(&mut self, i: usize, fmt: FpFormat, val: f64, src: ValueId) {
+        let _ = backend::tap_hooked(|t| t.array_store(self.tid, i, src));
+        let (val, _) = convert(fmt, (val, 0), self.fmt);
         Recorder::store(self.fmt.total_bits());
-        self.data[i] = v.val;
+        self.data[i] = val;
     }
 
     /// Reads the raw values without recording events (for result
