@@ -8,9 +8,10 @@
 //! greedy descent on the platform energy model) and compares it against the
 //! plain DistributedSearch mapping on every application and threshold.
 
-use tp_bench::{pct, record_run, THRESHOLDS};
+use tp_bench::{pct, THRESHOLDS};
 use tp_formats::TypeSystem;
 use tp_platform::{evaluate, PlatformParams};
+use tp_store::record_run;
 use tp_tuner::{cast_aware_refine, distributed_search, SearchParams};
 
 fn main() {

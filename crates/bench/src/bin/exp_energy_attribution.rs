@@ -16,9 +16,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use flexfloat::{Engine, TypeConfig};
-use tp_bench::{ObsAttributionSink, MEASURE_SET};
+use tp_bench::ObsAttributionSink;
 use tp_fpu::{EnergyAccount, FpuModel};
 use tp_obs::attr::{self, AttrCell, AttrKey};
+use tp_store::MEASURE_SET;
 use tp_tuner::{distributed_search, validated_storage_config, SearchParams, Tunable};
 
 /// The FPU-charged op classes (the unit has hardware for these); every

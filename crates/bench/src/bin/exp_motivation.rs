@@ -7,8 +7,9 @@
 //! FP-related.)
 
 use flexfloat::TypeConfig;
-use tp_bench::{pct, record_run};
+use tp_bench::pct;
 use tp_platform::{evaluate, PlatformParams};
+use tp_store::record_run;
 
 fn main() {
     // Resolve and validate every knob before printing anything: an

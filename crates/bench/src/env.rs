@@ -15,18 +15,18 @@
 //! | `TP_METRICS` | `off`, `on`, `json`, `prom` | `off` | Metrics collection (`tp_obs`); `json`/`prom` also make harness binaries print a snapshot at exit. Observational only — never affects results or `JobKey`s |
 //! | `TP_TRACE_EVENTS` | file path | unset (tracing off) | Causal span-tree tracing (`tp_obs::trace`); harness binaries and the daemon write the session's spans to the path as Chrome trace-event JSON at exit (load in `chrome://tracing`/Perfetto). Observational only, same contract as `TP_METRICS` |
 //!
-//! Some of the knobs are *dispatch-site* parsed by lower crates that
-//! cannot depend on this one (`TP_BACKEND` folds into the thread's
-//! backend slot inside `flexfloat`; `TP_WORKERS` resolves inside
-//! `tp_tuner::pool`; `TP_METRICS` inside `tp_obs`), with identical
-//! spellings and the same fail-fast contract. This module re-exposes
-//! them so harnesses — the `exp_*` binaries and the `tp-serve` daemon —
-//! can resolve, validate and print the whole configuration up front.
+//! Each knob is *dispatch-site* parsed by the lower crate that owns it
+//! (`TP_BACKEND` folds into the thread's backend slot inside `flexfloat`;
+//! `TP_WORKERS` resolves inside `tp_tuner::pool`; `TP_STORE_DIR` and
+//! `TP_STORE_CAP` inside `tp_store`; `TP_METRICS` and `TP_TRACE_EVENTS`
+//! inside `tp_obs`), with identical spellings and the same fail-fast
+//! contract. [`config`] resolves them all so the `exp_*` binaries can
+//! validate and print the whole configuration up front.
 
 use std::path::PathBuf;
 
 use flexfloat::Engine;
-use tp_store::{Store, DEFAULT_CAP_BYTES};
+use tp_store::{store_cap, store_dir, Store};
 
 /// Resolved view of every knob, for logging a run's configuration.
 #[derive(Debug, Clone)]
@@ -75,66 +75,11 @@ pub fn config() -> EnvConfig {
         // Core's own `TP_BACKEND` parser, so a name core would reject at
         // the first FP op (the in-process-only `fpu`) panics here instead.
         backend: Engine::active_name().to_owned(),
-        workers: workers(),
+        workers: crate::effective_workers(),
         store_dir: store_dir(),
         store_cap: store_cap(),
-        metrics: metrics_mode(),
-        trace_events: trace_events(),
-    }
-}
-
-/// The trace-events dump path: `TP_TRACE_EVENTS` (any non-empty path —
-/// resolved dispatch-site in `tp_obs::trace`, unreadable values panic),
-/// or `None` (tracing off). Observational by contract, like
-/// `TP_METRICS`: span trees never affect results or `JobKey`s.
-#[must_use]
-pub fn trace_events() -> Option<String> {
-    tp_obs::trace::trace_events_path()
-}
-
-/// The effective metrics mode: `TP_METRICS` (`off`/`on`/`json`/`prom`,
-/// unknown values panic — resolved dispatch-site in `tp_obs`), default
-/// off. Observational by contract: results, `TraceCounts` and `JobKey`s
-/// are identical under every mode.
-#[must_use]
-pub fn metrics_mode() -> tp_obs::MetricsMode {
-    tp_obs::MetricsMode::from_env()
-}
-
-/// The effective worker count: `TP_WORKERS` if set (must be a positive
-/// integer — anything else panics, see `tp_tuner::resolve_workers`),
-/// otherwise the machine's available parallelism.
-#[must_use]
-pub fn workers() -> usize {
-    tp_tuner::resolve_workers(0)
-}
-
-/// The tuning-result store root: `TP_STORE_DIR`, or `None` (store
-/// disabled) when unset. An empty value counts as unset, so
-/// `TP_STORE_DIR= cmd` can switch the store off in a wrapper script.
-#[must_use]
-pub fn store_dir() -> Option<PathBuf> {
-    match std::env::var("TP_STORE_DIR") {
-        Ok(dir) if dir.is_empty() => None,
-        Ok(dir) => Some(PathBuf::from(dir)),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("TP_STORE_DIR is set but unreadable: {e}"),
-    }
-}
-
-/// The store eviction cap: `TP_STORE_CAP` parsed by [`parse_cap`],
-/// default [`DEFAULT_CAP_BYTES`].
-///
-/// # Panics
-///
-/// On a malformed value (not a positive byte count with an optional
-/// `K`/`M`/`G` suffix).
-#[must_use]
-pub fn store_cap() -> u64 {
-    match std::env::var("TP_STORE_CAP") {
-        Ok(s) => parse_cap(&s).unwrap_or_else(|e| panic!("TP_STORE_CAP={s:?}: {e}")),
-        Err(std::env::VarError::NotPresent) => DEFAULT_CAP_BYTES,
-        Err(e) => panic!("TP_STORE_CAP is set but unreadable: {e}"),
+        metrics: tp_obs::MetricsMode::from_env(),
+        trace_events: tp_obs::trace::trace_events_path(),
     }
 }
 
@@ -171,53 +116,9 @@ pub fn shared_store() -> Option<&'static Store> {
     SHARED.get_or_init(store).as_ref()
 }
 
-/// Parses a byte-count string: a positive integer with an optional
-/// (case-insensitive) `K`/`M`/`G` binary suffix — `"1048576"`, `"64M"`,
-/// `"2G"`.
-///
-/// # Errors
-///
-/// A human-readable description of why the value is not a byte count.
-pub fn parse_cap(s: &str) -> Result<u64, String> {
-    let t = s.trim();
-    let (digits, mult) = match t.chars().last() {
-        Some('k' | 'K') => (&t[..t.len() - 1], 1u64 << 10),
-        Some('m' | 'M') => (&t[..t.len() - 1], 1u64 << 20),
-        Some('g' | 'G') => (&t[..t.len() - 1], 1u64 << 30),
-        _ => (t, 1),
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("{s:?} is not a byte count (digits + optional K/M/G)"))?;
-    let bytes = n
-        .checked_mul(mult)
-        .ok_or_else(|| format!("{s:?} overflows a 64-bit byte count"))?;
-    if bytes == 0 {
-        return Err(format!("{s:?} is zero; a store needs a positive cap"));
-    }
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_cap_accepts_suffixes() {
-        assert_eq!(parse_cap("1024"), Ok(1024));
-        assert_eq!(parse_cap("4K"), Ok(4096));
-        assert_eq!(parse_cap("4k"), Ok(4096));
-        assert_eq!(parse_cap("64M"), Ok(64 << 20));
-        assert_eq!(parse_cap("2G"), Ok(2 << 30));
-        assert_eq!(parse_cap(" 8M "), Ok(8 << 20));
-    }
-
-    #[test]
-    fn parse_cap_rejects_garbage() {
-        for bad in ["", "M", "-1", "1.5G", "0", "0K", "four", "99999999999G"] {
-            assert!(parse_cap(bad).is_err(), "{bad:?} parsed");
-        }
-    }
 
     #[test]
     fn config_resolves_without_env() {

@@ -50,18 +50,10 @@ mod tests {
     use super::*;
     use tp_kernels::Conv;
     use tp_platform::PlatformParams;
-    use tp_tuner::TunerMode;
 
     #[test]
     fn results_render_and_parse_as_store_records() {
-        let r = crate::evaluate_app_in(
-            None,
-            &Conv::small(),
-            1e-1,
-            &PlatformParams::paper(),
-            1,
-            TunerMode::Replay,
-        );
+        let r = crate::evaluate_app_in(None, &Conv::small(), 1e-1, &PlatformParams::paper(), 1);
         let text = results_to_json(std::slice::from_ref(&r));
         let doc = Value::parse(&text).expect("emitted JSON parses");
         let items = doc.as_arr().unwrap();

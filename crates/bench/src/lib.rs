@@ -18,13 +18,16 @@ use flexfloat::{Engine, FpBackend, Recorder, TraceCounts, TypeConfig};
 use tp_formats::TypeSystem;
 use tp_fpu::FpuModel;
 use tp_platform::{cross_validate, evaluate, CrossReport, PlatformParams, PlatformReport};
-use tp_store::{JobKey, Store, TuningRecord};
+use tp_store::{tuned_record_cached, Store, TuningRecord};
 use tp_tuner::{
     distributed_search, parallel_map, resolve_workers, validated_storage_config, SearchParams,
-    Tunable, TunerMode, TuningOutcome,
+    Tunable, TuningOutcome,
 };
 
 pub use jsonout::{results_to_json, want_json};
+// perfbench names these two through this crate; ROADMAP item 1 removes
+// the re-export when perfbench calls `tp_store` directly.
+pub use tp_store::{tuned_record, MEASURE_SET};
 
 /// Emits the process's metrics snapshot to stdout if `TP_METRICS` asked
 /// for an at-exit format: one `METRICS <json>` line for `json`,
@@ -79,9 +82,6 @@ impl tp_fpu::AttributionSink for ObsAttributionSink {
 /// The three output-quality thresholds of the evaluation
 /// (the paper's `SQNR = 10⁻¹, 10⁻², 10⁻³`).
 pub const THRESHOLDS: [f64; 3] = [1e-1, 1e-2, 1e-3];
-
-/// Input set used for the measured (post-tuning) runs.
-pub const MEASURE_SET: usize = 0;
 
 /// Full evaluation of one application at one quality threshold.
 #[derive(Debug, Clone)]
@@ -160,78 +160,17 @@ pub fn backend_by_name(name: &str) -> Option<Arc<dyn FpBackend>> {
 /// Every backend name accepted by [`backend_by_name`], for matrix sweeps.
 pub const BACKEND_NAMES: [&str; 3] = ["emulated", "softfloat", "fpu"];
 
-/// Records one run of `app` under `config` on the measurement input set.
-///
-/// Uses [`Recorder::scoped`], so it is safe on worker threads and inside an
-/// enclosing recording (which continues unharmed, blind to this run).
-#[must_use]
-pub fn record_run(app: &dyn Tunable, config: &TypeConfig) -> TraceCounts {
-    let ((), counts) = Recorder::scoped(|| {
-        let _ = app.run(config, MEASURE_SET);
-    });
-    counts
-}
-
-/// Tunes `app` under `search` and captures the full persistable artifact:
-/// the outcome, the *validated* storage mapping, and the baseline/tuned
-/// trace counts — everything a warm consumer needs to rebuild an
-/// [`AppResult`] without executing the kernel again.
-#[must_use]
-pub fn tuned_record(app: &dyn Tunable, search: SearchParams) -> TuningRecord {
-    let outcome = distributed_search(app, search);
-    let storage = validated_storage_config(app, &outcome, search.type_system, search.input_sets);
-    let baseline_counts = record_run(app, &TypeConfig::baseline());
-    let tuned_counts = record_run(app, &storage);
-    TuningRecord {
-        outcome,
-        storage,
-        baseline_counts,
-        tuned_counts,
-    }
-}
-
-/// [`tuned_record`], routed through an optional result [`Store`]: a hit
-/// skips the search (and every other kernel execution) entirely; a miss
-/// computes and persists. Returns the record and whether it was a hit.
-///
-/// The [`JobKey`] covers the app's identity (name + variable set), the
-/// search parameters, the calling thread's active backend and the tuner
-/// version — and deliberately not the worker count (results are
-/// worker-invariant; see `tp_store`'s key module). A failed `put` is
-/// swallowed: a broken cache must degrade to "compute every time", not
-/// take the evaluation down with it.
-#[must_use]
-pub fn tuned_record_cached(
-    store: Option<&Store>,
-    app: &dyn Tunable,
-    search: SearchParams,
-) -> (TuningRecord, bool) {
-    let Some(store) = store else {
-        return (tuned_record(app, search), false);
-    };
-    let key = JobKey::of(app.name(), &app.variables(), &search, Engine::active_name());
-    if let Some(record) = store.get(key) {
-        return (record, true);
-    }
-    let record = tuned_record(app, search);
-    let _ = store.put(key, &record);
-    (record, false)
-}
-
 /// Tunes `app` at `threshold` and evaluates baseline + tuned runs on the
-/// platform model, with the auto worker count (`TP_WORKERS` override),
-/// [`TunerMode::Replay`] and the auto result store (`TP_STORE_DIR`,
-/// default off).
+/// platform model, with the auto worker count (`TP_WORKERS` override) and
+/// the auto result store (`TP_STORE_DIR`, default off).
 #[must_use]
 pub fn evaluate_app(app: &dyn Tunable, threshold: f64, params: &PlatformParams) -> AppResult {
-    evaluate_app_with(app, threshold, params, 0, TunerMode::Replay)
+    evaluate_app_with(app, threshold, params, 0)
 }
 
 /// [`evaluate_app`] with an explicit worker count for the precision search
-/// (`0` = auto) and an explicit [`TunerMode`] (which selects nothing but
-/// stays in the store key). The result is bit-identical at any worker
-/// count *and* in either mode, [`TuningOutcome::evaluations`] aside for
-/// workers.
+/// (`0` = auto). The result is bit-identical at any worker count,
+/// [`TuningOutcome::evaluations`] aside.
 ///
 /// Routed through the environment-configured result store
 /// ([`env::shared_store`], resolved once per process): with
@@ -243,14 +182,14 @@ pub fn evaluate_app_with(
     threshold: f64,
     params: &PlatformParams,
     workers: usize,
-    mode: TunerMode,
 ) -> AppResult {
-    evaluate_app_in(env::shared_store(), app, threshold, params, workers, mode)
+    evaluate_app_in(env::shared_store(), app, threshold, params, workers)
 }
 
 /// [`evaluate_app_with`] against an explicit store (`None` = always
-/// compute). This is the fully-injected entry point the `tp-serve` daemon
-/// and the tests drive; the `_with`/plain variants delegate here.
+/// compute). This is the fully-injected entry point the tests drive; the
+/// `_with`/plain variants delegate here. The daemon calls
+/// [`tp_store::tuned_record_cached`] directly.
 #[must_use]
 pub fn evaluate_app_in(
     store: Option<&Store>,
@@ -258,11 +197,8 @@ pub fn evaluate_app_in(
     threshold: f64,
     params: &PlatformParams,
     workers: usize,
-    mode: TunerMode,
 ) -> AppResult {
-    let search = SearchParams::paper(threshold)
-        .with_workers(workers)
-        .with_mode(mode);
+    let search = SearchParams::paper(threshold).with_workers(workers);
     let (record, cache_hit) = tuned_record_cached(store, app, search);
     let TuningRecord {
         outcome,
@@ -286,30 +222,16 @@ pub fn evaluate_app_in(
 }
 
 /// Evaluates the whole suite at one threshold, fanning the kernels out over
-/// the auto worker count (`TP_WORKERS` override) in
-/// [`TunerMode::Replay`].
-#[must_use]
-pub fn evaluate_suite(threshold: f64, params: &PlatformParams) -> Vec<AppResult> {
-    evaluate_suite_with(threshold, params, 0, TunerMode::Replay)
-}
-
-/// [`evaluate_suite`] with an explicit worker budget (`0` = auto) and an
-/// explicit [`TunerMode`].
+/// the auto worker count (`TP_WORKERS` override).
 ///
 /// The budget is split between the two fan-out levels: one worker per
 /// kernel first, and any surplus handed down to each kernel's precision
 /// search. Results come back in suite order and are bit-identical to the
-/// sequential evaluation at any worker count and in either mode
-/// (evaluation counts / replay summaries aside).
+/// sequential evaluation at any worker count (evaluation counts aside).
 #[must_use]
-pub fn evaluate_suite_with(
-    threshold: f64,
-    params: &PlatformParams,
-    workers: usize,
-    mode: TunerMode,
-) -> Vec<AppResult> {
-    suite_fan_out(workers, |app, inner| {
-        evaluate_app_with(app, threshold, params, inner, mode)
+pub fn evaluate_suite(threshold: f64, params: &PlatformParams) -> Vec<AppResult> {
+    suite_fan_out(0, |app, inner| {
+        evaluate_app_with(app, threshold, params, inner)
     })
 }
 
@@ -394,7 +316,7 @@ pub fn cross_validate_app(
 }
 
 /// [`cross_validate_app`] over the whole suite, fanned out like
-/// [`evaluate_suite_with`] (`0` = auto worker count).
+/// [`evaluate_suite`] (`0` = auto worker count).
 #[must_use]
 pub fn cross_validate_suite(
     threshold: f64,
@@ -480,21 +402,14 @@ mod tests {
         let app = Counting::new(Conv::small());
         let params = PlatformParams::paper();
 
-        let cold = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Replay);
+        let cold = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1);
         assert!(!cold.cache_hit);
         let cold_runs = app.runs();
         assert!(cold_runs > 0, "cold run must have executed the kernel");
 
         // Warm: same job, any worker count — zero kernel executions.
         for workers in [1, 4, 8] {
-            let warm = evaluate_app_in(
-                Some(&store),
-                &app,
-                1e-1,
-                &params,
-                workers,
-                TunerMode::Replay,
-            );
+            let warm = evaluate_app_in(Some(&store), &app, 1e-1, &params, workers);
             assert!(warm.cache_hit, "workers={workers}");
             assert_eq!(app.runs(), cold_runs, "workers={workers}: kernel ran");
             // Bit-identical to the cold computation, reports included.
@@ -506,7 +421,7 @@ mod tests {
         }
 
         // And bit-identical to a storeless computation.
-        let direct = evaluate_app_in(None, &app, 1e-1, &params, 1, TunerMode::Replay);
+        let direct = evaluate_app_in(None, &app, 1e-1, &params, 1);
         assert!(!direct.cache_hit);
         assert_eq!(direct.outcome, cold.outcome);
         assert_eq!(direct.storage, cold.storage);
@@ -518,16 +433,11 @@ mod tests {
         let store = Store::open_default(dir.path()).unwrap();
         let app = Counting::new(Conv::small());
         let params = PlatformParams::paper();
-        let a = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Replay);
+        let a = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1);
         // Different threshold => different key => computed, not served.
-        let b = evaluate_app_in(Some(&store), &app, 1e-2, &params, 1, TunerMode::Replay);
+        let b = evaluate_app_in(Some(&store), &app, 1e-2, &params, 1);
         assert!(!a.cache_hit && !b.cache_hit);
-        // Different mode => different key (record carries mode-dependent
-        // accounting), even though formats agree.
-        let c = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Live);
-        assert!(!c.cache_hit);
-        assert_eq!(a.outcome.vars, c.outcome.vars);
-        assert_eq!(store.stats().entries, 3);
+        assert_eq!(store.stats().entries, 2);
     }
 
     #[test]
@@ -536,7 +446,7 @@ mod tests {
         let store = Store::open_default(dir.path()).unwrap();
         let app = Counting::new(Conv::small());
         let params = PlatformParams::paper();
-        let cold = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Replay);
+        let cold = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1);
 
         // Smash the single entry on disk.
         let entries = dir
@@ -550,12 +460,12 @@ mod tests {
         std::fs::write(entry.path(), b"garbage").unwrap();
 
         let before = app.runs();
-        let again = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Replay);
+        let again = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1);
         assert!(!again.cache_hit, "corrupt entry must read as a miss");
         assert!(app.runs() > before, "recompute must actually run");
         assert_eq!(again.outcome, cold.outcome);
         // And the store healed: next read is a hit again.
-        let warm = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1, TunerMode::Replay);
+        let warm = evaluate_app_in(Some(&store), &app, 1e-1, &params, 1);
         assert!(warm.cache_hit);
     }
 

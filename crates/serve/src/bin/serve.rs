@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Flags default to the environment knobs (`TP_STORE_DIR`,
-//! `TP_STORE_CAP`, `TP_WORKERS` — see `tp_bench::env`); without a store
+//! `TP_STORE_CAP`, `TP_WORKERS` — see `tp_store::store_dir`,
+//! `tp_store::store_cap` and `tp_tuner::resolve_workers`); without a store
 //! directory the daemon still deduplicates in-memory but results do not
 //! outlive the process. Prints `tp-serve listening on <addr>` once ready
 //! (scripts wait for that line), serves until a client sends `SHUTDOWN`,
@@ -30,8 +31,8 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let mut config = ServeConfig::default();
     let mut concurrency = 8usize;
-    let mut store_dir = tp_bench::env::store_dir();
-    let mut store_cap = tp_bench::env::store_cap();
+    let mut store_dir = tp_store::store_dir();
+    let mut store_cap = tp_store::store_cap();
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -39,7 +40,7 @@ fn run() -> Result<(), String> {
         match flag.as_str() {
             "--addr" => config.addr = value("--addr")?,
             "--store-dir" => store_dir = Some(value("--store-dir")?.into()),
-            "--store-cap" => store_cap = tp_bench::env::parse_cap(&value("--store-cap")?)?,
+            "--store-cap" => store_cap = tp_store::parse_cap(&value("--store-cap")?)?,
             "--concurrency" => {
                 concurrency = parse_positive(&value("--concurrency")?, "--concurrency")?;
             }
@@ -78,7 +79,7 @@ fn run() -> Result<(), String> {
     let workers_total = tp_tuner::resolve_workers(config.total_workers);
     // Resolve TP_METRICS and TP_TRACE_EVENTS up front so a bad value
     // fails at startup, not on the first instrumented request.
-    let metrics = tp_bench::env::metrics_mode();
+    let metrics = tp_obs::MetricsMode::from_env();
     let trace_desc = tp_obs::trace::trace_events_path()
         .map_or_else(|| "off".to_owned(), |path| format!("on -> {path}"));
     let server = Server::bind(config).map_err(|e| format!("bind: {e}"))?;

@@ -14,7 +14,7 @@
 //! `submit --wait` prints `key=… state=… cache_hit=…` followed by the
 //! per-variable format summary (one stable `var …` line per variable).
 //! `direct` computes the *same* record in-process through the library
-//! path (`tp_bench::tuned_record`) and prints the same summary lines —
+//! path (`tp_store::tuned_record`) and prints the same summary lines —
 //! CI diffs the two to assert served results are bit-identical to direct
 //! library calls. `--json` swaps the summary for the full record in the
 //! shared tp-store JSON schema.
@@ -153,7 +153,7 @@ fn run() -> Result<(), String> {
             let app = tp_kernels::registry()
                 .resolve(&submit.app)
                 .ok_or_else(|| format!("unknown kernel {:?}", submit.app))?;
-            let record = tp_bench::tuned_record(app.as_ref(), submit.search_params(0));
+            let record = tp_store::tuned_record(app.as_ref(), submit.search_params(0));
             println!("direct app={} threshold={:?}", submit.app, submit.threshold);
             print_record(&record, json);
             Ok(())

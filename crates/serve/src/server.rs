@@ -448,7 +448,7 @@ impl Core {
         let params = job.request.search_params(self.workers_per_job);
         let store = self.store.as_ref();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tp_bench::tuned_record_cached(store, app.as_ref(), params)
+            tp_store::tuned_record_cached(store, app.as_ref(), params)
         }))
         .map_err(|panic| {
             let msg = panic

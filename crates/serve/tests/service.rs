@@ -90,7 +90,7 @@ fn served_result_matches_direct_library_call() {
 
     // The cold direct library call, at a different worker count.
     let app = registry().resolve("DWT:small").unwrap();
-    let direct = tp_bench::tuned_record(
+    let direct = tp_store::tuned_record(
         app.as_ref(),
         tp_tuner::SearchParams::paper(1e-2).with_workers(1),
     );

@@ -19,7 +19,12 @@
 //! * [`Store`] — the on-disk store: atomic writes, per-entry checksums,
 //!   an advisory index, LRU size-capped eviction, and
 //!   corruption-tolerant reads (damaged entries are misses, never
-//!   panics, never garbage).
+//!   panics, never garbage);
+//! * [`tuned_record`] / [`tuned_record_cached`] — the job pipeline that
+//!   makes a record (search, storage mapping, baseline and tuned
+//!   [`record_run`]s), optionally served from and persisted to a store;
+//! * [`store_dir`] / [`store_cap`] — the `TP_STORE_DIR` / `TP_STORE_CAP`
+//!   knobs, fail-fast like every `TP_*` variable.
 //!
 //! ```
 //! use tp_store::{JobKey, Store};
@@ -41,16 +46,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod job;
 pub mod json;
 mod key;
 pub mod obs_json;
 pub mod ser;
 mod store;
 
+pub use job::{record_run, tuned_record, tuned_record_cached, MEASURE_SET};
 pub use key::{fnv64, JobKey};
 pub use obs_json::{metrics_json, spans_json};
 pub use ser::{record_from_json, record_to_json, DecodeError, TuningRecord, FORMAT_VERSION};
-pub use store::{Store, StoreReport, StoreStats, DEFAULT_CAP_BYTES};
+pub use store::{
+    parse_cap, store_cap, store_dir, Store, StoreReport, StoreStats, DEFAULT_CAP_BYTES,
+};
 
 /// Test fixtures shared between this crate's unit tests and its
 /// integration tests (and `tp-serve`'s). Not part of the public API.

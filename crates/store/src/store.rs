@@ -61,6 +61,62 @@ use crate::ser::{record_from_json, record_to_json, TuningRecord, FORMAT_VERSION}
 /// is effectively "everything" for realistic deployments).
 pub const DEFAULT_CAP_BYTES: u64 = 256 * 1024 * 1024;
 
+/// The tuning-result store root: `TP_STORE_DIR`, or `None` (store
+/// disabled) when unset. An empty value counts as unset, so
+/// `TP_STORE_DIR= cmd` can switch the store off in a wrapper script.
+#[must_use]
+pub fn store_dir() -> Option<PathBuf> {
+    match std::env::var("TP_STORE_DIR") {
+        Ok(dir) if dir.is_empty() => None,
+        Ok(dir) => Some(PathBuf::from(dir)),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => panic!("TP_STORE_DIR is set but unreadable: {e}"),
+    }
+}
+
+/// The store eviction cap: `TP_STORE_CAP` parsed by [`parse_cap`],
+/// default [`DEFAULT_CAP_BYTES`].
+///
+/// # Panics
+///
+/// On a malformed value (not a positive byte count with an optional
+/// `K`/`M`/`G` suffix).
+#[must_use]
+pub fn store_cap() -> u64 {
+    match std::env::var("TP_STORE_CAP") {
+        Ok(s) => parse_cap(&s).unwrap_or_else(|e| panic!("TP_STORE_CAP={s:?}: {e}")),
+        Err(std::env::VarError::NotPresent) => DEFAULT_CAP_BYTES,
+        Err(e) => panic!("TP_STORE_CAP is set but unreadable: {e}"),
+    }
+}
+
+/// Parses a byte-count string: a positive integer with an optional
+/// (case-insensitive) `K`/`M`/`G` binary suffix — `"1048576"`, `"64M"`,
+/// `"2G"`.
+///
+/// # Errors
+///
+/// A human-readable description of why the value is not a byte count.
+pub fn parse_cap(s: &str) -> Result<u64, String> {
+    let t = s.trim();
+    let (digits, mult) = match t.chars().last() {
+        Some('k' | 'K') => (&t[..t.len() - 1], 1u64 << 10),
+        Some('m' | 'M') => (&t[..t.len() - 1], 1u64 << 20),
+        Some('g' | 'G') => (&t[..t.len() - 1], 1u64 << 30),
+        _ => (t, 1),
+    };
+    let n: u64 = digits
+        .parse()
+        .map_err(|_| format!("{s:?} is not a byte count (digits + optional K/M/G)"))?;
+    let bytes = n
+        .checked_mul(mult)
+        .ok_or_else(|| format!("{s:?} overflows a 64-bit byte count"))?;
+    if bytes == 0 {
+        return Err(format!("{s:?} is zero; a store needs a positive cap"));
+    }
+    Ok(bytes)
+}
+
 /// One process's handle on a store directory. `Sync`: internal state is a
 /// mutex around the index, so a server can share one handle across worker
 /// threads. Multiple handles (or processes) on the same directory are
@@ -466,6 +522,23 @@ mod tests {
 
     fn key(n: u64) -> JobKey {
         JobKey::from_hex(&format!("{n:016x}")).unwrap()
+    }
+
+    #[test]
+    fn parse_cap_accepts_suffixes() {
+        assert_eq!(parse_cap("1024"), Ok(1024));
+        assert_eq!(parse_cap("4K"), Ok(4096));
+        assert_eq!(parse_cap("4k"), Ok(4096));
+        assert_eq!(parse_cap("64M"), Ok(64 << 20));
+        assert_eq!(parse_cap("2G"), Ok(2 << 30));
+        assert_eq!(parse_cap(" 8M "), Ok(8 << 20));
+    }
+
+    #[test]
+    fn parse_cap_rejects_garbage() {
+        for bad in ["", "M", "-1", "1.5G", "0", "0K", "four", "99999999999G"] {
+            assert!(parse_cap(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! RISC-V min/max, quiet comparisons) minus its per-op thread-local checks
 //! and statistics bookkeeping. Decode, dispatch and
 //! table reads happen once per tape entry; only the arithmetic is per
-//! lane. The loop is resumable over any tape range from a cloneable
-//! [`SoaState`]. Its three entry points:
+//! lane. Its two entry points:
 //!
 //! * [`Trace::replay`] runs it with one lane. That lane count is the
 //!   compile-time constant [`One`], so single-trace replay gets its own
@@ -22,18 +21,9 @@
 //!   recorded comparison flips drops out of the batch (its result is
 //!   [`Replayed::Divergent`]); the remaining lanes keep going, and the pass
 //!   ends early when no lane is alive.
-//! * [`Trace::replay_candidates`] runs several candidate configurations of
-//!   one trace. The format-slot tables are resolved up front and diffed;
-//!   every tape entry before the first reference to a *differing* slot
-//!   computes bit-identically under every candidate (all slots it can touch
-//!   resolve equally, so every promotion/cast table cell it consults is
-//!   equal), so that prefix runs once with one lane and its state is cloned
-//!   per candidate for the suffix.
 //!
 //! [`Trace::replay_batch`] falls back to per-trace [`Trace::replay`] for
 //! traces of different shapes, so callers never need to pre-check.
-
-use std::ops::Range;
 
 use flexfloat::backend::Emulated;
 use flexfloat::{BinOp, FpBackend, TypeConfig};
@@ -66,9 +56,9 @@ impl Lanes for One {
     }
 }
 
-/// The raw loop's state after some prefix of the tape: everything it needs
-/// to resume at the next entry. Cloning it forks the replay.
-#[derive(Clone, Default)]
+/// The raw loop's state: value and format tables, arrays, outputs and
+/// per-lane divergence.
+#[derive(Default)]
 pub(crate) struct SoaState {
     /// Value table, `vals[id * lanes + lane]`; value id 0 is a dummy so
     /// ids index directly.
@@ -104,21 +94,13 @@ impl SoaState {
         self.live = lanes;
     }
 
-    /// Runs entries `range` of the tape shared by `traces` — one trace
-    /// per lane, `traces[0]` the leader whose tape is walked — against
+    /// Runs the tape shared by `traces` — one trace per lane,
+    /// `traces[0]` the leader whose tape is walked — against
     /// `tables`. Lanes that diverge are marked and skipped at later
     /// comparisons (elsewhere they compute harmlessly — f64 arithmetic
-    /// cannot fault). Returns `false`, stopping early, once every lane has
-    /// diverged.
+    /// cannot fault). Stops early once every lane has diverged.
     #[allow(clippy::too_many_lines)]
-    fn run<L: Lanes>(
-        &mut self,
-        lanes: L,
-        traces: &[&Trace],
-        tables: &Tables,
-        spare: &mut Spare,
-        range: Range<usize>,
-    ) -> bool {
+    fn run<L: Lanes>(&mut self, lanes: L, traces: &[&Trace], tables: &Tables, spare: &mut Spare) {
         let lanes = lanes.get();
         let traces = &traces[..lanes];
         let SoaState {
@@ -131,9 +113,7 @@ impl SoaState {
         } = self;
         let diverged = &mut diverged[..lanes];
 
-        let start = range.start;
-        for (at, p) in traces[0].ops[range].iter().enumerate() {
-            let at = start + at;
+        for (at, p) in traces[0].ops.iter().enumerate() {
             let Packed { tag, fmt, a, b } = *p;
             match tag {
                 Tag::Leaf => {
@@ -265,7 +245,7 @@ impl SoaState {
                         }
                     }
                     if *live == 0 {
-                        return false;
+                        return;
                     }
                 }
                 Tag::Extract => {
@@ -279,7 +259,6 @@ impl SoaState {
                 }
             }
         }
-        true
     }
 
     /// The result of lane `lane`, whose trace is `trace`, once the run has
@@ -350,9 +329,7 @@ impl Scratch {
         let leader = traces[0];
         self.tables.rebuild(leader, config);
         self.soa.start(leader, lanes.get(), &mut self.spare);
-        let end = leader.ops.len();
-        self.soa
-            .run(lanes, traces, &self.tables, &mut self.spare, 0..end);
+        self.soa.run(lanes, traces, &self.tables, &mut self.spare);
     }
 }
 
@@ -363,8 +340,8 @@ impl Trace {
     ///
     /// A non-divergent replay is bit-identical to live execution in
     /// outputs. It records no [`TraceCounts`](flexfloat::TraceCounts) and
-    /// drives no installed backend, so the tuner replays only where nothing
-    /// observes its thread (DESIGN.md §7).
+    /// drives no installed backend. The tuner never replays: this serves
+    /// perfbench's `trace.*` layer timings and the equivalence tests.
     #[must_use]
     pub fn replay(&self, config: &TypeConfig) -> Replayed {
         tp_obs::counter_inc("trace.replay_calls");
@@ -404,84 +381,6 @@ impl Trace {
                 .enumerate()
                 .map(|(l, t)| scratch.soa.result(l, t))
                 .collect();
-            scratch.retire_arrays();
-            results
-        })
-    }
-
-    /// Replays `self` under every configuration in `configs` in one call,
-    /// returning one [`Replayed`] per configuration, in order. The shared
-    /// tape prefix — every entry before the first reference to a format
-    /// slot on which the configurations disagree — is executed once; the
-    /// interpreter forks per candidate only for the suffix. Each result is
-    /// bit-identical to `self.replay(configs[i])`.
-    #[must_use]
-    pub fn replay_candidates(&self, configs: &[&TypeConfig]) -> Vec<Replayed> {
-        let tables: Vec<Tables> = configs
-            .iter()
-            .map(|cfg| {
-                let mut t = Tables::default();
-                t.rebuild(self, cfg);
-                t
-            })
-            .collect();
-        let Some((last, forks)) = tables.split_last() else {
-            return Vec::new();
-        };
-
-        // A slot "differs" when any candidate resolves it to another
-        // format than the last one does.
-        let differs: Vec<bool> = (0..last.n())
-            .map(|s| forks.iter().any(|t| t.fmts[s] != last.fmts[s]))
-            .collect();
-
-        // The prefix ends at the first entry that *introduces* a value or
-        // array under a differing slot. Inductively every slot reachable
-        // inside the prefix is non-differing, so every promotion/cast cell
-        // the prefix consults is equal across candidates and its value
-        // columns are bit-identical — safe to share.
-        let prefix_end = self
-            .ops
-            .iter()
-            .position(|p| {
-                let introduces_slot = matches!(
-                    p.tag,
-                    Tag::Leaf
-                        | Tag::ArrayNew
-                        | Tag::ArrayZeros
-                        | Tag::Cast
-                        | Tag::AddCast
-                        | Tag::SubCast
-                        | Tag::MulCast
-                        | Tag::DivCast
-                );
-                introduces_slot && differs[usize::from(p.fmt)]
-            })
-            .unwrap_or(self.ops.len());
-        let suffix = prefix_end..self.ops.len();
-
-        with_scratch(|scratch| {
-            let Scratch { soa, spare, .. } = scratch;
-            soa.start(self, 1, spare);
-            let results = if soa.run(One, &[self], last, spare, 0..prefix_end) {
-                let mut results: Vec<Replayed> = forks
-                    .iter()
-                    .map(|t| {
-                        let mut fork = soa.clone();
-                        fork.run(One, &[self], t, spare, suffix.clone());
-                        spare.retire(&mut fork.arrays);
-                        fork.result(0, self)
-                    })
-                    .collect();
-                // The last candidate resumes the shared state in place.
-                soa.run(One, &[self], last, spare, suffix);
-                results.push(soa.result(0, self));
-                results
-            } else {
-                // The prefix consults only equal table cells, so a prefix
-                // divergence is every candidate's divergence.
-                vec![soa.result(0, self); configs.len()]
-            };
             scratch.retire_arrays();
             results
         })
@@ -616,52 +515,5 @@ mod tests {
         let batched = Trace::replay_batch(&[&a, &b], &cfg);
         assert_eq!(batched[0], a.replay(&cfg));
         assert_eq!(batched[1], b.replay(&cfg));
-    }
-
-    #[test]
-    fn candidates_match_sequential_bit_for_bit() {
-        let trace = taped([1.5, 2.0, -0.75, 3.25], 0.3);
-        let cfgs = [
-            TypeConfig::baseline(),
-            TypeConfig::baseline().with("x", BINARY8),
-            TypeConfig::baseline()
-                .with("x", BINARY16)
-                .with("w", BINARY8),
-            TypeConfig::baseline().with("out", BINARY8),
-        ];
-        let refs: Vec<&TypeConfig> = cfgs.iter().collect();
-        let multi = trace.replay_candidates(&refs);
-        for (cfg, got) in cfgs.iter().zip(&multi) {
-            assert_eq!(trace.replay(cfg), *got, "{cfg}");
-        }
-        // Identical configs share the whole tape as prefix.
-        let same = trace.replay_candidates(&[&cfgs[0], &cfgs[0]]);
-        assert_eq!(same[0], same[1]);
-        assert_eq!(same[0], trace.replay(&cfgs[0]));
-    }
-
-    #[test]
-    fn candidates_report_divergence_like_sequential() {
-        let vars = vec![VarSpec::scalar("x")];
-        let trace = Trace::record(&vars, |cfg| {
-            let x = Fx::new(1.0 + 3.0 / 1024.0, cfg.format_of("x"));
-            let limit = Fx::new(1.0 + 4.0 / 1024.0, cfg.format_of("x"));
-            let picked = if x.lt(limit) { x + x } else { x * x };
-            vec![picked.value()]
-        })
-        .unwrap();
-        let fine = TypeConfig::baseline().with("x", BINARY16);
-        let coarse = TypeConfig::baseline().with("x", BINARY8);
-        let got = trace.replay_candidates(&[&fine, &coarse]);
-        assert_eq!(got[0], trace.replay(&fine));
-        assert_eq!(got[1], trace.replay(&coarse));
-        assert!(matches!(got[1], Replayed::Divergent { .. }));
-        assert_eq!(
-            got[0],
-            Replayed::Output(vec![match trace.replay(&fine) {
-                Replayed::Output(ref o) => o[0],
-                Replayed::Divergent { .. } => unreachable!(),
-            }])
-        );
     }
 }

@@ -1,12 +1,12 @@
-//! Record/replay evaluation engine for the precision tuner.
+//! Record/replay engine: a kernel's floating-point dataflow captured once
+//! per input set as an op tape, then re-executed under other type
+//! configurations.
 //!
-//! The tuning loop evaluates every candidate type assignment by re-running
-//! the whole kernel, so tuning cost scales as
-//! `kernels × candidates × kernel-runtime`. But the kernel's *dynamic
-//! floating-point dataflow* is the same for every candidate — only the
-//! formats change — so it can be captured **once** per input set and then
-//! re-executed per candidate as a linear pass over an op tape, skipping
-//! input generation, index arithmetic and all other non-FP work.
+//! The precision tuner does not use it: it runs every candidate live
+//! behind a per-search verdict memo (DESIGN.md §10). This crate serves
+//! only perfbench's `trace.*` layer timings and the equivalence tests
+//! (`tests/replay_equivalence.rs`, `tests/interpreter_equivalence.rs`);
+//! ROADMAP item 2 deletes it once perfbench stops naming it.
 //!
 //! The subsystem has two halves (DESIGN.md §7):
 //!
@@ -22,9 +22,7 @@
 //!   `f64` values and format slots, with the promotion, rounding and
 //!   comparison rules of the native `Fx` datapath inlined. A replay emits
 //!   no [`Recorder`](flexfloat::Recorder) events and calls no installed
-//!   backend, so it only stands in for live runs that nobody observes: the
-//!   tuner evaluates live whenever a `Recorder` runs or a non-native
-//!   backend is installed on its thread.
+//!   backend.
 //!
 //! # The divergence guard
 //!
@@ -32,9 +30,8 @@
 //! If a recorded comparison outcome flips under the candidate's formats,
 //! the program might have branched differently, so replay aborts with
 //! [`Replayed::Divergent`] and the caller falls back to live execution for
-//! that candidate. This is what makes replay-based tuning choose
-//! **bit-identical formats** to live tuning: a replay either reproduces the
-//! live run's outputs exactly (bit for bit) or refuses.
+//! that candidate. A replay therefore either reproduces the live run's
+//! outputs exactly (bit for bit) or refuses.
 //!
 //! ```
 //! use flexfloat::{Fx, TypeConfig, VarSpec};

@@ -6,14 +6,12 @@
 //! executes, minus the kernel's own index arithmetic and control flow.
 //! Live `Fx` ops inline that same arithmetic, so one replay costs about as
 //! much as one live run, not less (DESIGN.md §7, "Recording cost"). Replay
-//! pays where one pass serves several lanes: the same loop, with more
-//! lanes or resumed from a shared prefix, serves [`Trace::replay_batch`]
-//! and [`Trace::replay_candidates`].
+//! pays where one pass serves several lanes: the same loop, with one lane
+//! per input set, serves [`Trace::replay_batch`].
 //!
 //! A replay is invisible to the thread's observers: it emits no
 //! [`Recorder`](flexfloat::Recorder) events and dispatches to no installed
-//! backend. Replay therefore runs only where nothing observes — the tuner
-//! evaluates live on an observed thread — and its outputs are pinned
+//! backend. The tuner does not replay. Replay outputs are pinned
 //! bit-identical to live runs on every datapath
 //! (`tests/replay_equivalence.rs`, `tests/interpreter_equivalence.rs`).
 //!
@@ -66,7 +64,7 @@ pub(crate) struct CastSpec {
 #[derive(Default)]
 pub(crate) struct Tables {
     /// Resolved format of each interned slot.
-    pub(crate) fmts: Vec<FpFormat>,
+    fmts: Vec<FpFormat>,
     /// Promotion table, `slots × slots`, row-major (`[sa * n + sb]`).
     promo: Vec<Promo>,
     /// Cast table, `[dst * n + src]`.
@@ -137,12 +135,6 @@ impl Tables {
                 });
             }
         }
-    }
-
-    /// Slot count of the current tables.
-    #[inline]
-    pub(crate) fn n(&self) -> usize {
-        self.fmts.len()
     }
 
     /// Resolved format of `slot`.

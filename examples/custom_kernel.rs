@@ -65,7 +65,7 @@ fn main() {
 
     // Step 3 — tune through the library path, like any built-in.
     let app = registry.resolve("OSC:small").expect("registered");
-    let record = tp_bench::tuned_record(
+    let record = tp_store::tuned_record(
         app.as_ref(),
         tp_tuner::SearchParams::paper(threshold).with_workers(1),
     );

@@ -18,7 +18,7 @@ use tp_fpu::FpuModel;
 use tp_kernels::all_kernels_small;
 use tp_platform::PlatformParams;
 use tp_trace::{Replayed, Trace};
-use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode};
+use tp_tuner::{distributed_search, SearchParams, Tunable};
 
 /// Runs `app` under `config` on the given backend (or the plain default
 /// path for `None`), returning output bits and recorded counts.
@@ -212,18 +212,16 @@ fn tuning_outcome_is_backend_invariant() {
 fn evaluate_app_is_backend_invariant() {
     let app = tp_kernels::Knn::small();
     let params = PlatformParams::paper();
-    for mode in [TunerMode::Live, TunerMode::Replay] {
-        let want = tp_bench::evaluate_app_with(&app, 1e-1, &params, 2, mode);
-        for name in BACKEND_NAMES {
-            let backend = backend_by_name(name).expect(name);
-            let got = Engine::with(backend, || {
-                tp_bench::evaluate_app_with(&app, 1e-1, &params, 2, mode)
-            });
-            assert_eq!(got.storage, want.storage, "{name} {mode}");
-            assert_eq!(got.tuned_counts, want.tuned_counts, "{name} {mode}");
-            assert_eq!(got.tuned.cycles, want.tuned.cycles, "{name} {mode}");
-            assert_eq!(got.tuned.energy, want.tuned.energy, "{name} {mode}");
-        }
+    let want = tp_bench::evaluate_app_with(&app, 1e-1, &params, 2);
+    for name in BACKEND_NAMES {
+        let backend = backend_by_name(name).expect(name);
+        let got = Engine::with(backend, || {
+            tp_bench::evaluate_app_with(&app, 1e-1, &params, 2)
+        });
+        assert_eq!(got.storage, want.storage, "{name}");
+        assert_eq!(got.tuned_counts, want.tuned_counts, "{name}");
+        assert_eq!(got.tuned.cycles, want.tuned.cycles, "{name}");
+        assert_eq!(got.tuned.energy, want.tuned.energy, "{name}");
     }
 }
 

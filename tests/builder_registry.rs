@@ -7,10 +7,11 @@
 use std::sync::Arc;
 
 use flexfloat::Fx;
-use tp_bench::{evaluate_app_with, tuned_record};
+use tp_bench::evaluate_app_with;
 use tp_platform::PlatformParams;
 use tp_serve::{format_summary, Client, KernelResolver, ServeConfig, Server};
-use tp_tuner::{Registry, SearchParams, SizeVariant, Tunable, TunableBuilder, TunerMode};
+use tp_store::tuned_record;
+use tp_tuner::{Registry, SearchParams, SizeVariant, Tunable, TunableBuilder};
 
 /// The user-defined kernel at size `n`: `y_i = gain·x_i² + bias·x_i`, a
 /// damped quadratic map over a deterministic ramp. Everything a kernel
@@ -52,13 +53,7 @@ fn extended_registry() -> Registry {
 #[test]
 fn builder_kernel_tunes_through_the_library_path() {
     let app = relax(8);
-    let result = evaluate_app_with(
-        app.as_ref(),
-        1e-2,
-        &PlatformParams::paper(),
-        1,
-        TunerMode::Live,
-    );
+    let result = evaluate_app_with(app.as_ref(), 1e-2, &PlatformParams::paper(), 1);
     assert_eq!(result.app, "RELAX");
     assert_eq!(result.outcome.vars.len(), 3);
     assert!(result.outcome.evaluations > 0);

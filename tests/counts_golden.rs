@@ -5,7 +5,7 @@
 //! validated storage config at `THRESHOLDS[1]` (a mixed config). Each line
 //! renders, with sorted keys, every `ops`, `casts`, `loads`, `stores` and
 //! `dependent_pairs` entry as `scalar/vector` plus `int_ops`, as recorded by
-//! `tp_bench::record_run`. A change to how the `Recorder` accumulates its
+//! `tp_store::record_run`. A change to how the `Recorder` accumulates its
 //! counts must leave every line as it is; only a deliberate change to what
 //! a kernel executes or what an event counts may edit the table.
 
@@ -13,9 +13,10 @@ use std::collections::HashMap;
 use std::fmt::Display;
 
 use flexfloat::{OpCounts, TraceCounts, TypeConfig};
-use tp_bench::{record_run, THRESHOLDS};
+use tp_bench::THRESHOLDS;
 use tp_formats::{FpFormat, ALL_KINDS};
 use tp_kernels::all_kernels_small;
+use tp_store::record_run;
 use tp_tuner::{distributed_search, validated_storage_config, SearchParams, Tunable};
 
 fn fmt_name(f: FpFormat) -> String {

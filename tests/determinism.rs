@@ -19,7 +19,7 @@ use flexfloat::Recorder;
 use tp_bench::evaluate_app_with;
 use tp_kernels::{all_kernels_small, Conv, Knn};
 use tp_platform::PlatformParams;
-use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode, TuningOutcome};
+use tp_tuner::{distributed_search, SearchParams, Tunable, TuningOutcome};
 
 /// Everything in a [`TuningOutcome`] except the evaluation count, in a
 /// directly comparable form.
@@ -120,25 +120,15 @@ fn speculative_probes_keep_formats_and_recorded_totals() {
 fn evaluate_app_is_worker_count_invariant() {
     let app = Conv::small();
     let params = PlatformParams::paper();
-    for mode in [TunerMode::Live, TunerMode::Replay] {
-        let seq = evaluate_app_with(&app, 1e-1, &params, 1, mode);
-        let par = evaluate_app_with(&app, 1e-1, &params, 8, mode);
-        assert_eq!(
-            fingerprint(&seq.outcome),
-            fingerprint(&par.outcome),
-            "{mode}"
-        );
-        assert_eq!(seq.storage, par.storage, "{mode}");
-        assert_eq!(seq.baseline_counts, par.baseline_counts, "{mode}");
-        assert_eq!(seq.tuned_counts, par.tuned_counts, "{mode}");
-        assert_eq!(
-            seq.baseline.cycles.total(),
-            par.baseline.cycles.total(),
-            "{mode}"
-        );
-        assert_eq!(seq.tuned.cycles.total(), par.tuned.cycles.total(), "{mode}");
-        assert_eq!(seq.tuned.energy.total(), par.tuned.energy.total(), "{mode}");
-    }
+    let seq = evaluate_app_with(&app, 1e-1, &params, 1);
+    let par = evaluate_app_with(&app, 1e-1, &params, 8);
+    assert_eq!(fingerprint(&seq.outcome), fingerprint(&par.outcome));
+    assert_eq!(seq.storage, par.storage);
+    assert_eq!(seq.baseline_counts, par.baseline_counts);
+    assert_eq!(seq.tuned_counts, par.tuned_counts);
+    assert_eq!(seq.baseline.cycles.total(), par.baseline.cycles.total());
+    assert_eq!(seq.tuned.cycles.total(), par.tuned.cycles.total());
+    assert_eq!(seq.tuned.energy.total(), par.tuned.energy.total());
 }
 
 /// Metrics are observational by contract (DESIGN.md §12): the obs layer
@@ -165,7 +155,7 @@ fn metrics_are_decision_transparent() {
         .iter()
         .map(|&(mode, workers)| {
             tp_obs::force_mode(mode);
-            let record = evaluate_app_with(&app, 1e-1, &params, workers, TunerMode::Replay);
+            let record = evaluate_app_with(&app, 1e-1, &params, workers);
             (mode, workers, record)
         })
         .collect();
@@ -225,7 +215,7 @@ fn tracing_is_decision_transparent() {
         .iter()
         .map(|&(tracing, workers)| {
             tp_obs::force_tracing(tracing);
-            let record = evaluate_app_with(&app, 1e-1, &params, workers, TunerMode::Replay);
+            let record = evaluate_app_with(&app, 1e-1, &params, workers);
             (tracing, workers, record)
         })
         .collect();

@@ -10,10 +10,11 @@
 use std::sync::Arc;
 
 use flexfloat::{Engine, TypeConfig};
-use tp_bench::{ObsAttributionSink, MEASURE_SET};
+use tp_bench::ObsAttributionSink;
 use tp_fpu::FpuModel;
 use tp_kernels::{Conv, Knn};
 use tp_obs::attr::{self, AttrCell};
+use tp_store::MEASURE_SET;
 use tp_tuner::{distributed_search, validated_storage_config, SearchParams, Tunable};
 
 const UNIT_CLASSES: [&str; 4] = ["add", "sub", "mul", "convert"];

@@ -2,11 +2,10 @@
 //! point.
 //!
 //! [`Trace::replay`] runs the raw structure-of-arrays loop with one lane;
-//! [`Trace::replay_batch`] runs the same loop with one lane per input set;
-//! [`Trace::replay_candidates`] runs it over a shared prefix and forks per
-//! configuration. For every kernel of the small suite, every input set's
-//! trace and a list of uniform, recorded and mixed configurations, all
-//! three must return the same [`Replayed`]: the same output bits, or a
+//! [`Trace::replay_batch`] runs the same loop with one lane per input set.
+//! For every kernel of the small suite, every input set's trace and a list
+//! of uniform, recorded and mixed configurations, both must return the
+//! same [`Replayed`]: the same output bits, or a
 //! divergence at the same tape site — and a completed replay must return
 //! the live run's output bits on the thread's datapath (`TP_BACKEND`).
 //! The test keeps its historical name; the `Fx`-driven interpreter for
@@ -61,12 +60,7 @@ fn every_entry_point_agrees_with_the_observed_interpreter() {
         let lanes: Vec<&Trace> = traces.iter().collect();
 
         for (set, trace) in traces.iter().enumerate() {
-            let cfgs = configs(app, trace);
-            let refs: Vec<&TypeConfig> = cfgs.iter().collect();
-            let candidates = trace.replay_candidates(&refs);
-            assert_eq!(candidates.len(), cfgs.len(), "{name} set {set}");
-
-            for (cfg, candidate) in cfgs.iter().zip(&candidates) {
+            for cfg in &configs(app, trace) {
                 let raw = key(&trace.replay(cfg));
                 if raw.is_err() {
                     diverged += 1;
@@ -78,7 +72,6 @@ fn every_entry_point_agrees_with_the_observed_interpreter() {
                 }
                 let batched = Trace::replay_batch(&lanes, cfg);
                 assert_eq!(raw, key(&batched[set]), "{name} set {set} batch {cfg}");
-                assert_eq!(raw, key(candidate), "{name} set {set} candidate {cfg}");
             }
         }
     }

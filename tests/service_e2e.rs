@@ -14,14 +14,14 @@
 
 use std::sync::atomic::Ordering;
 
-use tp_bench::{evaluate_app_in, tuned_record};
+use tp_bench::evaluate_app_in;
 use tp_kernels::registry;
 use tp_platform::PlatformParams;
 use tp_serve::test_util::counting_resolver;
 use tp_serve::{Client, ServeConfig, Server};
 use tp_store::test_util::TempDir;
-use tp_store::Store;
-use tp_tuner::{SearchParams, TunerMode};
+use tp_store::{tuned_record, Store};
+use tp_tuner::SearchParams;
 
 /// The eight concurrent submissions of the acceptance scenario: six
 /// distinct jobs plus two duplicates (CONV and DWT appear twice).
@@ -368,26 +368,12 @@ fn warm_bench_evaluation_is_bit_identical_at_any_worker_count() {
     let (resolver, runs) = counting_resolver();
     let app = resolver("CONV:small").unwrap();
 
-    let cold = evaluate_app_in(
-        Some(&store),
-        app.as_ref(),
-        1e-1,
-        &params,
-        2,
-        TunerMode::Replay,
-    );
+    let cold = evaluate_app_in(Some(&store), app.as_ref(), 1e-1, &params, 2);
     assert!(!cold.cache_hit);
     let cold_runs = runs.load(Ordering::SeqCst);
 
     for workers in [1usize, 4, 8, 16] {
-        let warm = evaluate_app_in(
-            Some(&store),
-            app.as_ref(),
-            1e-1,
-            &params,
-            workers,
-            TunerMode::Replay,
-        );
+        let warm = evaluate_app_in(Some(&store), app.as_ref(), 1e-1, &params, workers);
         assert!(warm.cache_hit, "workers={workers}");
         assert_eq!(warm.outcome, cold.outcome, "workers={workers}");
         assert_eq!(warm.storage, cold.storage, "workers={workers}");
