@@ -227,7 +227,7 @@ pub fn evaluate_app_in(
 /// The budget is split between the two fan-out levels: one worker per
 /// kernel first, and any surplus handed down to each kernel's precision
 /// search. Results come back in suite order and are bit-identical to the
-/// sequential evaluation at any worker count (evaluation counts aside).
+/// sequential evaluation at any worker count.
 #[must_use]
 pub fn evaluate_suite(threshold: f64, params: &PlatformParams) -> Vec<AppResult> {
     suite_fan_out(0, |app, inner| {

@@ -43,7 +43,7 @@
 //! ```
 //!
 //! Worker threads do not inherit the installation automatically; the
-//! fan-out layers (`tp_tuner::parallel_map`, `join2`) capture
+//! fan-out layer (`tp_tuner::parallel_map`) captures
 //! [`Engine::current`] and re-install it on each worker, which is what
 //! keeps tuning runs backend-generic *and* worker-count-invariant.
 
@@ -372,7 +372,7 @@ impl Engine {
     /// (the native datapath). An installed [`Emulated`] is returned too,
     /// although ops run natively under it.
     ///
-    /// Fan-out code captures this once per `parallel_map`/`join2` call and
+    /// Fan-out code captures this once per `parallel_map` call and
     /// re-installs it on each worker thread with [`Engine::with`].
     #[must_use]
     pub fn current() -> Option<Arc<dyn FpBackend>> {

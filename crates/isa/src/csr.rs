@@ -30,40 +30,6 @@ pub mod fflags {
 /// platform's datapaths implement.
 pub const FRM_RNE: u32 = 0b000;
 
-/// Packs a backend [`FlagSet`] into fflags bits.
-#[must_use]
-pub fn flags_to_bits(flags: FlagSet) -> u32 {
-    let mut bits = 0;
-    if flags.inexact {
-        bits |= fflags::NX;
-    }
-    if flags.underflow {
-        bits |= fflags::UF;
-    }
-    if flags.overflow {
-        bits |= fflags::OF;
-    }
-    if flags.div_by_zero {
-        bits |= fflags::DZ;
-    }
-    if flags.invalid {
-        bits |= fflags::NV;
-    }
-    bits
-}
-
-/// Unpacks fflags bits into a backend [`FlagSet`].
-#[must_use]
-pub fn bits_to_flags(bits: u32) -> FlagSet {
-    FlagSet {
-        inexact: bits & fflags::NX != 0,
-        underflow: bits & fflags::UF != 0,
-        overflow: bits & fflags::OF != 0,
-        div_by_zero: bits & fflags::DZ != 0,
-        invalid: bits & fflags::NV != 0,
-    }
-}
-
 /// The fcsr register state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fcsr {
@@ -90,13 +56,13 @@ impl Fcsr {
 
     /// Folds a backend flag set into the accrued fflags.
     pub fn accrue(&mut self, flags: FlagSet) {
-        self.fflags |= flags_to_bits(flags);
+        self.fflags |= flags.to_bits();
     }
 
     /// The accrued flags as a backend [`FlagSet`].
     #[must_use]
     pub fn flag_set(self) -> FlagSet {
-        bits_to_flags(self.fflags)
+        FlagSet::from_bits(self.fflags)
     }
 }
 
@@ -104,10 +70,34 @@ impl Fcsr {
 mod tests {
     use super::*;
 
+    /// `FlagSet`'s bit encoding is the fflags layout, flag by flag, and
+    /// every fflags value survives a trip through `Fcsr`'s flag set.
     #[test]
     fn flag_bits_round_trip() {
+        let one = |set: fn(&mut FlagSet)| {
+            let mut flags = FlagSet::NONE;
+            set(&mut flags);
+            flags
+        };
+        for (flags, bit) in [
+            (one(|f| f.inexact = true), fflags::NX),
+            (one(|f| f.underflow = true), fflags::UF),
+            (one(|f| f.overflow = true), fflags::OF),
+            (one(|f| f.div_by_zero = true), fflags::DZ),
+            (one(|f| f.invalid = true), fflags::NV),
+        ] {
+            assert_eq!(flags.to_bits(), bit, "{flags}");
+        }
         for bits in 0..=fflags::MASK {
-            assert_eq!(flags_to_bits(bits_to_flags(bits)), bits);
+            let mut fcsr = Fcsr::default();
+            fcsr.accrue(
+                Fcsr {
+                    fflags: bits,
+                    frm: 0,
+                }
+                .flag_set(),
+            );
+            assert_eq!(fcsr.fflags, bits);
         }
     }
 

@@ -23,12 +23,10 @@
 //!   (and in the stored record's all-zero [`ReplaySummary`]) until the
 //!   benchmark stops naming it.
 //!
-//! **Deliberately excluded:** `SearchParams::workers` — chosen formats
-//! and recorded counts are worker-count invariant by the determinism
-//! contract (`DESIGN.md §5`), and the whole point of a shared store is
-//! that an 8-worker server and a 1-worker laptop hit the same entries.
-//! (The `evaluations` counter inside a stored outcome consequently
-//! reflects the worker count of whoever computed it first.)
+//! **Deliberately excluded:** `SearchParams::workers` — the outcome and
+//! recorded counts are worker-count invariant by the determinism contract
+//! (`DESIGN.md §5`), and the whole point of a shared store is that an
+//! 8-worker server and a 1-worker laptop hit the same entries.
 //!
 //! [`SearchParams::input_sets`]: tp_tuner::SearchParams::input_sets
 //! [`ReplaySummary`]: tp_tuner::ReplaySummary

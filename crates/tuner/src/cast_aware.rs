@@ -83,7 +83,7 @@ fn cost_of(
 /// the platform energy model.
 ///
 /// Starts from [`validated_storage_config`]; each round evaluates, for every
-/// variable, re-typing it to each alternative storage format, and applies
+/// variable, re-typing it to each alternative storage format of `ts`, and applies
 /// the single best energy-reducing move whose configuration still meets the
 /// quality threshold on all `input_sets`. Terminates when no move improves
 /// energy by at least 0.1 % or after eight rounds.
@@ -112,7 +112,10 @@ pub fn cast_aware_refine(
                 Some(k) => k,
                 None => continue,
             };
-            for &kind in &ALL_KINDS {
+            // The type system's formats, walked in `ALL_KINDS` order: the
+            // strict `<` below keeps the first of equal-energy moves, so the
+            // order is part of the result.
+            for kind in ALL_KINDS.into_iter().filter(|k| ts.kinds().contains(k)) {
                 if kind == current_kind {
                     continue;
                 }
@@ -209,6 +212,45 @@ mod tests {
             let reference = CastTrap.reference(set);
             let out = CastTrap.run(&refined.config, set);
             assert!(relative_rms_error(&reference, &out) <= 1e-3);
+        }
+    }
+
+    /// `x = 1.3; x * x`, at a threshold every 16-bit format meets.
+    struct Square;
+
+    impl Tunable for Square {
+        fn name(&self) -> &str {
+            "SQUARE"
+        }
+        fn variables(&self) -> Vec<VarSpec> {
+            vec![VarSpec::scalar("x")]
+        }
+        fn run(&self, cfg: &TypeConfig, _: usize) -> Vec<f64> {
+            let x = Fx::new(1.3, cfg.format_of("x"));
+            vec![(x * x).value()]
+        }
+    }
+
+    #[test]
+    fn refinement_stays_inside_the_type_system() {
+        let tuned = TuningOutcome {
+            app: "SQUARE".into(),
+            threshold: 1e-2,
+            type_system: TypeSystem::V1,
+            vars: vec![crate::search::TunedVar {
+                spec: VarSpec::scalar("x"),
+                precision_bits: 11,
+                needs_wide_range: false,
+            }],
+            evaluations: 0,
+            replay: crate::search::ReplaySummary::default(),
+        };
+        let refined =
+            cast_aware_refine(&Square, &tuned, TypeSystem::V1, &PlatformParams::paper(), 1);
+        let kind = FormatKind::of_format(refined.config.format_of("x")).expect("a storage format");
+        assert!(TypeSystem::V1.kinds().contains(&kind), "{kind}");
+        for (name, _, to) in &refined.moves {
+            assert!(TypeSystem::V1.kinds().contains(to), "{name}: {to}");
         }
     }
 

@@ -66,12 +66,12 @@ mod tunable;
 /// *some* input (new phases, different probe order, changed join rules…);
 /// cached results from older versions then simply stop being found instead
 /// of being served stale.
-pub const TUNER_VERSION: u32 = 2;
+pub const TUNER_VERSION: u32 = 3;
 
 pub use builder::{BuildError, TunableBuilder};
 pub use cast_aware::{cast_aware_refine, CastAwareOutcome};
 pub use metrics::{max_relative_error, relative_rms_error, sqnr_db};
-pub use pool::{join2, parallel_map, resolve_workers};
+pub use pool::{parallel_map, resolve_workers};
 pub use registry::{KernelFactory, Registry, RegistryError, SizeVariant};
 pub use report::{
     classify_variables, storage_config, validated_storage_config, PrecisionHistogram,

@@ -103,32 +103,6 @@ where
         .collect()
 }
 
-/// Runs two closures concurrently — `b` on a scoped thread, `a` on the
-/// caller — and returns both results. Used for speculative candidate
-/// probes where the sequential driver would short-circuit.
-///
-/// Like [`parallel_map`], the caller's active execution backend and
-/// trace context are re-installed on the spawned side.
-pub fn join2<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    let backend = Engine::current();
-    let trace_ctx = tp_obs::SpanContext::current();
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || {
-            let _trace = trace_ctx.adopt();
-            match backend {
-                Some(bk) => Engine::with(bk, b),
-                None => b(),
-            }
-        });
-        let ra = a();
-        (ra, hb.join().expect("joined worker panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,11 +142,6 @@ mod tests {
             parallel_map(4, 8, |_| Engine::active_name().to_owned())
         });
         assert!(names.iter().all(|n| n == "softfloat"), "{names:?}");
-
-        let (a, b) = Engine::with(Arc::new(SoftFloat::new()), || {
-            join2(Engine::active_name, Engine::active_name)
-        });
-        assert_eq!((a, b), ("softfloat", "softfloat"));
     }
 
     #[test]
@@ -188,10 +157,6 @@ mod tests {
             let _ = parallel_map(4, 8, |_| {
                 drop(tp_obs::Span::enter("pool.test.child_ns"));
             });
-            let (_, _) = join2(
-                || drop(tp_obs::Span::enter("pool.test.join_a_ns")),
-                || drop(tp_obs::Span::enter("pool.test.join_b_ns")),
-            );
             drop(parent);
             parent_id = tp_obs::trace::spans_for_trace(trace_id)
                 .iter()
@@ -202,23 +167,14 @@ mod tests {
         let spans = tp_obs::trace::spans_for_trace(trace_id);
         let children: Vec<_> = spans
             .iter()
-            .filter(|s| {
-                s.name.starts_with("pool.test.child") || s.name.starts_with("pool.test.join")
-            })
+            .filter(|s| s.name.starts_with("pool.test.child"))
             .collect();
-        assert_eq!(children.len(), 10, "{spans:?}");
+        assert_eq!(children.len(), 8, "{spans:?}");
         assert!(parent_id.is_some(), "{spans:?}");
         for child in children {
             assert_eq!(child.parent, parent_id, "{child:?}");
             assert_eq!(child.trace, Some(trace_id));
         }
-    }
-
-    #[test]
-    fn join2_returns_both() {
-        let (a, b) = join2(|| 1 + 1, || "x".to_owned() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
     }
 
     #[test]

@@ -107,13 +107,7 @@ pub fn validated_storage_config(
     let threshold = outcome.threshold;
 
     let promote = |fmt: tp_formats::FpFormat| -> Option<FormatKind> {
-        [
-            FormatKind::Binary16Alt,
-            FormatKind::Binary16,
-            FormatKind::Binary32,
-        ]
-        .into_iter()
-        .find(|k| {
+        ts.kinds().iter().copied().find(|k| {
             let f = k.format();
             f.man_bits() > fmt.man_bits() && f.exp_bits() >= fmt.exp_bits()
         })
@@ -218,6 +212,46 @@ mod tests {
 
         // d (precision) and e (wide range, no 8-exp 16-bit format) fall to 32.
         assert_eq!(c.get(&FormatKind::Binary32), Some(&2));
+    }
+
+    /// `x = 1.3; x * x`: binary8 misses a 1e-2 threshold, anything wider
+    /// meets it.
+    struct Square;
+
+    impl crate::Tunable for Square {
+        fn name(&self) -> &str {
+            "SQUARE"
+        }
+        fn variables(&self) -> Vec<VarSpec> {
+            vec![VarSpec::scalar("x")]
+        }
+        fn run(&self, cfg: &TypeConfig, _: usize) -> Vec<f64> {
+            let x = flexfloat::Fx::new(1.3, cfg.format_of("x"));
+            vec![(x * x).value()]
+        }
+    }
+
+    #[test]
+    fn promotion_stays_inside_the_type_system() {
+        for (ts, want) in [(TypeSystem::V1, BINARY16), (TypeSystem::V2, BINARY16ALT)] {
+            let tuned = TuningOutcome {
+                app: "SQUARE".into(),
+                threshold: 1e-2,
+                type_system: ts,
+                vars: vec![TunedVar {
+                    spec: VarSpec::scalar("x"),
+                    precision_bits: 3,
+                    needs_wide_range: false,
+                }],
+                evaluations: 0,
+                replay: crate::search::ReplaySummary::default(),
+            };
+            assert_eq!(storage_config(&tuned, ts).format_of("x"), BINARY8, "{ts}");
+            let cfg = validated_storage_config(&Square, &tuned, ts, 1);
+            assert_eq!(cfg.format_of("x"), want, "{ts}");
+            let kind = FormatKind::of_format(cfg.format_of("x")).expect("a storage format");
+            assert!(ts.kinds().contains(&kind), "{ts}: {kind}");
+        }
     }
 
     #[test]

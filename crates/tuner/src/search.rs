@@ -16,24 +16,17 @@
 //! # Parallel driver and the determinism contract
 //!
 //! The paper fans this search out over an HPC cluster (Section V); here the
-//! fan-out is [`crate::pool`] scoped threads, in two places:
+//! fan-out is [`crate::pool`] scoped threads over the **input sets**:
+//! phase 1 tunes each set independently, and the per-set bindings are
+//! joined by per-variable maximum — a commutative, associative reduction
+//! applied in set order, so the join cannot observe scheduling. Within one
+//! set the search is sequential: every probe asks the narrow-exponent
+//! hypothesis first and the wide one only when narrow fails.
 //!
-//! 1. **Input sets** (phase 1) are tuned independently and joined by
-//!    per-variable maximum — a commutative, associative reduction applied in
-//!    set order, so the join cannot observe scheduling.
-//! 2. **Hypothesis probes**: when enough workers remain beyond the input-set
-//!    fan-out, the narrow- and wide-exponent hypotheses of one binary-search
-//!    probe are evaluated *speculatively* in parallel. The narrow result
-//!    always takes priority, exactly as in the sequential short-circuit, so
-//!    the decision — though not the number of program evaluations — is
-//!    unchanged.
-//!
-//! The contract: [`distributed_search`] returns **bit-identical chosen
-//! formats** (precisions, wide-range flags, and therefore storage mappings)
-//! for any `workers` value. Only [`TuningOutcome::evaluations`] may differ,
-//! because speculative probes evaluate hypotheses the sequential driver
-//! short-circuits past. `tests/determinism.rs` pins both halves of this
-//! contract.
+//! The contract: [`distributed_search`] returns a **bit-identical
+//! outcome** — chosen formats (precisions, wide-range flags, and therefore
+//! storage mappings) and [`TuningOutcome::evaluations`] alike — for any
+//! `workers` value. `tests/determinism.rs` pins it.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -107,19 +100,6 @@ pub struct ReplaySummary {
     pub diverged: u64,
 }
 
-impl ReplaySummary {
-    /// Share of replay attempts that had to fall back to live execution
-    /// (`0.0` when nothing was attempted).
-    #[must_use]
-    pub fn fallback_rate(&self) -> f64 {
-        let attempts = self.replayed + self.diverged;
-        if attempts == 0 {
-            return 0.0;
-        }
-        self.diverged as f64 / attempts as f64
-    }
-}
-
 /// The memo's candidate key: the `(precision, wide)` assignment, two bytes
 /// per variable (precision ≤ 24 fits a byte).
 fn cand_key(cand: &Candidate) -> Vec<u8> {
@@ -135,10 +115,10 @@ fn cand_key(cand: &Candidate) -> Vec<u8> {
 /// ([`cand_key`]) to whether it met the threshold on that set.
 ///
 /// Decision-transparent, because a kernel run is a pure function of
-/// (configuration, input set) by the [`Tunable`] contract. A verdict enters
-/// only for an ask the sequential driver makes (see [`SearchState::try_p`]),
-/// so which asks hit — and so which kernel runs an enclosing [`Recorder`]
-/// sees — does not depend on the worker count.
+/// (configuration, input set) by the [`Tunable`] contract. Each set's
+/// verdicts come from that set's own sequential search (and the sequential
+/// phase 2), so which asks hit — and so which kernel runs an enclosing
+/// [`Recorder`] sees — does not depend on the worker count.
 struct Memo {
     sets: Vec<Mutex<HashMap<Vec<u8>, bool>>>,
 }
@@ -154,14 +134,6 @@ impl Memo {
 
     fn set(&self, set: usize) -> MutexGuard<'_, HashMap<Vec<u8>, bool>> {
         self.sets[set].lock().expect("verdict memo poisoned")
-    }
-
-    fn knows(&self, set: usize, cand: &Candidate) -> bool {
-        self.set(set).contains_key(&cand_key(cand))
-    }
-
-    fn insert(&self, set: usize, cand: &Candidate, passes: bool) {
-        self.set(set).insert(cand_key(cand), passes);
     }
 
     /// The stored verdict for `cand` on `set`, or a live run's, stored.
@@ -206,9 +178,8 @@ pub struct SearchParams {
     pub passes: usize,
     /// Worker threads for the parallel driver. `0` (the default) resolves
     /// via [`crate::resolve_workers`]: the `TP_WORKERS` environment variable
-    /// if set, otherwise [`std::thread::available_parallelism`]. The chosen
-    /// formats are bit-identical at any worker count; only the evaluation
-    /// count varies (speculative probes — see the module docs).
+    /// if set, otherwise [`std::thread::available_parallelism`]. The
+    /// outcome is bit-identical at any worker count (see the module docs).
     pub workers: usize,
     /// Selects nothing (see [`TunerMode`]); kept in the store's job key
     /// until the benchmark stops naming it.
@@ -394,10 +365,6 @@ struct SearchState<'a> {
     vars: &'a [VarSpec],
     cand: Candidate,
     evaluations: u64,
-    /// Evaluate the narrow- and wide-exponent hypotheses of a probe
-    /// concurrently instead of short-circuiting. Decision-neutral;
-    /// inflates `evaluations` (see the module docs).
-    speculate: bool,
     memo: &'a Memo,
 }
 
@@ -426,74 +393,16 @@ impl<'a> SearchState<'a> {
         self.cand.wide[i] = false;
         let has_wide_retry = eval_format(self.params.type_system, p, false).exp_bits() < 8;
 
-        if self.speculate && has_wide_retry {
-            // Speculative probe: evaluate both hypotheses concurrently.
-            // Narrow still wins ties, so the decision matches the
-            // sequential short-circuit exactly; only the evaluation count
-            // differs (two, even when narrow passes).
-            let narrow = self.cand.clone();
-            let mut wide = self.cand.clone();
-            wide.wide[i] = true;
-            let (app, params, vars, memo) = (self.app, self.params, self.vars, self.memo);
-            let (narrow_ok, wide_ok) = if memo.knows(set, &narrow) || memo.knows(set, &wide) {
-                // One answer is free, so nothing is worth running ahead:
-                // ask in the sequential order.
-                let narrow_ok = memo.passes(app, &params, vars, &narrow, reference, set);
-                let wide_ok = !narrow_ok && memo.passes(app, &params, vars, &wide, reference, set);
-                (narrow_ok, wide_ok)
-            } else {
-                let run =
-                    |cand: &Candidate| candidate_passes(app, &params, vars, cand, reference, set);
-                let (narrow_ok, wide_ok) = if Recorder::is_enabled() {
-                    // The caller is recording: capture both probes' counts
-                    // in their own scopes (the spawned thread's recorder
-                    // starts disabled), then absorb what a sequential run
-                    // executes — see the memo rule below.
-                    let ((narrow_ok, nc), (wide_ok, wc)) = pool::join2(
-                        || Recorder::scoped(|| run(&narrow)),
-                        || Recorder::scoped(|| run(&wide)),
-                    );
-                    Recorder::absorb(&nc);
-                    if !narrow_ok {
-                        Recorder::absorb(&wc);
-                    }
-                    (narrow_ok, wide_ok)
-                } else {
-                    pool::join2(|| run(&narrow), || run(&wide))
-                };
-                // The narrow verdict always enters the memo, the wide one
-                // only when narrow failed — exactly the asks a sequential
-                // run makes — so the memo, and with it every later hit and
-                // the recorded totals, stay worker-count invariant. A
-                // speculative wide run after a narrow pass is dropped, like
-                // the speculated work it is.
-                memo.insert(set, &narrow, narrow_ok);
-                if !narrow_ok {
-                    memo.insert(set, &wide, wide_ok);
-                }
-                (narrow_ok, wide_ok)
-            };
-            self.evaluations += 2;
-            if narrow_ok {
-                Some(false)
-            } else if wide_ok {
-                self.cand.wide[i] = true;
-                Some(true)
-            } else {
-                None
-            }
-        } else {
-            if self.passes(reference, set) {
-                return Some(false);
-            }
-            if has_wide_retry {
-                self.cand.wide[i] = true;
-                if self.passes(reference, set) {
-                    return Some(true);
-                }
-            }
-            None
+        if self.passes(reference, set) {
+            return Some(false);
         }
+        if has_wide_retry {
+            self.cand.wide[i] = true;
+            if self.passes(reference, set) {
+                return Some(true);
+            }
+        }
+        None
     }
 
     /// Minimal passing precision for variable `i` with all others fixed.
@@ -546,14 +455,12 @@ impl<'a> SearchState<'a> {
 /// Phase 1 for one input set: descend every variable by binary search for
 /// [`SearchParams::passes`] rounds, repairing after each round. Returns the
 /// tuned candidate and the number of evaluations spent.
-#[allow(clippy::too_many_arguments)]
 fn tune_one_set(
     app: &dyn Tunable,
     params: SearchParams,
     vars: &[VarSpec],
     order: &[usize],
     set: usize,
-    speculate: bool,
     memo: &Memo,
     reference: &[f64],
 ) -> (Candidate, u64) {
@@ -566,7 +473,6 @@ fn tune_one_set(
             wide: vec![false; vars.len()],
         },
         evaluations: 0,
-        speculate,
         memo,
     };
     for _ in 0..params.passes {
@@ -592,9 +498,8 @@ fn tune_one_set(
 /// both order-free reductions, applied in set order) and re-validates on
 /// every set, repairing if needed.
 ///
-/// The chosen formats are **bit-identical at any worker count**; only
-/// [`TuningOutcome::evaluations`] may vary (see the module docs). If the
-/// caller has a [`Recorder`](flexfloat::Recorder) running, operations
+/// The outcome is **bit-identical at any worker count** (see the module
+/// docs). If the caller has a [`Recorder`](flexfloat::Recorder) running, operations
 /// executed by worker threads are absorbed back into its counts.
 #[must_use]
 pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutcome {
@@ -608,9 +513,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     order.sort_by_key(|&i| std::cmp::Reverse(vars[i].elements));
 
     let workers = pool::resolve_workers(params.workers);
-    // Budget: one worker per input set; speculative hypothesis probes only
-    // when a second full wave of workers is available beyond that.
-    let speculate = workers >= 2 * params.input_sets && workers > 1;
 
     // Golden outputs, one per input set, computed once and shared by both
     // phases (implementations are deterministic by the `Tunable` contract,
@@ -652,18 +554,7 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     let phase1_span = tp_obs::Span::enter("tuner.phase1_ns");
     let per_set: Vec<(Candidate, u64, Option<TraceCounts>)> =
         pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
-            let tune = || {
-                tune_one_set(
-                    app,
-                    params,
-                    &vars,
-                    &order,
-                    set,
-                    speculate,
-                    &memo,
-                    &references[set],
-                )
-            };
+            let tune = || tune_one_set(app, params, &vars, &order, set, &memo, &references[set]);
             if recording {
                 let ((cand, evals), counts) = Recorder::scoped(tune);
                 (cand, evals, Some(counts))
@@ -705,7 +596,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
         vars: &vars,
         cand: joined,
         evaluations: 0,
-        speculate: false,
         memo: &memo,
     };
     loop {
@@ -960,7 +850,7 @@ mod tests {
         };
         // Worker-thread kernel runs were absorbed back: the recording saw
         // exactly TwoVars's 8 muls per kernel execution, candidate or
-        // reference (at workers=1 nothing runs speculatively).
+        // reference.
         let (_, seq_counts, executions) = run(1);
         assert_eq!(
             seq_counts.total_fp_ops(),
@@ -968,10 +858,7 @@ mod tests {
             "{} ops for {executions} kernel executions",
             seq_counts.total_fp_ops()
         );
-        // Recorded counts are worker-count invariant: speculative wide
-        // probes that a sequential run short-circuits past are evaluated
-        // but *not* absorbed, so the totals match exactly even though the
-        // evaluation counters differ.
+        // Recorded counts are worker-count invariant.
         let (_, par_counts, _) = run(8);
         assert_eq!(seq_counts, par_counts);
     }
@@ -1029,40 +916,6 @@ mod tests {
         }
     }
 
-    /// A speculative probe stores the narrow verdict always and the wide
-    /// one only when narrow failed — the asks a sequential run makes —
-    /// so later hits, and the runs a `Recorder` sees, do not depend on
-    /// the worker count.
-    #[test]
-    fn speculative_probe_memoizes_only_sequential_asks() {
-        let vars = TwoVars.variables();
-        let reference = TwoVars.reference(0);
-        for (threshold, var, p, narrow_passes) in [(1e-1, 0, 10, true), (1e-4, 1, 3, false)] {
-            let memo = Memo::new(1);
-            let mut st = SearchState {
-                app: &TwoVars,
-                params: SearchParams::paper(threshold),
-                vars: &vars,
-                cand: Candidate {
-                    precision: vec![24; vars.len()],
-                    wide: vec![false; vars.len()],
-                },
-                evaluations: 0,
-                speculate: true,
-                memo: &memo,
-            };
-            let accepted = st.try_p(var, p, &reference, 0);
-            assert_eq!(accepted == Some(false), narrow_passes, "{threshold:e}");
-            assert_eq!(st.evaluations, 2, "{threshold:e}");
-            let mut narrow = st.cand.clone();
-            narrow.wide[var] = false;
-            let mut wide = narrow.clone();
-            wide.wide[var] = true;
-            assert!(memo.knows(0, &narrow), "{threshold:e}");
-            assert_eq!(memo.knows(0, &wide), !narrow_passes, "{threshold:e}");
-        }
-    }
-
     #[test]
     fn workers_do_not_change_the_outcome() {
         let seq = distributed_search(&TwoVars, SearchParams::paper(1e-3).with_workers(1));
@@ -1072,7 +925,7 @@ mod tests {
                 assert_eq!(a.precision_bits, b.precision_bits, "workers={workers}");
                 assert_eq!(a.needs_wide_range, b.needs_wide_range, "workers={workers}");
             }
-            assert!(par.evaluations >= seq.evaluations, "workers={workers}");
+            assert_eq!(par.evaluations, seq.evaluations, "workers={workers}");
         }
     }
 
@@ -1099,15 +952,6 @@ mod tests {
             assert_eq!(live.replay, ReplaySummary::default());
             assert_eq!(replay.replay.diverged, 0, "TwoVars is straight-line");
         }
-    }
-
-    #[test]
-    fn replay_summary_fallback_rate() {
-        let mut s = ReplaySummary::default();
-        assert_eq!(s.fallback_rate(), 0.0);
-        s.replayed = 3;
-        s.diverged = 1;
-        assert!((s.fallback_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
