@@ -48,7 +48,8 @@
 //! keeps tuning runs backend-generic *and* worker-count-invariant.
 
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use tp_formats::{FpFormat, RoundingMode};
 use tp_softfloat::ops;
@@ -637,15 +638,19 @@ fn wide_sqrt(fmt: FpFormat, x: f64) -> f64 {
 
 /// The pure-integer datapath: every operation goes through the
 /// `tp-softfloat` kernels on encoded bit patterns, and the IEEE exception
-/// flags of the flag-reporting variants accumulate like a RISC-V `fcsr`
-/// register (read them with [`SoftFloat::flags`] / [`Engine::flags`]).
+/// flags each kernel reads off its one rounding step accumulate like a
+/// RISC-V `fcsr` register (read them with [`SoftFloat::flags`] /
+/// [`Engine::flags`]).
 ///
-/// Flags are tracked for the narrow formats (`2m + 2 <= 52`, all four
-/// platform formats) where the flagged kernels are defined; wider formats
-/// still compute bit-exactly but raise nothing.
+/// The register is one lock-free sticky word: raising a flag that is
+/// already set is a plain load, so once a run has raised NX, its ops make
+/// no atomic write. Flags are raised for the narrow formats
+/// (`2m + 2 <= 52`, all four platform formats); wider formats still
+/// compute bit-exactly but raise nothing.
 #[derive(Debug, Default)]
 pub struct SoftFloat {
-    flags: Mutex<FlagSet>,
+    /// [`FlagSet::to_bits`] of the accumulated flags.
+    flags: AtomicU32,
 }
 
 impl SoftFloat {
@@ -658,12 +663,25 @@ impl SoftFloat {
     /// The accumulated exception flags.
     #[must_use]
     pub fn flags(&self) -> FlagSet {
-        *self.flags.lock().expect("flag register poisoned")
+        FlagSet::from_bits(self.flags.load(Ordering::Relaxed))
     }
 
+    /// ORs `flags` into the register; the atomic write happens only when
+    /// a flag is new.
+    #[inline]
     fn raise(&self, flags: FlagSet) {
-        if flags != FlagSet::NONE {
-            *self.flags.lock().expect("flag register poisoned") |= flags;
+        let new = flags.to_bits();
+        if new & !self.flags.load(Ordering::Relaxed) != 0 {
+            self.flags.fetch_or(new, Ordering::Relaxed);
+        }
+    }
+
+    /// [`SoftFloat::raise`] for an arithmetic op in `fmt`: only the narrow
+    /// formats raise (see the type docs).
+    #[inline]
+    fn raise_in(&self, fmt: FpFormat, flags: FlagSet) {
+        if native_exact(fmt) {
+            self.raise(flags);
         }
     }
 }
@@ -676,49 +694,32 @@ impl FpBackend for SoftFloat {
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
         let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
         let mode = RoundingMode::default();
-        let bits = if native_exact(fmt) {
-            let (bits, flags) = match op {
-                BinOp::Add => ops::add_flagged(fmt, ab, bb, mode),
-                // a - b = a + (-b) exactly (sign flip is lossless, and NaNs
-                // canonicalize either way); there is no sub_flagged kernel.
-                BinOp::Sub => ops::add_flagged(fmt, ab, bb ^ (1u64 << fmt.sign_shift()), mode),
-                BinOp::Mul => ops::mul_flagged(fmt, ab, bb, mode),
-                BinOp::Div => ops::div_flagged(fmt, ab, bb, mode),
-            };
-            self.raise(flags);
-            bits
-        } else {
-            match op {
-                BinOp::Add => ops::add(fmt, ab, bb, mode),
-                BinOp::Sub => ops::sub(fmt, ab, bb, mode),
-                BinOp::Mul => ops::mul(fmt, ab, bb, mode),
-                BinOp::Div => ops::div(fmt, ab, bb, mode),
-            }
+        let (bits, flags) = match op {
+            BinOp::Add => ops::add_with_flags(fmt, ab, bb, mode),
+            BinOp::Sub => ops::sub_with_flags(fmt, ab, bb, mode),
+            BinOp::Mul => ops::mul_with_flags(fmt, ab, bb, mode),
+            BinOp::Div => ops::div_with_flags(fmt, ab, bb, mode),
         };
+        self.raise_in(fmt, flags);
         fmt.decode_to_f64(bits)
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        let xb = fmt.encode_in_grid(x);
-        let mode = RoundingMode::default();
-        let bits = if native_exact(fmt) {
-            let (bits, flags) = ops::sqrt_flagged(fmt, xb, mode);
-            self.raise(flags);
-            bits
-        } else {
-            ops::sqrt(fmt, xb, mode)
-        };
+        let (bits, flags) =
+            ops::sqrt_with_flags(fmt, fmt.encode_in_grid(x), RoundingMode::default());
+        self.raise_in(fmt, flags);
         fmt.decode_to_f64(bits)
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        let bits = ops::fused_mul_add(
+        let (bits, flags) = ops::fused_mul_add_with_flags(
             fmt,
             fmt.encode_in_grid(a),
             fmt.encode_in_grid(b),
             fmt.encode_in_grid(c),
             RoundingMode::default(),
         );
+        self.raise_in(fmt, flags);
         fmt.decode_to_f64(bits)
     }
 
@@ -761,7 +762,7 @@ impl FpBackend for SoftFloat {
     }
 
     fn clear_flags(&self) {
-        *self.flags.lock().expect("flag register poisoned") = FlagSet::NONE;
+        self.flags.store(0, Ordering::Relaxed);
     }
 }
 
@@ -890,6 +891,28 @@ mod tests {
         assert!(f.inexact && f.div_by_zero, "{f}");
         soft.clear_flags();
         assert!(soft.flags().is_empty());
+    }
+
+    #[test]
+    fn softfloat_fma_raises_its_flags() {
+        let inf = f64::INFINITY;
+        for (a, b, c) in [(0.0, inf, 1.0), (inf, 1.0, -inf)] {
+            let soft = SoftFloat::new();
+            assert!(soft.fma(BINARY8, a, b, c).is_nan());
+            assert_eq!(soft.flags(), FlagSet::INVALID, "fma({a}, {b}, {c})");
+        }
+        // 1.75 * 1.75 + 0.25 = 3.3125 rounds to 3.5 in binary8.
+        let soft = SoftFloat::new();
+        assert_eq!(soft.fma(BINARY8, 1.75, 1.75, 0.25), 3.5);
+        let f = soft.flags();
+        assert!(f.inexact && !f.invalid && !f.overflow, "{f}");
+        // The same op through FlexFloat::mul_add on the installed backend.
+        let flags = Engine::with(Arc::new(SoftFloat::new()), || {
+            let a = crate::Binary8::from(1.75);
+            let _ = a.mul_add(a, crate::Binary8::from(0.25));
+            Engine::flags()
+        });
+        assert!(flags.inexact, "{flags}");
     }
 
     #[test]

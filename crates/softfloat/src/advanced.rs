@@ -3,6 +3,7 @@
 use tp_formats::{FpFormat, RoundingMode};
 
 use crate::internal::{round_pack, shift_right_jam128, unpack, Unpacked, GRS};
+use crate::FlagSet;
 
 /// Integer square root of a `u128`, by binary digit recurrence.
 fn isqrt_u128(a: u128) -> u128 {
@@ -32,12 +33,19 @@ fn isqrt_u128(a: u128) -> u128 {
 /// Follows IEEE 754: `sqrt(-0) = -0`, `sqrt(+inf) = +inf`, and any negative
 /// non-zero input (including `-inf`) is invalid and yields the canonical NaN.
 pub fn sqrt(fmt: FpFormat, a: u64, mode: RoundingMode) -> u64 {
+    sqrt_with_flags(fmt, a, mode).0
+}
+
+/// [`sqrt`] together with the IEEE exception flags it raises, for every
+/// format: NV for a negative non-zero operand, otherwise at most NX (a
+/// square root can neither overflow nor underflow).
+pub fn sqrt_with_flags(fmt: FpFormat, a: u64, mode: RoundingMode) -> (u64, FlagSet) {
     match unpack(fmt, a) {
-        Unpacked::Nan => fmt.quiet_nan_bits(),
-        Unpacked::Zero(s) => fmt.zero_bits(s),
-        Unpacked::Inf(false) => fmt.inf_bits(false),
-        Unpacked::Inf(true) => fmt.quiet_nan_bits(),
-        Unpacked::Finite(n) if n.sign => fmt.quiet_nan_bits(),
+        Unpacked::Nan => (fmt.quiet_nan_bits(), FlagSet::NONE),
+        Unpacked::Zero(s) => (fmt.zero_bits(s), FlagSet::NONE),
+        Unpacked::Inf(false) => (fmt.inf_bits(false), FlagSet::NONE),
+        Unpacked::Inf(true) => (fmt.quiet_nan_bits(), FlagSet::INVALID),
+        Unpacked::Finite(n) if n.sign => (fmt.quiet_nan_bits(), FlagSet::INVALID),
         Unpacked::Finite(n) => {
             let m = fmt.man_bits();
             let ns = (n.sig >> GRS) as u128; // natural significand in [2^m, 2^(m+1))
@@ -62,9 +70,23 @@ pub fn sqrt(fmt: FpFormat, a: u64, mode: RoundingMode) -> u64 {
 
 /// Fused multiply-add `a * b + c` with a single rounding, in `fmt`.
 pub fn fused_mul_add(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundingMode) -> u64 {
+    fused_mul_add_with_flags(fmt, a, b, c, mode).0
+}
+
+/// [`fused_mul_add`] together with the IEEE exception flags it raises, for
+/// every format: NV for `0 * inf` (even with a NaN addend, as RISC-V
+/// requires) and for `inf - inf`, and the flags of the one rounding step.
+pub fn fused_mul_add_with_flags(
+    fmt: FpFormat,
+    a: u64,
+    b: u64,
+    c: u64,
+    mode: RoundingMode,
+) -> (u64, FlagSet) {
     let (ua, ub, uc) = (unpack(fmt, a), unpack(fmt, b), unpack(fmt, c));
-    if matches!(ua, Unpacked::Nan) || matches!(ub, Unpacked::Nan) || matches!(uc, Unpacked::Nan) {
-        return fmt.quiet_nan_bits();
+    let exact = |bits| (bits, FlagSet::NONE);
+    if matches!(ua, Unpacked::Nan) || matches!(ub, Unpacked::Nan) {
+        return exact(fmt.quiet_nan_bits());
     }
     let psign = ua.sign() ^ ub.sign();
 
@@ -72,20 +94,23 @@ pub fn fused_mul_add(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundingMode) 
     let prod_inf = matches!(ua, Unpacked::Inf(_)) || matches!(ub, Unpacked::Inf(_));
     let prod_zero = matches!(ua, Unpacked::Zero(_)) || matches!(ub, Unpacked::Zero(_));
     if prod_inf && prod_zero {
-        return fmt.quiet_nan_bits(); // 0 * inf
+        return (fmt.quiet_nan_bits(), FlagSet::INVALID); // 0 * inf
+    }
+    if matches!(uc, Unpacked::Nan) {
+        return exact(fmt.quiet_nan_bits());
     }
     if prod_inf {
         return match uc {
-            Unpacked::Inf(cs) if cs != psign => fmt.quiet_nan_bits(), // inf - inf
-            _ => fmt.inf_bits(psign),
+            Unpacked::Inf(cs) if cs != psign => (fmt.quiet_nan_bits(), FlagSet::INVALID), // inf - inf
+            _ => exact(fmt.inf_bits(psign)),
         };
     }
     if let Unpacked::Inf(cs) = uc {
-        return fmt.inf_bits(cs);
+        return exact(fmt.inf_bits(cs));
     }
     if prod_zero {
         // Exact result is c, except for the signed-zero combination rules.
-        return match uc {
+        return exact(match uc {
             Unpacked::Zero(cs) => {
                 if cs == psign {
                     fmt.zero_bits(cs)
@@ -94,7 +119,7 @@ pub fn fused_mul_add(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundingMode) 
                 }
             }
             _ => c & fmt.bits_mask(),
-        };
+        });
     }
 
     let m = fmt.man_bits();
@@ -141,7 +166,7 @@ pub fn fused_mul_add(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundingMode) 
             if hi_s == lo_s {
                 (hi_s, hi_e, hi_sig + lo_sig)
             } else if hi_sig == lo_sig {
-                return fmt.zero_bits(mode == RoundingMode::TowardNegative);
+                return exact(fmt.zero_bits(mode == RoundingMode::TowardNegative));
             } else {
                 (hi_s, hi_e, hi_sig - lo_sig)
             }

@@ -8,38 +8,53 @@
 use tp_formats::{FpFormat, RoundingMode};
 
 use crate::internal::{renormalize, round_pack, shift_right_jam, unpack, Norm, Unpacked, GRS};
+use crate::FlagSet;
 
 /// Adds two encodings of `fmt`.
 pub fn add(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> u64 {
+    add_with_flags(fmt, a, b, mode).0
+}
+
+/// [`add`] together with the IEEE exception flags it raises, for every
+/// format: NV for `inf - inf`, and the flags of the one rounding step.
+pub fn add_with_flags(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
+    let exact = |bits| (bits, FlagSet::NONE);
     match (unpack(fmt, a), unpack(fmt, b)) {
-        (Unpacked::Nan, _) | (_, Unpacked::Nan) => fmt.quiet_nan_bits(),
+        // Quiet NaN propagation raises nothing.
+        (Unpacked::Nan, _) | (_, Unpacked::Nan) => exact(fmt.quiet_nan_bits()),
         (Unpacked::Inf(sa), Unpacked::Inf(sb)) => {
             if sa == sb {
-                fmt.inf_bits(sa)
+                exact(fmt.inf_bits(sa))
             } else {
-                fmt.quiet_nan_bits() // inf - inf is invalid
+                (fmt.quiet_nan_bits(), FlagSet::INVALID) // inf - inf is invalid
             }
         }
-        (Unpacked::Inf(s), _) | (_, Unpacked::Inf(s)) => fmt.inf_bits(s),
+        (Unpacked::Inf(s), _) | (_, Unpacked::Inf(s)) => exact(fmt.inf_bits(s)),
         (Unpacked::Zero(sa), Unpacked::Zero(sb)) => {
             if sa == sb {
-                fmt.zero_bits(sa)
+                exact(fmt.zero_bits(sa))
             } else {
-                fmt.zero_bits(mode == RoundingMode::TowardNegative)
+                exact(fmt.zero_bits(mode == RoundingMode::TowardNegative))
             }
         }
-        (Unpacked::Zero(_), Unpacked::Finite(_)) => b & fmt.bits_mask(),
-        (Unpacked::Finite(_), Unpacked::Zero(_)) => a & fmt.bits_mask(),
+        (Unpacked::Zero(_), Unpacked::Finite(_)) => exact(b & fmt.bits_mask()),
+        (Unpacked::Finite(_), Unpacked::Zero(_)) => exact(a & fmt.bits_mask()),
         (Unpacked::Finite(na), Unpacked::Finite(nb)) => add_finite(fmt, na, nb, mode),
     }
 }
 
 /// Subtracts `b` from `a` (implemented as `a + (-b)`).
 pub fn sub(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> u64 {
-    add(fmt, a, b ^ (1u64 << fmt.sign_shift()), mode)
+    sub_with_flags(fmt, a, b, mode).0
 }
 
-fn add_finite(fmt: FpFormat, a: Norm, b: Norm, mode: RoundingMode) -> u64 {
+/// [`sub`] together with the IEEE exception flags it raises (see
+/// [`add_with_flags`]).
+pub fn sub_with_flags(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
+    add_with_flags(fmt, a, b ^ (1u64 << fmt.sign_shift()), mode)
+}
+
+fn add_finite(fmt: FpFormat, a: Norm, b: Norm, mode: RoundingMode) -> (u64, FlagSet) {
     // Order so that `hi` has the larger magnitude.
     let (hi, lo) = if (a.exp, a.sig) >= (b.exp, b.sig) {
         (a, b)
@@ -58,7 +73,10 @@ fn add_finite(fmt: FpFormat, a: Norm, b: Norm, mode: RoundingMode) -> u64 {
     } else {
         if d == 0 && hi.sig == lo.sig {
             // Exact cancellation: the zero's sign depends on the mode.
-            return fmt.zero_bits(mode == RoundingMode::TowardNegative);
+            return (
+                fmt.zero_bits(mode == RoundingMode::TowardNegative),
+                FlagSet::NONE,
+            );
         }
         let lo_sig = shift_right_jam(lo.sig, d.min(63));
         let diff = hi.sig - lo_sig;
@@ -73,15 +91,22 @@ fn add_finite(fmt: FpFormat, a: Norm, b: Norm, mode: RoundingMode) -> u64 {
 
 /// Multiplies two encodings of `fmt`.
 pub fn mul(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> u64 {
+    mul_with_flags(fmt, a, b, mode).0
+}
+
+/// [`mul`] together with the IEEE exception flags it raises, for every
+/// format: NV for `0 * inf`, and the flags of the one rounding step.
+pub fn mul_with_flags(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
     let (ua, ub) = (unpack(fmt, a), unpack(fmt, b));
     let sign = ua.sign() ^ ub.sign();
+    let exact = |bits| (bits, FlagSet::NONE);
     match (ua, ub) {
-        (Unpacked::Nan, _) | (_, Unpacked::Nan) => fmt.quiet_nan_bits(),
+        (Unpacked::Nan, _) | (_, Unpacked::Nan) => exact(fmt.quiet_nan_bits()),
         (Unpacked::Inf(_), Unpacked::Zero(_)) | (Unpacked::Zero(_), Unpacked::Inf(_)) => {
-            fmt.quiet_nan_bits() // 0 * inf is invalid
+            (fmt.quiet_nan_bits(), FlagSet::INVALID) // 0 * inf is invalid
         }
-        (Unpacked::Inf(_), _) | (_, Unpacked::Inf(_)) => fmt.inf_bits(sign),
-        (Unpacked::Zero(_), _) | (_, Unpacked::Zero(_)) => fmt.zero_bits(sign),
+        (Unpacked::Inf(_), _) | (_, Unpacked::Inf(_)) => exact(fmt.inf_bits(sign)),
+        (Unpacked::Zero(_), _) | (_, Unpacked::Zero(_)) => exact(fmt.zero_bits(sign)),
         (Unpacked::Finite(na), Unpacked::Finite(nb)) => {
             let m = fmt.man_bits();
             // Natural significands in [2^m, 2^(m+1)); the bottom GRS bits of
@@ -104,16 +129,24 @@ pub fn mul(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> u64 {
 
 /// Divides `a` by `b` in `fmt`.
 pub fn div(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> u64 {
+    div_with_flags(fmt, a, b, mode).0
+}
+
+/// [`div`] together with the IEEE exception flags it raises, for every
+/// format: NV for `0/0` and `inf/inf`, DZ for a finite non-zero dividend
+/// over zero, and the flags of the one rounding step.
+pub fn div_with_flags(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
     let (ua, ub) = (unpack(fmt, a), unpack(fmt, b));
     let sign = ua.sign() ^ ub.sign();
+    let exact = |bits| (bits, FlagSet::NONE);
     match (ua, ub) {
-        (Unpacked::Nan, _) | (_, Unpacked::Nan) => fmt.quiet_nan_bits(),
-        (Unpacked::Inf(_), Unpacked::Inf(_)) => fmt.quiet_nan_bits(), // inf/inf
-        (Unpacked::Zero(_), Unpacked::Zero(_)) => fmt.quiet_nan_bits(), // 0/0
-        (Unpacked::Inf(_), _) => fmt.inf_bits(sign),
-        (_, Unpacked::Inf(_)) => fmt.zero_bits(sign),
-        (Unpacked::Zero(_), _) => fmt.zero_bits(sign),
-        (_, Unpacked::Zero(_)) => fmt.inf_bits(sign), // division by zero
+        (Unpacked::Nan, _) | (_, Unpacked::Nan) => exact(fmt.quiet_nan_bits()),
+        (Unpacked::Inf(_), Unpacked::Inf(_)) => (fmt.quiet_nan_bits(), FlagSet::INVALID), // inf/inf
+        (Unpacked::Zero(_), Unpacked::Zero(_)) => (fmt.quiet_nan_bits(), FlagSet::INVALID), // 0/0
+        (Unpacked::Inf(_), _) => exact(fmt.inf_bits(sign)),
+        (_, Unpacked::Inf(_)) => exact(fmt.zero_bits(sign)),
+        (Unpacked::Zero(_), _) => exact(fmt.zero_bits(sign)),
+        (_, Unpacked::Zero(_)) => (fmt.inf_bits(sign), FlagSet::DIV_BY_ZERO),
         (Unpacked::Finite(na), Unpacked::Finite(nb)) => {
             let m = fmt.man_bits();
             let ns_a = (na.sig >> GRS) as u128;

@@ -27,7 +27,7 @@ pub fn convert(src: FpFormat, dst: FpFormat, bits: u64, mode: RoundingMode) -> u
             } else {
                 n.sig << (to - from) as u32
             };
-            round_pack(dst, mode, n.sign, n.exp, sig)
+            round_pack(dst, mode, n.sign, n.exp, sig).0
         }
     }
 }
@@ -187,7 +187,7 @@ pub fn round_to_integral(fmt: FpFormat, bits: u64, mode: RoundingMode) -> u64 {
             } else {
                 int << (point - hb) as u32
             };
-            round_pack(fmt, mode, n.sign, hb, sig)
+            round_pack(fmt, mode, n.sign, hb, sig).0
         }
     }
 }
@@ -237,7 +237,7 @@ fn from_mag(fmt: FpFormat, mag: u64, sign: bool, mode: RoundingMode) -> u64 {
     } else {
         mag << (target - hb) as u32
     };
-    round_pack(fmt, mode, sign, hb, sig)
+    round_pack(fmt, mode, sign, hb, sig).0
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! IEEE 754 exception flags and flag-reporting operation variants.
 //!
 //! Hardware FPUs (the paper's unit included — it inherits RISC-V `fflags`
-//! semantics from the host core) accumulate five sticky status flags. The
-//! plain [`ops`](crate::ops) functions discard them; the `*_flagged`
-//! variants here return them, and [`FlagSet`] accumulates like the `fcsr`
-//! register.
+//! semantics from the host core) accumulate five sticky status flags. Every
+//! arithmetic kernel computes them in its one rounding step: the
+//! `*_with_flags` kernels in [`ops`](crate::ops) return them for any
+//! format, the plain kernels discard them, and the `*_flagged` variants
+//! here return them for the narrow formats. [`FlagSet`] accumulates like
+//! the `fcsr` register.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
-use tp_formats::{FloatClass, FpFormat, RoundingMode};
+use tp_formats::{FpFormat, RoundingMode};
 
 /// The five IEEE 754 exception flags (RISC-V `fflags` layout: NV DZ OF UF NX).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -36,6 +38,18 @@ impl FlagSet {
         inexact: false,
     };
 
+    /// Invalid operation (NV) alone.
+    pub const INVALID: FlagSet = FlagSet {
+        invalid: true,
+        ..FlagSet::NONE
+    };
+
+    /// Division by zero (DZ) alone.
+    pub const DIV_BY_ZERO: FlagSet = FlagSet {
+        div_by_zero: true,
+        ..FlagSet::NONE
+    };
+
     /// `true` if no flag is raised.
     #[must_use]
     pub fn is_empty(self) -> bool {
@@ -43,6 +57,7 @@ impl FlagSet {
     }
 
     /// RISC-V `fflags` bit encoding (NX=bit0 … NV=bit4).
+    #[inline]
     #[must_use]
     pub fn to_bits(self) -> u32 {
         (self.inexact as u32)
@@ -53,6 +68,7 @@ impl FlagSet {
     }
 
     /// Decodes a RISC-V `fflags` value.
+    #[inline]
     #[must_use]
     pub fn from_bits(bits: u32) -> Self {
         FlagSet {
@@ -103,75 +119,28 @@ impl fmt::Display for FlagSet {
     }
 }
 
-/// Derives the flags of an already-computed operation by comparing the
-/// exact (`f64`-wide) result against the packed one.
-///
-/// Valid for the narrow formats (`2m+2 <= 52`), where the `f64` computation
-/// of a single +,−,×,÷ is exact or at worst correctly rounded with the same
-/// flag outcome.
-fn flags_from_exact(fmt: FpFormat, exact: f64, packed: u64, invalid: bool, dz: bool) -> FlagSet {
-    let mut flags = FlagSet {
-        invalid,
-        div_by_zero: dz,
-        ..FlagSet::NONE
-    };
-    if invalid {
-        return flags;
-    }
-    let got = fmt.decode_to_f64(packed);
-    if exact.is_infinite() {
-        // Exact infinity (e.g. inf + x): no rounding flags.
-        return flags;
-    }
-    let outcome = fmt.round_from_f64(exact, RoundingMode::NearestEven);
-    flags.inexact = outcome.inexact;
-    flags.overflow = outcome.overflow;
-    flags.underflow = outcome.underflow;
-    debug_assert!(
-        got.is_nan() || got == fmt.decode_to_f64(outcome.bits),
-        "{fmt}: packed {got:e} disagrees with exact-rounded"
+/// Panics unless `fmt` is one of the narrow formats (`2m + 2 <= 52`) the
+/// `*_flagged` functions are defined for.
+#[track_caller]
+fn assert_narrow(fmt: FpFormat) {
+    assert!(
+        2 * fmt.man_bits() + 2 <= 52,
+        "flagged ops support narrow formats only"
     );
-    flags
-}
-
-fn is_nan(fmt: FpFormat, bits: u64) -> bool {
-    FloatClass::of_bits(fmt, bits) == FloatClass::Nan
 }
 
 /// Addition with exception flags.
 ///
-/// Restricted to formats with `2·m + 2 <= 52` (all four platform formats),
-/// where flag derivation via the exact `f64` sum is sound.
+/// Restricted to formats with `2·m + 2 <= 52` (all four platform formats).
+/// The flags come from the kernel's own rounding step, as for
+/// [`add_with_flags`](crate::ops::add_with_flags), which takes any format.
 ///
 /// # Panics
 ///
 /// Panics if the format's mantissa is wider than 25 bits.
 pub fn add_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert!(
-        2 * fmt.man_bits() + 2 <= 52,
-        "flagged ops support narrow formats only"
-    );
-    let bits = crate::arith::add(fmt, a, b, mode);
-    if is_nan(fmt, a) || is_nan(fmt, b) {
-        return (bits, FlagSet::NONE); // quiet NaN propagation raises nothing
-    }
-    let (va, vb) = (fmt.decode_to_f64(a), fmt.decode_to_f64(b));
-    let invalid = va.is_infinite() && vb.is_infinite() && va.signum() != vb.signum();
-    let exact = va + vb;
-    let flags = if mode == RoundingMode::NearestEven {
-        flags_from_exact(fmt, exact, bits, invalid, false)
-    } else {
-        // Non-RNE: recompute the flag-relevant outcome under `mode`.
-        let outcome = fmt.round_from_f64(exact, mode);
-        FlagSet {
-            invalid,
-            div_by_zero: false,
-            overflow: outcome.overflow && !invalid && exact.is_finite(),
-            underflow: outcome.underflow && !invalid,
-            inexact: outcome.inexact && !invalid,
-        }
-    };
-    (bits, flags)
+    assert_narrow(fmt);
+    crate::arith::add_with_flags(fmt, a, b, mode)
 }
 
 /// Multiplication with exception flags (same format restriction as
@@ -181,28 +150,8 @@ pub fn add_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, F
 ///
 /// Panics if the format's mantissa is wider than 25 bits.
 pub fn mul_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert!(
-        2 * fmt.man_bits() + 2 <= 52,
-        "flagged ops support narrow formats only"
-    );
-    let bits = crate::arith::mul(fmt, a, b, mode);
-    if is_nan(fmt, a) || is_nan(fmt, b) {
-        return (bits, FlagSet::NONE);
-    }
-    let (va, vb) = (fmt.decode_to_f64(a), fmt.decode_to_f64(b));
-    let invalid = (va.is_infinite() && vb == 0.0) || (va == 0.0 && vb.is_infinite());
-    let exact = va * vb;
-    let outcome = fmt.round_from_f64(exact, mode);
-    (
-        bits,
-        FlagSet {
-            invalid,
-            div_by_zero: false,
-            overflow: !invalid && exact.is_finite() && outcome.overflow,
-            underflow: !invalid && outcome.underflow,
-            inexact: !invalid && outcome.inexact,
-        },
-    )
+    assert_narrow(fmt);
+    crate::arith::mul_with_flags(fmt, a, b, mode)
 }
 
 /// Division with exception flags (same format restriction as
@@ -212,84 +161,32 @@ pub fn mul_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, F
 ///
 /// Panics if the format's mantissa is wider than 25 bits.
 pub fn div_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert!(
-        2 * fmt.man_bits() + 2 <= 52,
-        "flagged ops support narrow formats only"
-    );
-    let bits = crate::arith::div(fmt, a, b, mode);
-    if is_nan(fmt, a) || is_nan(fmt, b) {
-        return (bits, FlagSet::NONE);
-    }
-    let (va, vb) = (fmt.decode_to_f64(a), fmt.decode_to_f64(b));
-    let invalid = (va == 0.0 && vb == 0.0) || (va.is_infinite() && vb.is_infinite());
-    let div_by_zero = !invalid && vb == 0.0 && va.is_finite();
-    if invalid || div_by_zero {
-        return (
-            bits,
-            FlagSet {
-                invalid,
-                div_by_zero,
-                ..FlagSet::NONE
-            },
-        );
-    }
-    let exact = va / vb;
-    let outcome = fmt.round_from_f64(exact, mode);
-    (
-        bits,
-        FlagSet {
-            invalid: false,
-            div_by_zero: false,
-            overflow: exact.is_finite() && outcome.overflow,
-            underflow: outcome.underflow,
-            inexact: outcome.inexact,
-        },
-    )
+    assert_narrow(fmt);
+    crate::arith::div_with_flags(fmt, a, b, mode)
 }
 
-/// Square root with exception flags.
+/// Square root with exception flags (same format restriction as
+/// [`add_flagged`]).
 ///
 /// # Panics
 ///
 /// Panics if the format's mantissa is wider than 25 bits.
 pub fn sqrt_flagged(fmt: FpFormat, a: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert!(
-        2 * fmt.man_bits() + 2 <= 52,
-        "flagged ops support narrow formats only"
-    );
-    let bits = crate::advanced::sqrt(fmt, a, mode);
-    if is_nan(fmt, a) {
-        return (bits, FlagSet::NONE);
-    }
-    let va = fmt.decode_to_f64(a);
-    if va < 0.0 && va != 0.0 {
-        return (
-            bits,
-            FlagSet {
-                invalid: true,
-                ..FlagSet::NONE
-            },
-        );
-    }
-    // sqrt never overflows or underflows; only NX can be raised. The f64
-    // sqrt is correctly rounded and 2m+2 <= 52 makes the double rounding
-    // exact, so its inexactness at the narrow grid equals the flag.
-    let outcome = fmt.round_from_f64(va.sqrt(), mode);
-    (
-        bits,
-        FlagSet {
-            inexact: outcome.inexact,
-            ..FlagSet::NONE
-        },
-    )
+    assert_narrow(fmt);
+    crate::advanced::sqrt_with_flags(fmt, a, mode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tp_formats::{BINARY16, BINARY8};
+    use crate::ops::sub_with_flags;
+    use tp_formats::{BINARY16, BINARY16ALT, BINARY32, BINARY8};
 
     const RNE: RoundingMode = RoundingMode::NearestEven;
+    const NX: FlagSet = FlagSet {
+        inexact: true,
+        ..FlagSet::NONE
+    };
 
     fn enc(fmt: FpFormat, x: f64) -> u64 {
         fmt.round_from_f64(x, RNE).bits
@@ -360,6 +257,27 @@ mod tests {
         let one = enc(BINARY8, 1.0);
         assert!(add_flagged(BINARY8, nan, one, RNE).1.is_empty());
         assert!(div_flagged(BINARY8, nan, one, RNE).1.is_empty());
+    }
+
+    #[test]
+    fn absorbed_addend_is_inexact() {
+        // The exponent gap exceeds f64's 53 bits, so the smaller addend
+        // vanishes without a trace in an f64 sum; the kernel's sticky bit
+        // still sees it.
+        let (bits, flags) = add_flagged(BINARY16ALT, 0xb437, 0x069f, RNE);
+        assert_eq!(bits, 0xb437);
+        assert_eq!(flags, NX, "{flags}");
+        let (bits, flags) = sub_with_flags(BINARY16ALT, 0xb437, 0x869f, RNE);
+        assert_eq!(bits, 0xb437);
+        assert_eq!(flags, NX, "{flags}");
+
+        let one = enc(BINARY32, 1.0);
+        let tiny = BINARY32.min_subnormal_bits(); // 2^-149
+        assert_eq!(add_flagged(BINARY32, one, tiny, RNE), (one, NX));
+        assert_eq!(sub_with_flags(BINARY32, one, tiny, RNE).1, NX);
+        // Directed rounding moves the result, and the flag stays NX.
+        let up = add_flagged(BINARY32, one, tiny, RoundingMode::TowardPositive);
+        assert_eq!(up, (one + 1, NX));
     }
 
     #[test]

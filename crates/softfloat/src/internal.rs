@@ -7,6 +7,8 @@
 
 use tp_formats::{FpFormat, RoundingMode};
 
+use crate::FlagSet;
+
 /// Number of working bits kept below the mantissa during an operation
 /// (guard, round, sticky).
 pub(crate) const GRS: u32 = 3;
@@ -98,17 +100,30 @@ pub(crate) fn shift_right_jam128(x: u128, n: u32) -> u128 {
     }
 }
 
-/// Rounds a normalized result and packs it into `fmt`.
+/// Rounds a normalized result and packs it into `fmt`, returning the
+/// encoding together with the exception flags of this one rounding step.
 ///
 /// `sig` must either be zero (yields a signed zero) or have its leading bit
 /// at position `man_bits + GRS`; `exp` is the unbiased exponent of that bit.
-pub(crate) fn round_pack(fmt: FpFormat, mode: RoundingMode, sign: bool, exp: i32, sig: u64) -> u64 {
+/// The kernels jam every bit they drop into the sticky bit, so `sig` is
+/// inexact exactly when the exact result is, and `exp` is the exponent of
+/// the exact result. The flags follow
+/// [`round_from_f64`](FpFormat::round_from_f64): NX when bits were lost,
+/// OF (with NX) when the rounded value exceeds the largest finite one, and
+/// UF when the result is inexact and tiny *before* rounding.
+pub(crate) fn round_pack(
+    fmt: FpFormat,
+    mode: RoundingMode,
+    sign: bool,
+    exp: i32,
+    sig: u64,
+) -> (u64, FlagSet) {
     debug_assert!(
         sig == 0 || (63 - sig.leading_zeros()) == fmt.man_bits() + GRS,
         "round_pack: significand not normalized: {sig:#x} for {fmt}"
     );
     if sig == 0 {
-        return fmt.zero_bits(sign);
+        return (fmt.zero_bits(sign), FlagSet::NONE);
     }
     let m = fmt.man_bits();
     let emin = fmt.emin();
@@ -124,11 +139,18 @@ pub(crate) fn round_pack(fmt: FpFormat, mode: RoundingMode, sign: bool, exp: i32
         if mode.round_up(sign, kept & 1 == 1, guard, sticky) {
             kept += 1;
         }
-        return if kept >= (1u64 << m) {
+        let bits = if kept >= (1u64 << m) {
             fmt.pack(sign, 1, 0) // rounded up to the smallest normal
         } else {
             fmt.pack(sign, 0, kept)
         };
+        let inexact = guard || sticky;
+        let flags = FlagSet {
+            underflow: inexact,
+            inexact,
+            ..FlagSet::NONE
+        };
+        return (bits, flags);
     }
 
     let kept = sig >> GRS;
@@ -144,9 +166,19 @@ pub(crate) fn round_pack(fmt: FpFormat, mode: RoundingMode, sign: bool, exp: i32
         }
     }
     if exp > emax {
-        return overflow_bits(fmt, mode, sign);
+        let flags = FlagSet {
+            overflow: true,
+            inexact: true,
+            ..FlagSet::NONE
+        };
+        return (overflow_bits(fmt, mode, sign), flags);
     }
-    fmt.pack(sign, (exp + fmt.bias()) as u64, kept & fmt.man_mask())
+    let bits = fmt.pack(sign, (exp + fmt.bias()) as u64, kept & fmt.man_mask());
+    let flags = FlagSet {
+        inexact: guard || sticky,
+        ..FlagSet::NONE
+    };
+    (bits, flags)
 }
 
 /// The IEEE overflow result for each rounding mode.
@@ -244,7 +276,7 @@ mod tests {
         // For every finite non-zero binary8 value, unpack + round_pack is id.
         for bits in 0..=0xFFu64 {
             if let Unpacked::Finite(n) = unpack(BINARY8, bits) {
-                let packed = round_pack(BINARY8, RoundingMode::NearestEven, n.sign, n.exp, n.sig);
+                let packed = round_pack(BINARY8, RoundingMode::NearestEven, n.sign, n.exp, n.sig).0;
                 assert_eq!(packed, bits, "bits {bits:#010b}");
             }
         }
@@ -256,7 +288,7 @@ mod tests {
             let mut bits = 0u64;
             while bits <= fmt.bits_mask() {
                 if let Unpacked::Finite(n) = unpack(fmt, bits) {
-                    let packed = round_pack(fmt, RoundingMode::NearestEven, n.sign, n.exp, n.sig);
+                    let packed = round_pack(fmt, RoundingMode::NearestEven, n.sign, n.exp, n.sig).0;
                     assert_eq!(packed, bits);
                 }
                 bits += 257; // odd stride for coverage
@@ -279,7 +311,7 @@ mod tests {
     fn round_pack_zero_sig() {
         assert_eq!(
             round_pack(BINARY8, RoundingMode::NearestEven, true, 0, 0),
-            BINARY8.zero_bits(true)
+            (BINARY8.zero_bits(true), FlagSet::NONE)
         );
     }
 
@@ -288,21 +320,26 @@ mod tests {
         let m = BINARY8.man_bits() + GRS;
         let sig = 1u64 << m;
         let e = BINARY8.emax() + 1;
+        let of = FlagSet {
+            overflow: true,
+            inexact: true,
+            ..FlagSet::NONE
+        };
         assert_eq!(
             round_pack(BINARY8, RoundingMode::NearestEven, false, e, sig),
-            BINARY8.inf_bits(false)
+            (BINARY8.inf_bits(false), of)
         );
         assert_eq!(
             round_pack(BINARY8, RoundingMode::TowardZero, false, e, sig),
-            BINARY8.max_finite_bits(false)
+            (BINARY8.max_finite_bits(false), of)
         );
         assert_eq!(
             round_pack(BINARY8, RoundingMode::TowardNegative, false, e, sig),
-            BINARY8.max_finite_bits(false)
+            (BINARY8.max_finite_bits(false), of)
         );
         assert_eq!(
             round_pack(BINARY8, RoundingMode::TowardPositive, true, e, sig),
-            BINARY8.max_finite_bits(true)
+            (BINARY8.max_finite_bits(true), of)
         );
     }
 
@@ -318,7 +355,8 @@ mod tests {
                 false,
                 BINARY8.emax(),
                 sig
-            ),
+            )
+            .0,
             BINARY8.inf_bits(false)
         );
     }

@@ -10,7 +10,9 @@
 //!
 //! Everything is computed with integer arithmetic only — no host
 //! floating-point operation participates in producing a result, so the crate
-//! would behave identically on a target without an FPU.
+//! would behave identically on a target without an FPU. That holds for the
+//! IEEE exception flags too: each kernel reads them off its one
+//! round-and-pack step instead of redoing the operation in host `f64`.
 //!
 //! # Layers
 //!
@@ -55,8 +57,10 @@ use tp_formats::{FloatClass, FpFormat, RoundingMode};
 /// Free functions over raw encodings, for callers that manage formats and
 /// rounding modes themselves (e.g. the FPU slice models).
 pub mod ops {
-    pub use crate::advanced::{fused_mul_add, sqrt};
-    pub use crate::arith::{add, div, mul, sub};
+    pub use crate::advanced::{fused_mul_add, fused_mul_add_with_flags, sqrt, sqrt_with_flags};
+    pub use crate::arith::{
+        add, add_with_flags, div, div_with_flags, mul, mul_with_flags, sub, sub_with_flags,
+    };
     pub use crate::cmp::{compare, eq, le, lt, max, min};
     pub use crate::cvt::{
         convert, from_i16, from_i32, from_i8, from_u32, round_to_integral, to_i16, to_i32, to_i8,
