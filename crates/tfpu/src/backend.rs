@@ -1,15 +1,18 @@
-//! [`FpuModel`] — the [`SmallFloatUnit`] as a pluggable `flexfloat`
-//! execution backend.
+//! [`FpuModel`] — the [`SmallFloatUnit`](crate::SmallFloatUnit) as a
+//! pluggable `flexfloat` execution backend.
 //!
 //! Installing this backend (via `flexfloat::Engine::with`) routes every
 //! `Fx`/`FlexFloat` operation through the microarchitectural FPU model:
-//! add/sub/mul in the four platform formats execute on
-//! [`SmallFloatUnit::scalar`] and accumulate the unit's *measured* latency
-//! and energy, conversions go through [`SmallFloatUnit::convert`], and the
-//! operations the unit does not implement in hardware — division, square
-//! root (software-emulated on the PULPino core, exactly as in the paper)
-//! and the quiet comparisons — fall back to the bit-exact `tp-softfloat`
-//! kernels while being counted separately in [`MeasuredStats`].
+//! add/sub/mul in the four platform formats run on the unit's datapath
+//! kernels and accumulate the latency and energy
+//! [`SmallFloatUnit::scalar`](crate::SmallFloatUnit::scalar) charges,
+//! conversions are charged as
+//! [`SmallFloatUnit::convert`](crate::SmallFloatUnit::convert) charges
+//! them, and the operations the unit does not implement in hardware —
+//! division, square root (software-emulated on the PULPino core, exactly
+//! as in the paper) and the quiet comparisons — fall back to the
+//! bit-exact `tp-softfloat` kernels while being counted separately in
+//! [`MeasuredStats`].
 //!
 //! Results are **bit-identical** to the other two backends for every
 //! operation (the unit's datapaths are the same softfloat kernels), so a
@@ -18,14 +21,16 @@
 //! cycle/energy account that `tp-platform` cross-validates against its
 //! analytic [`CycleReport`](../tp_platform/struct.CycleReport.html).
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use flexfloat::backend::{BinOp, FlagSet, FpBackend};
-use tp_formats::{FormatKind, FpFormat, RoundingMode};
+use tp_formats::{FormatKind, FpFormat, RoundingMode, ALL_KINDS};
 use tp_softfloat::ops;
 
+use crate::energy::{EnergyTable, ENERGY_QUANTUM_PJ};
 use crate::op::ArithOp;
-use crate::unit::{FpuStats, Issue, SmallFloatUnit};
+use crate::unit::{conversion_cost, scalar_cost, FpuStats};
 
 /// A tap observing every operation the backend accounts: the op class,
 /// the formats involved, and the unit's cycle/energy charge (0 for
@@ -177,19 +182,60 @@ impl EnergyAccount {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    unit: SmallFloatUnit,
-    counts: MeasuredStats,
+/// Formats the unit has slices for.
+const KINDS: usize = ALL_KINDS.len();
+/// First conversion slot; the 12 arithmetic slots (op × kind) come before.
+const CONVERT: usize = ArithOp::ALL.len() * KINDS;
+/// Slots the unit charges: arithmetic, then conversions (from × to).
+const UNIT_SLOTS: usize = CONVERT + KINDS * KINDS;
+// Uncharged slots after the unit's: counted, never charged.
+const DIV: usize = UNIT_SLOTS;
+const SQRT: usize = UNIT_SLOTS + 1;
+const FMA: usize = UNIT_SLOTS + 2;
+const CMP: usize = UNIT_SLOTS + 3;
+const OFF_GRID: usize = UNIT_SLOTS + 4;
+const SLOTS: usize = OFF_GRID + 1;
+
+fn arith_slot(op: ArithOp, kind: FormatKind) -> usize {
+    op as usize * KINDS + kind as usize
+}
+
+fn convert_slot(from: FormatKind, to: FormatKind) -> usize {
+    CONVERT + from as usize * KINDS + to as usize
+}
+
+/// The unit's `(latency, energy_pj)` per charged slot, from the same cost
+/// functions [`SmallFloatUnit`](crate::SmallFloatUnit) charges.
+fn unit_costs() -> [(u64, f64); UNIT_SLOTS] {
+    let energy = EnergyTable::paper();
+    let mut costs = [(0, 0.0); UNIT_SLOTS];
+    for kind in ALL_KINDS {
+        for op in ArithOp::ALL {
+            let (latency, pj) = scalar_cost(&energy, op, kind);
+            costs[arith_slot(op, kind)] = (u64::from(latency), pj);
+        }
+        for to in ALL_KINDS {
+            let (latency, pj) = conversion_cost(&energy, kind, to);
+            costs[convert_slot(kind, to)] = (u64::from(latency), pj);
+        }
+    }
+    costs
 }
 
 /// The `SmallFloatUnit` adapter backend: routes `flexfloat` operations
 /// through the FPU cycle/energy model, accumulating [`MeasuredStats`].
 ///
-/// The backend is shared as `Arc<dyn FpBackend>` and may be installed on
-/// several worker threads at once; the unit state is behind a mutex
-/// (kernel evaluation is single-threaded per run, so there is no
-/// contention in practice — the lock is for soundness, not throughput).
+/// Each op computes its result with the `tp-softfloat` kernel of the
+/// unit's datapath and bumps one relaxed `AtomicU64` counter: one per
+/// (op, format) arithmetic slot, per (from, to) conversion, and per
+/// uncharged class (div, sqrt, fma, cmp, off-grid). The per-slot latency
+/// and energy are built once at construction from the costs
+/// [`SmallFloatUnit`](crate::SmallFloatUnit) charges, and
+/// [`FpuModel::stats`] derives the totals from the counts. The backend is
+/// shared as `Arc<dyn FpBackend>` and may be installed on several threads
+/// at once: no op takes a lock or allocates, and the counters are meant
+/// to be read after the run (a read during one sees each counter at some
+/// recent value).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -209,10 +255,21 @@ struct Inner {
 /// assert_eq!(stats.fpu.total_latency, 1); // binary8 add is single-cycle
 /// assert!(stats.fpu.total_energy_pj > 0.0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FpuModel {
-    inner: Mutex<Inner>,
+    counts: [AtomicU64; SLOTS],
+    costs: [(u64, f64); UNIT_SLOTS],
     sink: Option<Arc<dyn AttributionSink>>,
+}
+
+impl Default for FpuModel {
+    fn default() -> Self {
+        FpuModel {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            costs: unit_costs(),
+            sink: None,
+        }
+    }
 }
 
 impl FpuModel {
@@ -222,60 +279,78 @@ impl FpuModel {
         Self::default()
     }
 
-    /// A backend over a unit with a custom energy table.
-    #[must_use]
-    pub fn with_unit(unit: SmallFloatUnit) -> Self {
-        FpuModel {
-            inner: Mutex::new(Inner {
-                unit,
-                counts: MeasuredStats::default(),
-            }),
-            sink: None,
-        }
-    }
-
     /// A backend that additionally reports every accounted op to `sink`
     /// (see [`AttributionSink`]).
     #[must_use]
     pub fn with_sink(sink: Arc<dyn AttributionSink>) -> Self {
         FpuModel {
-            inner: Mutex::new(Inner::default()),
             sink: Some(sink),
+            ..Self::default()
         }
     }
 
-    fn tap(
-        &self,
-        class: &'static str,
-        from: &'static str,
-        to: &'static str,
-        issue: Option<&Issue>,
-    ) {
+    /// Counts one op in `slot` and reports it, with the slot's charge, to
+    /// the sink if there is one.
+    #[inline]
+    fn count(&self, slot: usize, class: &'static str, from: &'static str, to: &'static str) {
+        self.counts[slot].fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = &self.sink {
-            let (cycles, energy) = issue.map_or((0, 0.0), |i| (u64::from(i.latency), i.energy_pj));
-            sink.record(class, from, to, cycles, energy);
+            let (cycles, energy_pj) = self.costs.get(slot).copied().unwrap_or((0, 0.0));
+            sink.record(class, from, to, cycles, energy_pj);
+        }
+    }
+
+    /// Counts a software-emulated op in `slot`, or an off-grid one.
+    fn emulated(&self, fmt: FpFormat, slot: usize, class: &'static str) {
+        match FormatKind::of_format(fmt) {
+            Some(kind) => self.count(slot, class, kind_name(kind), kind_name(kind)),
+            None => self.off_grid(),
+        }
+    }
+
+    fn off_grid(&self) {
+        self.count(OFF_GRID, "off_grid", "off-grid", "off-grid");
+    }
+
+    /// Counts a comparison; its format labels are looked up only for a
+    /// sink.
+    fn cmp(&self, fmt: FpFormat) {
+        self.counts[CMP].fetch_add(1, Ordering::Relaxed);
+        if let Some(sink) = &self.sink {
+            sink.record("cmp", fmt_label(fmt), fmt_label(fmt), 0, 0.0);
         }
     }
 
     /// The statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> MeasuredStats {
-        let inner = self.lock();
+        let n = |slot: usize| self.counts[slot].load(Ordering::Relaxed);
+        let mut fpu = FpuStats::default();
+        let mut quanta = 0u64;
+        for (slot, &(latency, energy_pj)) in self.costs.iter().enumerate() {
+            let count = n(slot);
+            fpu.instructions += count;
+            fpu.total_latency += count * latency;
+            quanta += count * (energy_pj / ENERGY_QUANTUM_PJ) as u64;
+        }
+        // Every energy is a whole number of quanta (`energy` module doc),
+        // so this equals the op-by-op `f64` sum bit for bit.
+        fpu.total_energy_pj = quanta as f64 * ENERGY_QUANTUM_PJ;
         MeasuredStats {
-            fpu: inner.unit.stats(),
-            ..inner.counts
+            fpu,
+            emulated_div: n(DIV),
+            emulated_sqrt: n(SQRT),
+            emulated_fma: n(FMA),
+            cmp_ops: n(CMP),
+            off_grid_ops: n(OFF_GRID),
         }
     }
 
     /// Resets all accumulated statistics.
     pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.unit.reset();
-        inner.counts = MeasuredStats::default();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("FpuModel state poisoned")
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -289,64 +364,36 @@ impl FpBackend for FpuModel {
     }
 
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        let mut inner = self.lock();
         let (ab, bb) = (enc(fmt, a), enc(fmt, b));
-        let bits = match (FormatKind::of_format(fmt), op) {
-            (Some(kind), BinOp::Add | BinOp::Sub | BinOp::Mul) => {
-                let (arith, class) = match op {
-                    BinOp::Add => (ArithOp::Add, "add"),
-                    BinOp::Sub => (ArithOp::Sub, "sub"),
-                    _ => (ArithOp::Mul, "mul"),
-                };
-                let issue = inner.unit.scalar(arith, kind, ab, bb);
-                let name = kind_name(kind);
-                self.tap(class, name, name, Some(&issue));
-                issue.lanes[0]
-            }
-            (Some(kind), BinOp::Div) => {
+        let arith = match op {
+            BinOp::Add => ArithOp::Add,
+            BinOp::Sub => ArithOp::Sub,
+            BinOp::Mul => ArithOp::Mul,
+            BinOp::Div => {
                 // No divider slice: emulated in software on the core.
-                inner.counts.emulated_div += 1;
-                let name = kind_name(kind);
-                self.tap("div_emulated", name, name, None);
-                ops::div(fmt, ab, bb, RoundingMode::default())
-            }
-            (None, _) => {
-                inner.counts.off_grid_ops += 1;
-                self.tap("off_grid", "off-grid", "off-grid", None);
-                match op {
-                    BinOp::Add => ops::add(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Sub => ops::sub(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Mul => ops::mul(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Div => ops::div(fmt, ab, bb, RoundingMode::default()),
-                }
+                let bits = ops::div(fmt, ab, bb, RoundingMode::default());
+                self.emulated(fmt, DIV, "div_emulated");
+                return fmt.decode_to_f64(bits);
             }
         };
+        let bits = arith.apply(fmt, ab, bb);
+        match FormatKind::of_format(fmt) {
+            Some(kind) => {
+                let name = kind_name(kind);
+                self.count(arith_slot(arith, kind), arith.name(), name, name);
+            }
+            None => self.off_grid(),
+        }
         fmt.decode_to_f64(bits)
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        let mut inner = self.lock();
-        if let Some(kind) = FormatKind::of_format(fmt) {
-            inner.counts.emulated_sqrt += 1;
-            let name = kind_name(kind);
-            self.tap("sqrt_emulated", name, name, None);
-        } else {
-            inner.counts.off_grid_ops += 1;
-            self.tap("off_grid", "off-grid", "off-grid", None);
-        }
-        fmt.decode_to_f64(ops::sqrt(fmt, enc(fmt, x), RoundingMode::default()))
+        let bits = ops::sqrt(fmt, enc(fmt, x), RoundingMode::default());
+        self.emulated(fmt, SQRT, "sqrt_emulated");
+        fmt.decode_to_f64(bits)
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        let mut inner = self.lock();
-        if let Some(kind) = FormatKind::of_format(fmt) {
-            inner.counts.emulated_fma += 1;
-            let name = kind_name(kind);
-            self.tap("fma_emulated", name, name, None);
-        } else {
-            inner.counts.off_grid_ops += 1;
-            self.tap("off_grid", "off-grid", "off-grid", None);
-        }
         let bits = ops::fused_mul_add(
             fmt,
             enc(fmt, a),
@@ -354,57 +401,48 @@ impl FpBackend for FpuModel {
             enc(fmt, c),
             RoundingMode::default(),
         );
+        self.emulated(fmt, FMA, "fma_emulated");
         fmt.decode_to_f64(bits)
     }
 
     fn cast(&self, from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        let mut inner = self.lock();
+        let bits = ops::convert(from, to, enc(from, x), RoundingMode::default());
         match (FormatKind::of_format(from), FormatKind::of_format(to)) {
             (Some(fk), Some(tk)) => {
-                let issue = inner.unit.convert(fk, tk, enc(from, x));
-                self.tap("convert", kind_name(fk), kind_name(tk), Some(&issue));
-                to.decode_to_f64(issue.lanes[0])
+                self.count(
+                    convert_slot(fk, tk),
+                    "convert",
+                    kind_name(fk),
+                    kind_name(tk),
+                );
             }
-            _ => {
-                inner.counts.off_grid_ops += 1;
-                self.tap("off_grid", "off-grid", "off-grid", None);
-                to.decode_to_f64(ops::convert(
-                    from,
-                    to,
-                    enc(from, x),
-                    RoundingMode::default(),
-                ))
-            }
+            _ => self.off_grid(),
         }
+        to.decode_to_f64(bits)
     }
 
     fn min(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
+        self.cmp(fmt);
         fmt.decode_to_f64(ops::min(fmt, enc(fmt, a), enc(fmt, b)))
     }
 
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
+        self.cmp(fmt);
         fmt.decode_to_f64(ops::max(fmt, enc(fmt, a), enc(fmt, b)))
     }
 
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
+        self.cmp(fmt);
         ops::lt(fmt, enc(fmt, a), enc(fmt, b))
     }
 
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
+        self.cmp(fmt);
         ops::le(fmt, enc(fmt, a), enc(fmt, b))
     }
 
     fn eq(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
+        self.cmp(fmt);
         ops::eq(fmt, enc(fmt, a), enc(fmt, b))
     }
 
@@ -416,8 +454,9 @@ impl FpBackend for FpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unit::SmallFloatUnit;
     use flexfloat::{Engine, Fx};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use tp_formats::{BINARY16, BINARY32, BINARY8};
 
     #[test]
@@ -609,5 +648,139 @@ mod tests {
         let s = fpu.stats();
         assert_eq!(s.off_grid_ops, 1);
         assert_eq!(s.fpu.instructions, 0);
+    }
+
+    fn bin(op: ArithOp) -> BinOp {
+        match op {
+            ArithOp::Add => BinOp::Add,
+            ArithOp::Sub => BinOp::Sub,
+            ArithOp::Mul => BinOp::Mul,
+        }
+    }
+
+    #[test]
+    fn model_accounts_like_the_unit() {
+        let mut all_ops = SmallFloatUnit::new();
+        let all_fpu = FpuModel::new();
+        for kind in ALL_KINDS {
+            let f = kind.format();
+            let on_grid =
+                |v: f64| f.decode_to_f64(f.round_from_f64(v, RoundingMode::default()).bits);
+            let (x, y) = (on_grid(1.3), on_grid(-0.7));
+            for op in ArithOp::ALL {
+                let fpu = FpuModel::new();
+                let got = fpu.bin_op(f, bin(op), x, y);
+                let _ = all_fpu.bin_op(f, bin(op), x, y);
+                let mut unit = SmallFloatUnit::new();
+                let issue = unit.scalar(op, kind, enc(f, x), enc(f, y));
+                let _ = all_ops.scalar(op, kind, enc(f, x), enc(f, y));
+                assert_eq!(got.to_bits(), f.decode_to_f64(issue.lanes[0]).to_bits());
+                let (model, unit) = (fpu.stats().fpu, unit.stats());
+                assert_eq!(model.instructions, 1, "{kind} {op}");
+                assert_eq!(model.total_latency, unit.total_latency, "{kind} {op}");
+                assert_eq!(model.total_energy_pj, unit.total_energy_pj, "{kind} {op}");
+            }
+            for to in ALL_KINDS {
+                let fpu = FpuModel::new();
+                let got = fpu.cast(f, to.format(), x);
+                let _ = all_fpu.cast(f, to.format(), x);
+                let mut unit = SmallFloatUnit::new();
+                let issue = unit.convert(kind, to, enc(f, x));
+                let _ = all_ops.convert(kind, to, enc(f, x));
+                assert_eq!(
+                    got.to_bits(),
+                    to.format().decode_to_f64(issue.lanes[0]).to_bits()
+                );
+                let (model, unit) = (fpu.stats().fpu, unit.stats());
+                assert_eq!(model.instructions, 1, "{kind} -> {to}");
+                assert_eq!(model.total_latency, unit.total_latency, "{kind} -> {to}");
+                assert_eq!(
+                    model.total_energy_pj, unit.total_energy_pj,
+                    "{kind} -> {to}"
+                );
+            }
+        }
+        // Summed over every slot, too: the unit's op-by-op account.
+        assert_eq!(all_fpu.stats().fpu, all_ops.stats());
+    }
+
+    /// Counts the sink's rows and sums their charge, without storing them.
+    #[derive(Debug, Default)]
+    struct CountingSink {
+        rows: AtomicU64,
+        cycles: AtomicU64,
+        quanta: AtomicU64,
+    }
+
+    impl AttributionSink for CountingSink {
+        fn record(&self, _: &'static str, _: &'static str, _: &'static str, cycles: u64, pj: f64) {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            self.cycles.fetch_add(cycles, Ordering::Relaxed);
+            self.quanta
+                .fetch_add((pj / ENERGY_QUANTUM_PJ) as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Hits every counter slot `rounds` times.
+    fn op_mix(fpu: &dyn FpBackend, rounds: u32) {
+        let odd = FpFormat::new(6, 5).unwrap();
+        for i in 0..rounds {
+            let x = 1.0 + f64::from(i % 4) * 0.25;
+            for kind in ALL_KINDS {
+                let f = kind.format();
+                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+                    let _ = fpu.bin_op(f, op, x, 0.75);
+                }
+                let _ = fpu.sqrt(f, x);
+                let _ = fpu.fma(f, x, 0.5, 0.25);
+                let _ = fpu.lt(f, x, 0.5);
+                for to in ALL_KINDS {
+                    let _ = fpu.cast(f, to.format(), x);
+                }
+            }
+            let _ = fpu.bin_op(odd, BinOp::Mul, x, 0.75);
+        }
+    }
+
+    #[test]
+    fn shared_backend_counts_every_op_across_threads() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u32 = 10_000;
+        let one = FpuModel::new();
+        op_mix(&one, ROUNDS);
+        let one = one.stats();
+
+        let sink = Arc::new(CountingSink::default());
+        let fpu = Arc::new(FpuModel::with_sink(sink.clone()));
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                let fpu = fpu.clone();
+                s.spawn(move || {
+                    Engine::with(fpu, || {
+                        op_mix(&*Engine::current().expect("installed"), ROUNDS);
+                    });
+                });
+            }
+        });
+        let all = fpu.stats();
+        let n = THREADS;
+        assert_eq!(all.fpu.instructions, n * one.fpu.instructions);
+        assert_eq!(all.fpu.total_latency, n * one.fpu.total_latency);
+        assert_eq!(all.fpu.total_energy_pj, n as f64 * one.fpu.total_energy_pj);
+        assert_eq!(all.emulated_div, n * one.emulated_div);
+        assert_eq!(all.emulated_sqrt, n * one.emulated_sqrt);
+        assert_eq!(all.emulated_fma, n * one.emulated_fma);
+        assert_eq!(all.cmp_ops, n * one.cmp_ops);
+        assert_eq!(all.off_grid_ops, n * one.off_grid_ops);
+        assert_eq!(one.off_grid_ops, u64::from(ROUNDS));
+        assert_eq!(
+            sink.rows.load(Ordering::Relaxed),
+            all.retired_fp_instructions()
+        );
+        assert_eq!(sink.cycles.load(Ordering::Relaxed), all.fpu.total_latency);
+        assert_eq!(
+            sink.quanta.load(Ordering::Relaxed) as f64 * ENERGY_QUANTUM_PJ,
+            all.fpu.total_energy_pj
+        );
     }
 }

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use tp_formats::FormatKind;
+use tp_formats::{FormatKind, FpFormat, RoundingMode};
+use tp_softfloat::ops;
 
 /// Arithmetic operations hosted by the computational blocks of each slice
 /// (Fig. 3: one ADD/SUB block and one MULT block per format).
@@ -16,14 +17,36 @@ pub enum ArithOp {
     Mul,
 }
 
-impl fmt::Display for ArithOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ArithOp {
+    /// Every arithmetic op, in slot order.
+    pub const ALL: [ArithOp; 3] = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul];
+
+    /// The op's mnemonic (`"add"`, `"sub"`, `"mul"`).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
             ArithOp::Add => "add",
             ArithOp::Sub => "sub",
             ArithOp::Mul => "mul",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Computes the op on encodings of `fmt` with the bit-exact
+    /// `tp-softfloat` kernel the unit's datapath stands for (RNE).
+    #[must_use]
+    pub fn apply(self, fmt: FpFormat, a: u64, b: u64) -> u64 {
+        let rm = RoundingMode::NearestEven;
+        match self {
+            ArithOp::Add => ops::add(fmt, a, b, rm),
+            ArithOp::Sub => ops::sub(fmt, a, b, rm),
+            ArithOp::Mul => ops::mul(fmt, a, b, rm),
+        }
+    }
+}
+
+impl fmt::Display for ArithOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

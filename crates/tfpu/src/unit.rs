@@ -20,6 +20,31 @@ pub struct Issue {
     pub activity: SliceActivity,
 }
 
+/// The unit's charge for one scalar arithmetic op: `(latency, energy_pj)`.
+/// [`SmallFloatUnit::scalar`] and the `FpuModel` cost table both charge
+/// this, so the two accounts cannot drift apart.
+#[must_use]
+pub(crate) fn scalar_cost(energy: &EnergyTable, op: ArithOp, fmt: FormatKind) -> (u32, f64) {
+    (
+        SliceKind::hosting(fmt).arith_latency(),
+        energy.scalar_arith(op, fmt),
+    )
+}
+
+/// The unit's charge for one FP → FP conversion: `(latency, energy_pj)`,
+/// charged by [`SmallFloatUnit::convert`] and the `FpuModel` cost table.
+#[must_use]
+pub(crate) fn conversion_cost(
+    energy: &EnergyTable,
+    from: FormatKind,
+    to: FormatKind,
+) -> (u32, f64) {
+    (
+        SliceKind::conversion_latency(),
+        energy.conversion(from.width_bits(), to.width_bits()),
+    )
+}
+
 /// Cumulative execution statistics of a unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FpuStats {
@@ -102,14 +127,8 @@ impl SmallFloatUnit {
     /// Issues a scalar arithmetic operation. Only the hosting slice is
     /// active; all others are operand-silenced.
     pub fn scalar(&mut self, op: ArithOp, fmt: FormatKind, a: u64, b: u64) -> Issue {
-        let f = fmt.format();
-        let bits = match op {
-            ArithOp::Add => ops::add(f, a, b, RoundingMode::NearestEven),
-            ArithOp::Sub => ops::sub(f, a, b, RoundingMode::NearestEven),
-            ArithOp::Mul => ops::mul(f, a, b, RoundingMode::NearestEven),
-        };
-        let latency = SliceKind::hosting(fmt).arith_latency();
-        let energy = self.energy.scalar_arith(op, fmt);
+        let bits = op.apply(fmt.format(), a, b);
+        let (latency, energy) = scalar_cost(&self.energy, op, fmt);
         self.account(latency, energy);
         Issue {
             lanes: vec![bits],
@@ -133,15 +152,7 @@ impl SmallFloatUnit {
         assert_eq!(a.len(), lanes, "operand A lane count");
         assert_eq!(b.len(), lanes, "operand B lane count");
         let f = fmt.format();
-        let out: Vec<u64> = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| match op {
-                ArithOp::Add => ops::add(f, x, y, RoundingMode::NearestEven),
-                ArithOp::Sub => ops::sub(f, x, y, RoundingMode::NearestEven),
-                ArithOp::Mul => ops::mul(f, x, y, RoundingMode::NearestEven),
-            })
-            .collect();
+        let out: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| op.apply(f, x, y)).collect();
         let latency = SliceKind::hosting(fmt).arith_latency();
         let energy = self.energy.vector_arith(op, fmt);
         self.account(latency, energy);
@@ -156,8 +167,7 @@ impl SmallFloatUnit {
     /// Issues an FP → FP conversion (one cycle).
     pub fn convert(&mut self, from: FormatKind, to: FormatKind, bits: u64) -> Issue {
         let out = ops::convert(from.format(), to.format(), bits, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(from.width_bits(), to.width_bits());
+        let (latency, energy) = conversion_cost(&self.energy, from, to);
         self.account(latency, energy);
         // Conversions ride the wider of the two slices.
         let host = if from.width_bits() >= to.width_bits() {
@@ -296,9 +306,8 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
     use tp_formats::ALL_KINDS;
     let mut rows = Vec::new();
     for &fmt in &ALL_KINDS {
-        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul] {
-            let latency = SliceKind::hosting(fmt).arith_latency();
-            let e = energy.scalar_arith(op, fmt);
+        for op in ArithOp::ALL {
+            let (latency, e) = scalar_cost(energy, op, fmt);
             rows.push(ModeRow {
                 op: FpuOp::Arith(op, fmt),
                 vector: false,
@@ -324,13 +333,14 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
     for &from in &ALL_KINDS {
         for &to in &ALL_KINDS {
             if from != to {
+                let (latency, e) = conversion_cost(energy, from, to);
                 rows.push(ModeRow {
                     op: FpuOp::CvtFF { from, to },
                     vector: false,
                     lanes: 1,
-                    latency: SliceKind::conversion_latency(),
-                    energy_pj: energy.conversion(from.width_bits(), to.width_bits()),
-                    energy_per_element_pj: energy.conversion(from.width_bits(), to.width_bits()),
+                    latency,
+                    energy_pj: e,
+                    energy_per_element_pj: e,
                 });
             }
         }
