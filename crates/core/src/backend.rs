@@ -15,8 +15,10 @@
 //! * [`SoftFloat`] — routes every operation through the pure-integer
 //!   `tp-softfloat` kernels and accumulates the IEEE exception flags the
 //!   hardware would raise ([`FlagSet`], surfaced via [`Engine::flags`]).
-//! * `FpuModel` (in `tp-fpu`, downstream) — routes operations through the
-//!   `SmallFloatUnit` cycle/energy model, accumulating *measured* costs.
+//! * `FpuModel` (in `tp-fpu`, downstream) — [`SoftFloat`] plus one
+//!   counter: it computes and raises flags through an inner `SoftFloat`,
+//!   then counts the op in the `SmallFloatUnit` cycle/energy account,
+//!   accumulating *measured* costs.
 //!
 //! All three produce **bit-identical** results for every operation on every
 //! format (`tests/backends.rs` pins this per kernel and per format), so a
@@ -52,8 +54,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tp_formats::{FpFormat, RoundingMode};
-use tp_softfloat::ops;
 pub use tp_softfloat::FlagSet;
+use tp_softfloat::{ops, FpOrdering};
+
+use crate::cell::CmpOp;
 
 /// The four binary arithmetic operations a backend must implement.
 ///
@@ -89,7 +93,10 @@ pub enum BinOp {
 ///   The backend-equivalence suite (`tests/backends.rs`) enforces this.
 /// * **Comparison semantics** — [`FpBackend::min`] / [`FpBackend::max`]
 ///   follow RISC-V `fmin`/`fmax` (NaN loses, `-0 < +0`); [`FpBackend::lt`]
-///   / [`FpBackend::le`] are IEEE quiet predicates (false on unordered).
+///   / [`FpBackend::le`] are the signaling RISC-V `flt`/`fle` (false on
+///   unordered, NV raised on a NaN operand) and [`FpBackend::eq`] the
+///   quiet `feq`. In-grid `f64` values carry no signaling NaN, so `eq`,
+///   `min` and `max` raise nothing.
 /// * **Thread-safety** — backends are shared as `Arc<dyn FpBackend>`
 ///   across the fan-out layers, so interior state (accumulated flags,
 ///   measured cycles) must be synchronized.
@@ -115,10 +122,12 @@ pub trait FpBackend: Send + Sync {
     /// RISC-V `fmax`: NaN loses to a number, `-0 < +0`.
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64;
 
-    /// Quiet `a < b` (false on unordered).
+    /// Signaling `a < b` — RISC-V `flt`: false on unordered, raising NV
+    /// when either operand is NaN.
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool;
 
-    /// Quiet `a <= b` (false on unordered).
+    /// Signaling `a <= b` — RISC-V `fle`: false on unordered, raising NV
+    /// when either operand is NaN.
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool;
 
     /// Quiet `a == b` (false on unordered, `-0 == +0`) — RISC-V `feq`.
@@ -250,7 +259,7 @@ pub trait TapeSink {
     /// [`Recorder`](crate::Recorder)).
     fn abs(&self, v: ValueId) -> ValueId;
 
-    /// A quiet comparison (`<` or `<=`) and the boolean it produced — the
+    /// A comparison (`<` or `<=`) and the boolean it produced — the
     /// divergence guard of replay-based tuning hangs off this outcome.
     fn cmp(&self, is_le: bool, a: ValueId, b: ValueId, outcome: bool);
 
@@ -572,14 +581,7 @@ impl FpBackend for Emulated {
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
         // The 2m+2 argument does not cover fused operations, so FMA always
         // goes through the integer kernels (one rounding, any format).
-        let bits = ops::fused_mul_add(
-            fmt,
-            fmt.encode_in_grid(a),
-            fmt.encode_in_grid(b),
-            fmt.encode_in_grid(c),
-            RoundingMode::default(),
-        );
-        fmt.decode_to_f64(bits)
+        fma_flagged(fmt, a, b, c).0
     }
 
     #[inline(always)]
@@ -617,36 +619,114 @@ impl FpBackend for Emulated {
 #[cold]
 #[inline(never)]
 fn wide_bin_op(fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-    let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
-    let mode = RoundingMode::default();
-    let bits = match op {
-        BinOp::Add => ops::add(fmt, ab, bb, mode),
-        BinOp::Sub => ops::sub(fmt, ab, bb, mode),
-        BinOp::Mul => ops::mul(fmt, ab, bb, mode),
-        BinOp::Div => ops::div(fmt, ab, bb, mode),
-    };
-    fmt.decode_to_f64(bits)
+    bin_op_flagged(fmt, op, a, b).0
 }
 
 /// [`Emulated::sqrt`] beyond the `2m + 2` bound (see [`wide_bin_op`]).
 #[cold]
 #[inline(never)]
 fn wide_sqrt(fmt: FpFormat, x: f64) -> f64 {
-    let bits = ops::sqrt(fmt, fmt.encode_in_grid(x), RoundingMode::default());
-    fmt.decode_to_f64(bits)
+    sqrt_flagged(fmt, x).0
+}
+
+// The flagged bodies, one per op class: each computes on the
+// `tp-softfloat` integer kernels (operands encoded with
+// `encode_in_grid`) and returns the result with the IEEE flags that op
+// raises. `SoftFloat` raises what they return, for every format;
+// `Emulated`'s integer-kernel paths take the result alone.
+
+/// `a op b` in `fmt`; the flags come from the kernel's one rounding step.
+#[inline]
+fn bin_op_flagged(fmt: FpFormat, op: BinOp, a: f64, b: f64) -> (f64, FlagSet) {
+    let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
+    let mode = RoundingMode::default();
+    let (bits, flags) = match op {
+        BinOp::Add => ops::add_with_flags(fmt, ab, bb, mode),
+        BinOp::Sub => ops::sub_with_flags(fmt, ab, bb, mode),
+        BinOp::Mul => ops::mul_with_flags(fmt, ab, bb, mode),
+        BinOp::Div => ops::div_with_flags(fmt, ab, bb, mode),
+    };
+    (fmt.decode_to_f64(bits), flags)
+}
+
+/// Square root of `x` in `fmt`.
+#[inline]
+fn sqrt_flagged(fmt: FpFormat, x: f64) -> (f64, FlagSet) {
+    let (bits, flags) = ops::sqrt_with_flags(fmt, fmt.encode_in_grid(x), RoundingMode::default());
+    (fmt.decode_to_f64(bits), flags)
+}
+
+/// `a * b + c` in `fmt`, one rounding.
+fn fma_flagged(fmt: FpFormat, a: f64, b: f64, c: f64) -> (f64, FlagSet) {
+    let (bits, flags) = ops::fused_mul_add_with_flags(
+        fmt,
+        fmt.encode_in_grid(a),
+        fmt.encode_in_grid(b),
+        fmt.encode_in_grid(c),
+        RoundingMode::default(),
+    );
+    (fmt.decode_to_f64(bits), flags)
+}
+
+/// `x` converted to `to`. `round_from_f64` is integer-only internally (it
+/// works on the bit pattern) and differentially matches `ops::convert`
+/// bit for bit (tests/conformance.rs), so one rounding yields the bits
+/// and the flags whatever the source format.
+#[inline]
+fn cast_flagged(to: FpFormat, x: f64) -> (f64, FlagSet) {
+    let outcome = to.round_from_f64(x, RoundingMode::default());
+    let flags = FlagSet {
+        inexact: outcome.inexact,
+        overflow: outcome.overflow,
+        underflow: outcome.underflow,
+        ..FlagSet::NONE
+    };
+    (to.decode_to_f64(outcome.bits), flags)
+}
+
+/// RISC-V `fmin` (`want_min`) or `fmax` in `fmt`. It raises nothing: NV
+/// would need a signaling NaN, which no in-grid `f64` carries.
+#[inline]
+fn min_max_flagged(fmt: FpFormat, a: f64, b: f64, want_min: bool) -> (f64, FlagSet) {
+    let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
+    let bits = if want_min {
+        ops::min(fmt, ab, bb)
+    } else {
+        ops::max(fmt, ab, bb)
+    };
+    (fmt.decode_to_f64(bits), FlagSet::NONE)
+}
+
+/// `a op b` in `fmt`: `flt`/`fle` signal (NV when unordered), `feq` is
+/// quiet.
+#[inline(always)]
+fn cmp_flagged(fmt: FpFormat, op: CmpOp, a: f64, b: f64) -> (bool, FlagSet) {
+    let order = ops::compare(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b));
+    let out = match op {
+        CmpOp::Lt => order == FpOrdering::Less,
+        CmpOp::Le => matches!(order, FpOrdering::Less | FpOrdering::Equal),
+        CmpOp::Eq => order == FpOrdering::Equal,
+    };
+    let invalid = order == FpOrdering::Unordered && op != CmpOp::Eq;
+    (
+        out,
+        FlagSet {
+            invalid,
+            ..FlagSet::NONE
+        },
+    )
 }
 
 /// The pure-integer datapath: every operation goes through the
 /// `tp-softfloat` kernels on encoded bit patterns, and the IEEE exception
-/// flags each kernel reads off its one rounding step accumulate like a
-/// RISC-V `fcsr` register (read them with [`SoftFloat::flags`] /
-/// [`Engine::flags`]).
+/// flags each op raises accumulate like a RISC-V `fcsr` register (read
+/// them with [`SoftFloat::flags`] / [`Engine::flags`]). Every op raises
+/// its flags in every format, by one rule: each method returns the result
+/// of its op class's flagged body and raises that body's flags.
 ///
 /// The register is one lock-free sticky word: raising a flag that is
 /// already set is a plain load, so once a run has raised NX, its ops make
-/// no atomic write. Flags are raised for the narrow formats
-/// (`2m + 2 <= 52`, all four platform formats); wider formats still
-/// compute bit-exactly but raise nothing.
+/// no atomic write.
 #[derive(Debug, Default)]
 pub struct SoftFloat {
     /// [`FlagSet::to_bits`] of the accumulated flags.
@@ -666,23 +746,15 @@ impl SoftFloat {
         FlagSet::from_bits(self.flags.load(Ordering::Relaxed))
     }
 
-    /// ORs `flags` into the register; the atomic write happens only when
-    /// a flag is new.
+    /// ORs an op's flags into the register and returns its result; the
+    /// atomic write happens only when a flag is new.
     #[inline]
-    fn raise(&self, flags: FlagSet) {
+    fn raise<T>(&self, (out, flags): (T, FlagSet)) -> T {
         let new = flags.to_bits();
         if new & !self.flags.load(Ordering::Relaxed) != 0 {
             self.flags.fetch_or(new, Ordering::Relaxed);
         }
-    }
-
-    /// [`SoftFloat::raise`] for an arithmetic op in `fmt`: only the narrow
-    /// formats raise (see the type docs).
-    #[inline]
-    fn raise_in(&self, fmt: FpFormat, flags: FlagSet) {
-        if native_exact(fmt) {
-            self.raise(flags);
-        }
+        out
     }
 }
 
@@ -691,70 +763,49 @@ impl FpBackend for SoftFloat {
         "softfloat"
     }
 
+    #[inline]
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        let (ab, bb) = (fmt.encode_in_grid(a), fmt.encode_in_grid(b));
-        let mode = RoundingMode::default();
-        let (bits, flags) = match op {
-            BinOp::Add => ops::add_with_flags(fmt, ab, bb, mode),
-            BinOp::Sub => ops::sub_with_flags(fmt, ab, bb, mode),
-            BinOp::Mul => ops::mul_with_flags(fmt, ab, bb, mode),
-            BinOp::Div => ops::div_with_flags(fmt, ab, bb, mode),
-        };
-        self.raise_in(fmt, flags);
-        fmt.decode_to_f64(bits)
+        self.raise(bin_op_flagged(fmt, op, a, b))
     }
 
+    #[inline]
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        let (bits, flags) =
-            ops::sqrt_with_flags(fmt, fmt.encode_in_grid(x), RoundingMode::default());
-        self.raise_in(fmt, flags);
-        fmt.decode_to_f64(bits)
+        self.raise(sqrt_flagged(fmt, x))
     }
 
+    #[inline]
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        let (bits, flags) = ops::fused_mul_add_with_flags(
-            fmt,
-            fmt.encode_in_grid(a),
-            fmt.encode_in_grid(b),
-            fmt.encode_in_grid(c),
-            RoundingMode::default(),
-        );
-        self.raise_in(fmt, flags);
-        fmt.decode_to_f64(bits)
+        self.raise(fma_flagged(fmt, a, b, c))
     }
 
+    #[inline]
     fn cast(&self, _from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        // `round_from_f64` is integer-only internally (it works on the bit
-        // pattern), and differentially matches `ops::convert` bit-for-bit
-        // (tests/conformance.rs) — so one rounding yields bits and flags.
-        let outcome = to.round_from_f64(x, RoundingMode::default());
-        self.raise(FlagSet {
-            inexact: outcome.inexact,
-            overflow: outcome.overflow,
-            underflow: outcome.underflow,
-            ..FlagSet::NONE
-        });
-        to.decode_to_f64(outcome.bits)
+        self.raise(cast_flagged(to, x))
     }
 
+    #[inline]
     fn min(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        fmt.decode_to_f64(ops::min(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b)))
+        self.raise(min_max_flagged(fmt, a, b, true))
     }
 
+    #[inline]
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        fmt.decode_to_f64(ops::max(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b)))
+        self.raise(min_max_flagged(fmt, a, b, false))
     }
 
+    #[inline]
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        ops::lt(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b))
+        self.raise(cmp_flagged(fmt, CmpOp::Lt, a, b))
     }
 
+    #[inline]
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        ops::le(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b))
+        self.raise(cmp_flagged(fmt, CmpOp::Le, a, b))
     }
 
+    #[inline]
     fn eq(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        ops::eq(fmt, fmt.encode_in_grid(a), fmt.encode_in_grid(b))
+        self.raise(cmp_flagged(fmt, CmpOp::Eq, a, b))
     }
 
     fn flags(&self) -> FlagSet {
@@ -962,6 +1013,92 @@ mod tests {
                     soft.le(BINARY16, b8(a), b8(b)),
                     Emulated.le(BINARY16, b8(a), b8(b))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn lt_le_signal_while_eq_min_max_stay_quiet() {
+        let n = f64::NAN;
+        for (a, b) in [(n, 1.0), (1.0, n), (n, n)] {
+            for (name, op) in [("lt", CmpOp::Lt), ("le", CmpOp::Le), ("eq", CmpOp::Eq)] {
+                let soft = SoftFloat::new();
+                let out = match op {
+                    CmpOp::Lt => soft.lt(BINARY8, a, b),
+                    CmpOp::Le => soft.le(BINARY8, a, b),
+                    CmpOp::Eq => soft.eq(BINARY8, a, b),
+                };
+                assert!(!out, "{name}({a}, {b}) is false on unordered");
+                let want = if op == CmpOp::Eq {
+                    FlagSet::NONE
+                } else {
+                    FlagSet::INVALID
+                };
+                assert_eq!(soft.flags(), want, "{name}({a}, {b})");
+            }
+            let soft = SoftFloat::new();
+            let _ = (soft.min(BINARY8, a, b), soft.max(BINARY8, a, b));
+            assert_eq!(soft.flags(), FlagSet::NONE, "min/max({a}, {b})");
+        }
+        // Ordered operands raise nothing, whatever the outcome.
+        let soft = SoftFloat::new();
+        for (a, b) in [(1.0, 2.0), (2.0, 1.0), (-0.0, 0.0), (f64::INFINITY, 1.0)] {
+            let _ = (soft.lt(BINARY8, a, b), soft.le(BINARY8, a, b));
+            let _ = soft.eq(BINARY8, a, b);
+        }
+        assert_eq!(soft.flags(), FlagSet::NONE);
+        // Through the cell, as `Fx::lt` reaches it.
+        let flags = Engine::with(Arc::new(SoftFloat::new()), || {
+            let _ = crate::Fx::new(f64::NAN, BINARY8).le(crate::Fx::new(1.0, BINARY8));
+            Engine::flags()
+        });
+        assert_eq!(flags, FlagSet::INVALID);
+    }
+
+    #[test]
+    fn wide_formats_raise_their_flags() {
+        let nx = FlagSet {
+            inexact: true,
+            ..FlagSet::NONE
+        };
+        let of = FlagSet {
+            overflow: true,
+            ..nx
+        };
+        let uf = FlagSet {
+            underflow: true,
+            ..nx
+        };
+        for m in [40, 52] {
+            let wide = FpFormat::new(11, m).unwrap();
+            let big = wide.max_finite();
+            let tiny = wide.min_subnormal();
+            type Case<'a> = (&'a str, &'a dyn Fn(&dyn FpBackend) -> f64, FlagSet);
+            let cases: [Case; 7] = [
+                ("1 + tiny", &|b| b.bin_op(wide, BinOp::Add, 1.0, tiny), nx),
+                (
+                    "1.5 * 2",
+                    &|b| b.bin_op(wide, BinOp::Mul, 1.5, 2.0),
+                    FlagSet::NONE,
+                ),
+                ("1 / 3", &|b| b.bin_op(wide, BinOp::Div, 1.0, 3.0), nx),
+                ("max * 2", &|b| b.bin_op(wide, BinOp::Mul, big, 2.0), of),
+                ("tiny * 0.5", &|b| b.bin_op(wide, BinOp::Mul, tiny, 0.5), uf),
+                ("sqrt 2", &|b| b.sqrt(wide, 2.0), nx),
+                (
+                    "0 * inf + 1",
+                    &|b| b.fma(wide, 0.0, f64::INFINITY, 1.0),
+                    FlagSet::INVALID,
+                ),
+            ];
+            for (name, op, want) in cases {
+                let soft = SoftFloat::new();
+                let (got, emulated) = (op(&soft), op(&Emulated));
+                assert!(
+                    got.to_bits() == emulated.to_bits() || (got.is_nan() && emulated.is_nan()),
+                    "(11, {m}) {name}: {got:e} vs emulated {emulated:e}"
+                );
+                assert_eq!(soft.flags(), want, "(11, {m}) {name}");
             }
         }
     }

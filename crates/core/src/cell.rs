@@ -17,14 +17,16 @@ use tp_formats::FpFormat;
 use crate::backend::{dispatch, native_min_max, BinOp, Emulated, FpBackend};
 use crate::stats::{EventId, OpKind, Recorder};
 
-/// A quiet comparison predicate (false on unordered operands).
+/// A comparison predicate, false on unordered operands. `Le` and `Lt` are
+/// the signaling RISC-V `fle`/`flt` (a flag-raising backend raises NV on a
+/// NaN operand); `Eq` is the quiet `feq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `a <= b`.
     Le,
     /// `a < b`.
     Lt,
-    /// `a == b` (`-0 == +0`).
+    /// `a == b` (`-0 == +0`), quiet.
     Eq,
 }
 
@@ -116,7 +118,7 @@ pub fn min_max(
     (val, id)
 }
 
-/// The quiet predicate `a op b` in `fmt`, recorded as a comparison.
+/// The predicate `a op b` in `fmt`, recorded as a comparison.
 #[inline]
 #[must_use]
 pub fn cmp(fmt: FpFormat, op: CmpOp, a: f64, b: f64, deps: (EventId, EventId)) -> bool {

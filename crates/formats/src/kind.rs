@@ -64,7 +64,13 @@ impl FormatKind {
     /// Identifies the kind of a structural format, if it is one of the four.
     #[must_use]
     pub fn of_format(fmt: FpFormat) -> Option<Self> {
-        ALL_KINDS.into_iter().find(|k| k.format() == fmt)
+        match (fmt.exp_bits(), fmt.man_bits()) {
+            (5, 2) => Some(FormatKind::Binary8),
+            (5, 10) => Some(FormatKind::Binary16),
+            (8, 7) => Some(FormatKind::Binary16Alt),
+            (8, 23) => Some(FormatKind::Binary32),
+            _ => None,
+        }
     }
 
     /// `true` for the smaller-than-32-bit formats (the paper's *minifloats*).
@@ -197,6 +203,16 @@ mod tests {
             FormatKind::of_format(crate::FpFormat::new(7, 12).unwrap()),
             None
         );
+        // Every structural format: a kind exactly for the four.
+        for e in 1..=11 {
+            for m in 1..=52 {
+                let Ok(fmt) = crate::FpFormat::new(e, m) else {
+                    continue;
+                };
+                let want = ALL_KINDS.into_iter().find(|k| k.format() == fmt);
+                assert_eq!(FormatKind::of_format(fmt), want, "{fmt}");
+            }
+        }
     }
 
     #[test]

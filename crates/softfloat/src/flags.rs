@@ -1,17 +1,14 @@
-//! IEEE 754 exception flags and flag-reporting operation variants.
+//! IEEE 754 exception flags.
 //!
 //! Hardware FPUs (the paper's unit included — it inherits RISC-V `fflags`
 //! semantics from the host core) accumulate five sticky status flags. Every
 //! arithmetic kernel computes them in its one rounding step: the
 //! `*_with_flags` kernels in [`ops`](crate::ops) return them for any
-//! format, the plain kernels discard them, and the `*_flagged` variants
-//! here return them for the narrow formats. [`FlagSet`] accumulates like
-//! the `fcsr` register.
+//! format, and the plain kernels discard them. [`FlagSet`] accumulates
+//! like the `fcsr` register.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
-
-use tp_formats::{FpFormat, RoundingMode};
 
 /// The five IEEE 754 exception flags (RISC-V `fflags` layout: NV DZ OF UF NX).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -119,68 +116,13 @@ impl fmt::Display for FlagSet {
     }
 }
 
-/// Panics unless `fmt` is one of the narrow formats (`2m + 2 <= 52`) the
-/// `*_flagged` functions are defined for.
-#[track_caller]
-fn assert_narrow(fmt: FpFormat) {
-    assert!(
-        2 * fmt.man_bits() + 2 <= 52,
-        "flagged ops support narrow formats only"
-    );
-}
-
-/// Addition with exception flags.
-///
-/// Restricted to formats with `2·m + 2 <= 52` (all four platform formats).
-/// The flags come from the kernel's own rounding step, as for
-/// [`add_with_flags`](crate::ops::add_with_flags), which takes any format.
-///
-/// # Panics
-///
-/// Panics if the format's mantissa is wider than 25 bits.
-pub fn add_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert_narrow(fmt);
-    crate::arith::add_with_flags(fmt, a, b, mode)
-}
-
-/// Multiplication with exception flags (same format restriction as
-/// [`add_flagged`]).
-///
-/// # Panics
-///
-/// Panics if the format's mantissa is wider than 25 bits.
-pub fn mul_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert_narrow(fmt);
-    crate::arith::mul_with_flags(fmt, a, b, mode)
-}
-
-/// Division with exception flags (same format restriction as
-/// [`add_flagged`]).
-///
-/// # Panics
-///
-/// Panics if the format's mantissa is wider than 25 bits.
-pub fn div_flagged(fmt: FpFormat, a: u64, b: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert_narrow(fmt);
-    crate::arith::div_with_flags(fmt, a, b, mode)
-}
-
-/// Square root with exception flags (same format restriction as
-/// [`add_flagged`]).
-///
-/// # Panics
-///
-/// Panics if the format's mantissa is wider than 25 bits.
-pub fn sqrt_flagged(fmt: FpFormat, a: u64, mode: RoundingMode) -> (u64, FlagSet) {
-    assert_narrow(fmt);
-    crate::advanced::sqrt_with_flags(fmt, a, mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::sub_with_flags;
-    use tp_formats::{BINARY16, BINARY16ALT, BINARY32, BINARY8};
+    use crate::ops::{
+        add_with_flags, div_with_flags, mul_with_flags, sqrt_with_flags, sub_with_flags,
+    };
+    use tp_formats::{FpFormat, RoundingMode, BINARY16, BINARY16ALT, BINARY32, BINARY8};
 
     const RNE: RoundingMode = RoundingMode::NearestEven;
     const NX: FlagSet = FlagSet {
@@ -194,7 +136,7 @@ mod tests {
 
     #[test]
     fn exact_ops_raise_nothing() {
-        let (bits, flags) = add_flagged(BINARY8, enc(BINARY8, 1.0), enc(BINARY8, 0.5), RNE);
+        let (bits, flags) = add_with_flags(BINARY8, enc(BINARY8, 1.0), enc(BINARY8, 0.5), RNE);
         assert_eq!(BINARY8.decode_to_f64(bits), 1.5);
         assert!(flags.is_empty(), "{flags}");
     }
@@ -203,7 +145,7 @@ mod tests {
     fn inexact_is_raised() {
         // 1.75 * 1.75 = 3.0625 -> rounds in binary8.
         let a = enc(BINARY8, 1.75);
-        let (_, flags) = mul_flagged(BINARY8, a, a, RNE);
+        let (_, flags) = mul_with_flags(BINARY8, a, a, RNE);
         assert!(
             flags.inexact && !flags.overflow && !flags.underflow,
             "{flags}"
@@ -213,7 +155,7 @@ mod tests {
     #[test]
     fn overflow_raises_of_and_nx() {
         let big = enc(BINARY8, 57344.0);
-        let (bits, flags) = add_flagged(BINARY8, big, big, RNE);
+        let (bits, flags) = add_with_flags(BINARY8, big, big, RNE);
         assert!(BINARY8.decode_to_f64(bits).is_infinite());
         assert!(flags.overflow && flags.inexact, "{flags}");
     }
@@ -222,7 +164,7 @@ mod tests {
     fn underflow_raises_uf_and_nx() {
         let tiny = enc(BINARY8, 2f64.powi(-16));
         let half = enc(BINARY8, 0.5);
-        let (bits, flags) = mul_flagged(BINARY8, tiny, half, RNE);
+        let (bits, flags) = mul_with_flags(BINARY8, tiny, half, RNE);
         assert_eq!(BINARY8.decode_to_f64(bits), 0.0);
         assert!(flags.underflow && flags.inexact, "{flags}");
     }
@@ -232,18 +174,22 @@ mod tests {
         let inf = BINARY16.inf_bits(false);
         let ninf = BINARY16.inf_bits(true);
         let zero = BINARY16.zero_bits(false);
-        assert!(add_flagged(BINARY16, inf, ninf, RNE).1.invalid);
-        assert!(mul_flagged(BINARY16, inf, zero, RNE).1.invalid);
-        assert!(div_flagged(BINARY16, zero, zero, RNE).1.invalid);
-        assert!(div_flagged(BINARY16, inf, ninf, RNE).1.invalid);
-        assert!(sqrt_flagged(BINARY16, enc(BINARY16, -1.0), RNE).1.invalid);
+        assert!(add_with_flags(BINARY16, inf, ninf, RNE).1.invalid);
+        assert!(mul_with_flags(BINARY16, inf, zero, RNE).1.invalid);
+        assert!(div_with_flags(BINARY16, zero, zero, RNE).1.invalid);
+        assert!(div_with_flags(BINARY16, inf, ninf, RNE).1.invalid);
+        assert!(
+            sqrt_with_flags(BINARY16, enc(BINARY16, -1.0), RNE)
+                .1
+                .invalid
+        );
     }
 
     #[test]
     fn division_by_zero() {
         let one = enc(BINARY16, 1.0);
         let zero = BINARY16.zero_bits(false);
-        let (bits, flags) = div_flagged(BINARY16, one, zero, RNE);
+        let (bits, flags) = div_with_flags(BINARY16, one, zero, RNE);
         assert!(BINARY16.decode_to_f64(bits).is_infinite());
         assert!(
             flags.div_by_zero && !flags.invalid && !flags.inexact,
@@ -255,8 +201,8 @@ mod tests {
     fn quiet_nan_propagation_is_silent() {
         let nan = BINARY8.quiet_nan_bits();
         let one = enc(BINARY8, 1.0);
-        assert!(add_flagged(BINARY8, nan, one, RNE).1.is_empty());
-        assert!(div_flagged(BINARY8, nan, one, RNE).1.is_empty());
+        assert!(add_with_flags(BINARY8, nan, one, RNE).1.is_empty());
+        assert!(div_with_flags(BINARY8, nan, one, RNE).1.is_empty());
     }
 
     #[test]
@@ -264,7 +210,7 @@ mod tests {
         // The exponent gap exceeds f64's 53 bits, so the smaller addend
         // vanishes without a trace in an f64 sum; the kernel's sticky bit
         // still sees it.
-        let (bits, flags) = add_flagged(BINARY16ALT, 0xb437, 0x069f, RNE);
+        let (bits, flags) = add_with_flags(BINARY16ALT, 0xb437, 0x069f, RNE);
         assert_eq!(bits, 0xb437);
         assert_eq!(flags, NX, "{flags}");
         let (bits, flags) = sub_with_flags(BINARY16ALT, 0xb437, 0x869f, RNE);
@@ -273,10 +219,10 @@ mod tests {
 
         let one = enc(BINARY32, 1.0);
         let tiny = BINARY32.min_subnormal_bits(); // 2^-149
-        assert_eq!(add_flagged(BINARY32, one, tiny, RNE), (one, NX));
+        assert_eq!(add_with_flags(BINARY32, one, tiny, RNE), (one, NX));
         assert_eq!(sub_with_flags(BINARY32, one, tiny, RNE).1, NX);
         // Directed rounding moves the result, and the flag stays NX.
-        let up = add_flagged(BINARY32, one, tiny, RoundingMode::TowardPositive);
+        let up = add_with_flags(BINARY32, one, tiny, RoundingMode::TowardPositive);
         assert_eq!(up, (one + 1, NX));
     }
 
@@ -307,12 +253,5 @@ mod tests {
             ..FlagSet::NONE
         };
         assert!(fcsr.inexact && fcsr.overflow && !fcsr.invalid);
-    }
-
-    #[test]
-    #[should_panic(expected = "narrow formats only")]
-    fn wide_format_is_rejected() {
-        let wide = FpFormat::new(11, 40).unwrap();
-        let _ = add_flagged(wide, 0, 0, RNE);
     }
 }

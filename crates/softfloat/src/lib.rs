@@ -66,7 +66,6 @@ pub mod ops {
         convert, from_i16, from_i32, from_i8, from_u32, round_to_integral, to_i16, to_i32, to_i8,
         to_u16, to_u32, to_u8,
     };
-    pub use crate::flags::{add_flagged, div_flagged, mul_flagged, sqrt_flagged};
 }
 
 /// A floating-point value emulated in software: a bit pattern tagged with

@@ -13,6 +13,13 @@
 //! binary8 is covered exhaustively (every operand pair, every rounding
 //! mode). The wider formats are sampled, with specials and range
 //! boundaries mixed into the random encodings.
+//!
+//! A format wider than the `2m + 2 <= 52` bound, `(11, 40)`, is sampled
+//! with short significands (at most 26 bits), so the host `f64` result is
+//! exact wherever the exact result fits `f64`: always for `mul`, for `div`
+//! and `sqrt` when the integer significands show it, and for `add` when
+//! TwoSum does. A result too large or too tiny for `f64` has known flags
+//! (OF|NX, UF|NX). Everywhere else the oracle only requires NX.
 
 use tp_formats::{FloatClass, FpFormat, RoundingMode, BINARY16, BINARY16ALT, BINARY32, BINARY8};
 use tp_softfloat::{ops, FlagSet};
@@ -46,6 +53,70 @@ enum Expect {
     /// NX, and no NV, DZ or UF; OF is left open (a directed mode can push
     /// the largest finite value over the edge).
     Absorbed,
+    /// NX, and no NV or DZ; OF and UF are left open (an inexact result
+    /// of the wide format whose size the host cannot place).
+    Inexact,
+}
+
+const OF_NX: FlagSet = FlagSet {
+    overflow: true,
+    inexact: true,
+    ..FlagSet::NONE
+};
+
+const UF_NX: FlagSet = FlagSet {
+    underflow: true,
+    inexact: true,
+    ..FlagSet::NONE
+};
+
+/// `true` for a format past the `2m + 2 <= 52` bound, where rounding a
+/// rounded host `f64` result again can go wrong.
+fn wide(fmt: FpFormat) -> bool {
+    2 * fmt.man_bits() + 2 > 52
+}
+
+/// Finite, nonzero `x` as `m · 2^q` with an odd integer `m`.
+fn odd_split(x: f64) -> (u64, i32) {
+    let bits = x.abs().to_bits();
+    let (field, frac) = ((bits >> 52) as i32, bits & ((1 << 52) - 1));
+    let (m, q) = if field == 0 {
+        (frac, -1074)
+    } else {
+        (frac | 1 << 52, field - 1075)
+    };
+    (m >> m.trailing_zeros(), q + m.trailing_zeros() as i32)
+}
+
+/// For a `mul` or `div` of finite, nonzero operands of a wide format,
+/// what is known when the host `f64` cannot hold the exact result; `None`
+/// when it holds it exactly (and the rounding oracle is sound).
+fn beyond_host(fmt: FpFormat, op: Op, va: f64, vb: f64) -> Option<Expect> {
+    let finite = |v: f64| v.is_finite() && v != 0.0;
+    if !wide(fmt) || !finite(va) || !finite(vb) {
+        return None;
+    }
+    let ((ma, qa), (mb, qb)) = (odd_split(va), odd_split(vb));
+    let (m, q) = match op {
+        Op::Mul => (u128::from(ma) * u128::from(mb), qa + qb),
+        Op::Div if ma % mb == 0 => (u128::from(ma / mb), qa - qb),
+        // An odd divisor that does not divide: no finite binary expansion.
+        Op::Div => return Some(Expect::Inexact),
+        Op::Add | Op::Sub => unreachable!("only mul and div"),
+    };
+    let bits = 128 - m.leading_zeros() as i32;
+    if q + bits > 1024 {
+        // At least 2^1024: past the largest finite value in every mode.
+        Some(Expect::Flags(OF_NX))
+    } else if bits > 53 {
+        Some(Expect::Inexact) // wider than f64, so wider than the format
+    } else if q < -1074 {
+        // A bit below f64's grid, so below the format's too, in a value
+        // under 2^(q + 53) <= 2^-1022: tiny and inexact.
+        Some(Expect::Flags(UF_NX))
+    } else {
+        None
+    }
 }
 
 fn oracle(fmt: FpFormat, op: Op, a: u64, b: u64, mode: RoundingMode) -> Expect {
@@ -60,6 +131,16 @@ fn oracle(fmt: FpFormat, op: Op, a: u64, b: u64, mode: RoundingMode) -> Expect {
                 return Expect::Flags(FlagSet::INVALID);
             }
             let s = va + vb;
+            if s.is_infinite() && va.is_finite() && vb.is_finite() {
+                // The host overflowed, so |va + vb| >= 2^1024 - 2^970: past
+                // every format's overflow threshold when rounding to
+                // nearest. A directed mode may still land on the largest
+                // finite value.
+                return match mode {
+                    RoundingMode::NearestEven => Expect::Flags(OF_NX),
+                    _ => Expect::Absorbed,
+                };
+            }
             if s.is_finite() {
                 // TwoSum: `err` is exactly va + vb - s.
                 let bb = s - va;
@@ -74,6 +155,9 @@ fn oracle(fmt: FpFormat, op: Op, a: u64, b: u64, mode: RoundingMode) -> Expect {
             if (va.is_infinite() && vb == 0.0) || (va == 0.0 && vb.is_infinite()) {
                 return Expect::Flags(FlagSet::INVALID);
             }
+            if let Some(expect) = beyond_host(fmt, op, va, vb) {
+                return expect;
+            }
             va * vb
         }
         Op::Div => {
@@ -82,6 +166,9 @@ fn oracle(fmt: FpFormat, op: Op, a: u64, b: u64, mode: RoundingMode) -> Expect {
             }
             if vb == 0.0 && va.is_finite() {
                 return Expect::Flags(FlagSet::DIV_BY_ZERO);
+            }
+            if let Some(expect) = beyond_host(fmt, op, va, vb) {
+                return expect;
             }
             va / vb
         }
@@ -126,12 +213,15 @@ fn check(fmt: FpFormat, op: Op, a: u64, b: u64, mode: RoundingMode) -> bool {
             assert_eq!(flags, want, "{} want {want}", ctx());
             false
         }
-        Expect::Absorbed => {
+        expect @ (Expect::Absorbed | Expect::Inexact) => {
             assert!(
-                flags.inexact && !flags.invalid && !flags.div_by_zero && !flags.underflow,
+                flags.inexact && !flags.invalid && !flags.div_by_zero,
                 "{}",
                 ctx()
             );
+            if expect == Expect::Absorbed {
+                assert!(!flags.underflow, "{}", ctx());
+            }
             if flags.overflow {
                 let class = FloatClass::of_bits(fmt, bits);
                 assert!(
@@ -154,6 +244,15 @@ fn check_sqrt(fmt: FpFormat, a: u64, mode: RoundingMode) {
         FlagSet::NONE
     } else if v < 0.0 {
         FlagSet::INVALID
+    } else if wide(fmt) {
+        // Exact iff v = m · 2^q has an even q and a square m; the root then
+        // has at most half of m's bits and fits the format.
+        let (m, q) = odd_split(v);
+        let root = (m as f64).sqrt() as u64;
+        FlagSet {
+            inexact: q % 2 != 0 || root * root != m,
+            ..FlagSet::NONE
+        }
     } else {
         // A square root neither overflows nor underflows.
         FlagSet {
@@ -211,6 +310,31 @@ impl Rng {
         let bits = edges[(r >> 8) as usize % edges.len()];
         bits | ((r >> 40) & 1) << fmt.sign_shift()
     }
+
+    /// An encoding of `fmt` whose significand has 1, 3, 13 or 26 bits, so
+    /// a product of two is exact in `f64` unless it leaves `f64`'s range;
+    /// one in eight is a special or a power-of-two range edge.
+    fn short_encoding(&mut self, fmt: FpFormat) -> u64 {
+        let r = self.next();
+        let m = fmt.man_bits();
+        let sign = ((r >> 5) & 1) << fmt.sign_shift();
+        if r.is_multiple_of(8) {
+            let edges = [
+                fmt.zero_bits(false),
+                fmt.inf_bits(false),
+                fmt.quiet_nan_bits(),
+                fmt.min_subnormal_bits(),
+                fmt.min_normal_bits(),
+                fmt.round_from_f64(1.0, RoundingMode::NearestEven).bits,
+                fmt.max_finite_bits(false) & !((1 << m) - 1),
+            ];
+            return edges[(r >> 8) as usize % edges.len()] | sign;
+        }
+        let width = [0, 2, 12, 25][(r >> 3) as usize % 4];
+        let frac = (r >> 8) & ((1 << width) - 1);
+        let exp = (r >> 33) % ((1 << fmt.exp_bits()) - 1);
+        sign | exp << m | frac << (m - width)
+    }
 }
 
 #[test]
@@ -245,6 +369,38 @@ fn sampled_formats_flags_match_oracle() {
             assert!(absorbed > 0, "{fmt}: no absorbed addend sampled");
         }
     }
+}
+
+#[test]
+fn wide_format_flags_match_oracle() {
+    let pairs = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        200_000
+    };
+    let fmt = FpFormat::new(11, 40).unwrap();
+    assert!(wide(fmt));
+    let mut rng = Rng(0x51DE);
+    let (mut pinned, mut checks, mut seen) = (0u32, 0u32, FlagSet::NONE);
+    for mode in RoundingMode::ALL {
+        for _ in 0..pairs {
+            let (a, b) = (rng.short_encoding(fmt), rng.short_encoding(fmt));
+            for op in OPS {
+                if let Expect::Flags(want) = oracle(fmt, op, a, b, mode) {
+                    pinned += 1;
+                    seen |= want;
+                }
+                checks += 1;
+                check(fmt, op, a, b, mode);
+            }
+            check_sqrt(fmt, a, mode);
+        }
+    }
+    // A third of the cases are pinned exactly (nearly every mul, but few
+    // sums of far-apart addends and few quotients), and among them every
+    // flag.
+    assert!(pinned > checks / 3, "{pinned} of {checks} pinned");
+    assert_eq!(seen, FlagSet::from_bits(0x1F), "{seen}");
 }
 
 #[test]

@@ -2,31 +2,24 @@
 //! pluggable `flexfloat` execution backend.
 //!
 //! Installing this backend (via `flexfloat::Engine::with`) routes every
-//! `Fx`/`FlexFloat` operation through the microarchitectural FPU model:
-//! add/sub/mul in the four platform formats run on the unit's datapath
-//! kernels and accumulate the latency and energy
-//! [`SmallFloatUnit::scalar`](crate::SmallFloatUnit::scalar) charges,
-//! conversions are charged as
-//! [`SmallFloatUnit::convert`](crate::SmallFloatUnit::convert) charges
-//! them, and the operations the unit does not implement in hardware —
-//! division, square root (software-emulated on the PULPino core, exactly
-//! as in the paper) and the quiet comparisons — fall back to the
-//! bit-exact `tp-softfloat` kernels while being counted separately in
-//! [`MeasuredStats`].
-//!
-//! Results are **bit-identical** to the other two backends for every
-//! operation (the unit's datapaths are the same softfloat kernels), so a
-//! kernel run under `FpuModel` produces the same outputs and
-//! `TraceCounts` as the emulated fast path — plus a measured
-//! cycle/energy account that `tp-platform` cross-validates against its
-//! analytic [`CycleReport`](../tp_platform/struct.CycleReport.html).
+//! `Fx`/`FlexFloat` operation through the microarchitectural FPU model,
+//! which is `SoftFloat` plus one counter: every result and IEEE flag comes
+//! from an inner `flexfloat::backend::SoftFloat` (the `tp-softfloat`
+//! kernels the unit's datapaths run), so results are **bit-identical** to
+//! the other backends and `fflags` equal `SoftFloat`'s. The counter charges
+//! add/sub/mul in the four platform formats what
+//! [`SmallFloatUnit::scalar`](crate::SmallFloatUnit::scalar) charges and
+//! conversions what [`SmallFloatUnit::convert`](crate::SmallFloatUnit::convert)
+//! charges; division, square root (software-emulated on the PULPino core,
+//! as in the paper) and comparisons are counted apart in [`MeasuredStats`].
+//! `tp-platform` cross-validates that account against its analytic
+//! [`CycleReport`](../tp_platform/struct.CycleReport.html).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flexfloat::backend::{BinOp, FlagSet, FpBackend};
-use tp_formats::{FormatKind, FpFormat, RoundingMode, ALL_KINDS};
-use tp_softfloat::ops;
+use flexfloat::backend::{BinOp, FlagSet, FpBackend, SoftFloat};
+use tp_formats::{FormatKind, FpFormat, ALL_KINDS};
 
 use crate::energy::{EnergyTable, ENERGY_QUANTUM_PJ};
 use crate::op::ArithOp;
@@ -225,10 +218,11 @@ fn unit_costs() -> [(u64, f64); UNIT_SLOTS] {
 /// The `SmallFloatUnit` adapter backend: routes `flexfloat` operations
 /// through the FPU cycle/energy model, accumulating [`MeasuredStats`].
 ///
-/// Each op computes its result with the `tp-softfloat` kernel of the
-/// unit's datapath and bumps one relaxed `AtomicU64` counter: one per
-/// (op, format) arithmetic slot, per (from, to) conversion, and per
-/// uncharged class (div, sqrt, fma, cmp, off-grid). The per-slot latency
+/// Each op computes its result and raises its flags through an inner
+/// [`SoftFloat`] (whose flag register [`FpBackend::flags`] reads), then
+/// bumps one relaxed `AtomicU64` counter: one per (op, format) arithmetic
+/// slot, per (from, to) conversion, and per uncharged class (div, sqrt,
+/// fma, cmp, off-grid). The per-slot latency
 /// and energy are built once at construction from the costs
 /// [`SmallFloatUnit`](crate::SmallFloatUnit) charges, and
 /// [`FpuModel::stats`] derives the totals from the counts. The backend is
@@ -257,6 +251,8 @@ fn unit_costs() -> [(u64, f64); UNIT_SLOTS] {
 /// ```
 #[derive(Debug)]
 pub struct FpuModel {
+    /// Computes every result and holds the flag register.
+    soft: SoftFloat,
     counts: [AtomicU64; SLOTS],
     costs: [(u64, f64); UNIT_SLOTS],
     sink: Option<Arc<dyn AttributionSink>>,
@@ -265,6 +261,7 @@ pub struct FpuModel {
 impl Default for FpuModel {
     fn default() -> Self {
         FpuModel {
+            soft: SoftFloat::new(),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             costs: unit_costs(),
             sink: None,
@@ -300,25 +297,28 @@ impl FpuModel {
         }
     }
 
-    /// Counts a software-emulated op in `slot`, or an off-grid one.
-    fn emulated(&self, fmt: FpFormat, slot: usize, class: &'static str) {
+    /// Counts a software-emulated op in `slot`, or an off-grid one, and
+    /// passes its result through.
+    fn emulated(&self, fmt: FpFormat, slot: usize, class: &'static str, out: f64) -> f64 {
         match FormatKind::of_format(fmt) {
             Some(kind) => self.count(slot, class, kind_name(kind), kind_name(kind)),
             None => self.off_grid(),
         }
+        out
     }
 
     fn off_grid(&self) {
         self.count(OFF_GRID, "off_grid", "off-grid", "off-grid");
     }
 
-    /// Counts a comparison; its format labels are looked up only for a
-    /// sink.
-    fn cmp(&self, fmt: FpFormat) {
+    /// Counts a comparison and passes its result through; its format
+    /// labels are looked up only for a sink.
+    fn cmp<T>(&self, fmt: FpFormat, out: T) -> T {
         self.counts[CMP].fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = &self.sink {
             sink.record("cmp", fmt_label(fmt), fmt_label(fmt), 0, 0.0);
         }
+        out
     }
 
     /// The statistics accumulated so far.
@@ -354,29 +354,20 @@ impl FpuModel {
     }
 }
 
-fn enc(fmt: FpFormat, x: f64) -> u64 {
-    fmt.encode_in_grid(x)
-}
-
 impl FpBackend for FpuModel {
     fn name(&self) -> &'static str {
         "fpu-model"
     }
 
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        let (ab, bb) = (enc(fmt, a), enc(fmt, b));
+        let out = self.soft.bin_op(fmt, op, a, b);
         let arith = match op {
             BinOp::Add => ArithOp::Add,
             BinOp::Sub => ArithOp::Sub,
             BinOp::Mul => ArithOp::Mul,
-            BinOp::Div => {
-                // No divider slice: emulated in software on the core.
-                let bits = ops::div(fmt, ab, bb, RoundingMode::default());
-                self.emulated(fmt, DIV, "div_emulated");
-                return fmt.decode_to_f64(bits);
-            }
+            // No divider slice: emulated in software on the core.
+            BinOp::Div => return self.emulated(fmt, DIV, "div_emulated", out),
         };
-        let bits = arith.apply(fmt, ab, bb);
         match FormatKind::of_format(fmt) {
             Some(kind) => {
                 let name = kind_name(kind);
@@ -384,29 +375,19 @@ impl FpBackend for FpuModel {
             }
             None => self.off_grid(),
         }
-        fmt.decode_to_f64(bits)
+        out
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        let bits = ops::sqrt(fmt, enc(fmt, x), RoundingMode::default());
-        self.emulated(fmt, SQRT, "sqrt_emulated");
-        fmt.decode_to_f64(bits)
+        self.emulated(fmt, SQRT, "sqrt_emulated", self.soft.sqrt(fmt, x))
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        let bits = ops::fused_mul_add(
-            fmt,
-            enc(fmt, a),
-            enc(fmt, b),
-            enc(fmt, c),
-            RoundingMode::default(),
-        );
-        self.emulated(fmt, FMA, "fma_emulated");
-        fmt.decode_to_f64(bits)
+        self.emulated(fmt, FMA, "fma_emulated", self.soft.fma(fmt, a, b, c))
     }
 
     fn cast(&self, from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        let bits = ops::convert(from, to, enc(from, x), RoundingMode::default());
+        let out = self.soft.cast(from, to, x);
         match (FormatKind::of_format(from), FormatKind::of_format(to)) {
             (Some(fk), Some(tk)) => {
                 self.count(
@@ -418,36 +399,35 @@ impl FpBackend for FpuModel {
             }
             _ => self.off_grid(),
         }
-        to.decode_to_f64(bits)
+        out
     }
 
     fn min(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.cmp(fmt);
-        fmt.decode_to_f64(ops::min(fmt, enc(fmt, a), enc(fmt, b)))
+        self.cmp(fmt, self.soft.min(fmt, a, b))
     }
 
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.cmp(fmt);
-        fmt.decode_to_f64(ops::max(fmt, enc(fmt, a), enc(fmt, b)))
+        self.cmp(fmt, self.soft.max(fmt, a, b))
     }
 
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.cmp(fmt);
-        ops::lt(fmt, enc(fmt, a), enc(fmt, b))
+        self.cmp(fmt, self.soft.lt(fmt, a, b))
     }
 
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.cmp(fmt);
-        ops::le(fmt, enc(fmt, a), enc(fmt, b))
+        self.cmp(fmt, self.soft.le(fmt, a, b))
     }
 
     fn eq(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.cmp(fmt);
-        ops::eq(fmt, enc(fmt, a), enc(fmt, b))
+        self.cmp(fmt, self.soft.eq(fmt, a, b))
     }
 
     fn flags(&self) -> FlagSet {
-        FlagSet::NONE // the unit model does not expose fflags (yet)
+        self.soft.flags()
+    }
+
+    fn clear_flags(&self) {
+        self.soft.clear_flags();
     }
 }
 
@@ -457,7 +437,7 @@ mod tests {
     use crate::unit::SmallFloatUnit;
     use flexfloat::{Engine, Fx};
     use std::sync::{Arc, Mutex};
-    use tp_formats::{BINARY16, BINARY32, BINARY8};
+    use tp_formats::{RoundingMode, BINARY16, BINARY32, BINARY8};
 
     #[test]
     fn arithmetic_matches_emulated_path() {
@@ -672,8 +652,8 @@ mod tests {
                 let got = fpu.bin_op(f, bin(op), x, y);
                 let _ = all_fpu.bin_op(f, bin(op), x, y);
                 let mut unit = SmallFloatUnit::new();
-                let issue = unit.scalar(op, kind, enc(f, x), enc(f, y));
-                let _ = all_ops.scalar(op, kind, enc(f, x), enc(f, y));
+                let issue = unit.scalar(op, kind, f.encode_in_grid(x), f.encode_in_grid(y));
+                let _ = all_ops.scalar(op, kind, f.encode_in_grid(x), f.encode_in_grid(y));
                 assert_eq!(got.to_bits(), f.decode_to_f64(issue.lanes[0]).to_bits());
                 let (model, unit) = (fpu.stats().fpu, unit.stats());
                 assert_eq!(model.instructions, 1, "{kind} {op}");
@@ -685,8 +665,8 @@ mod tests {
                 let got = fpu.cast(f, to.format(), x);
                 let _ = all_fpu.cast(f, to.format(), x);
                 let mut unit = SmallFloatUnit::new();
-                let issue = unit.convert(kind, to, enc(f, x));
-                let _ = all_ops.convert(kind, to, enc(f, x));
+                let issue = unit.convert(kind, to, f.encode_in_grid(x));
+                let _ = all_ops.convert(kind, to, f.encode_in_grid(x));
                 assert_eq!(
                     got.to_bits(),
                     to.format().decode_to_f64(issue.lanes[0]).to_bits()
@@ -748,6 +728,8 @@ mod tests {
         const ROUNDS: u32 = 10_000;
         let one = FpuModel::new();
         op_mix(&one, ROUNDS);
+        let one_flags = FpBackend::flags(&one);
+        assert!(one_flags.inexact, "{one_flags}");
         let one = one.stats();
 
         let sink = Arc::new(CountingSink::default());
@@ -782,5 +764,54 @@ mod tests {
             sink.quanta.load(Ordering::Relaxed) as f64 * ENERGY_QUANTUM_PJ,
             all.fpu.total_energy_pj
         );
+        // The sticky flags are a union, so four threads raise what one does.
+        assert_eq!(FpBackend::flags(&*fpu), one_flags);
+    }
+
+    #[test]
+    fn flags_equal_softfloat_case_for_case() {
+        let (soft, fpu) = (SoftFloat::new(), FpuModel::new());
+        let mut seen = FlagSet::NONE;
+        // One op on both backends, registers cleared first: results and
+        // flags must match.
+        let mut check = |what: &dyn Fn() -> String, op: &dyn Fn(&dyn FpBackend) -> u64| {
+            soft.clear_flags();
+            fpu.clear_flags();
+            assert_eq!(op(&soft), op(&fpu), "{}: result", what());
+            assert_eq!(soft.flags(), FpBackend::flags(&fpu), "{}: flags", what());
+            seen |= soft.flags();
+        };
+        let f = BINARY8;
+        for a in 0..=0xFFu64 {
+            let va = f.decode_to_f64(a);
+            for b in 0..=0xFFu64 {
+                let vb = f.decode_to_f64(b);
+                let what = |op: &'static str| move || format!("{op}({va:e}, {vb:e})");
+                for (op, name) in [
+                    (BinOp::Add, "add"),
+                    (BinOp::Sub, "sub"),
+                    (BinOp::Mul, "mul"),
+                    (BinOp::Div, "div"),
+                ] {
+                    check(&what(name), &|bk| bk.bin_op(f, op, va, vb).to_bits());
+                }
+                check(&what("min"), &|bk| bk.min(f, va, vb).to_bits());
+                check(&what("max"), &|bk| bk.max(f, va, vb).to_bits());
+                check(&what("lt"), &|bk| u64::from(bk.lt(f, va, vb)));
+                check(&what("le"), &|bk| u64::from(bk.le(f, va, vb)));
+                check(&what("eq"), &|bk| u64::from(bk.eq(f, va, vb)));
+                if (a + b) % 7 == 0 {
+                    let vc = f.decode_to_f64((a * 31 + b) & 0xFF);
+                    check(&what("fma"), &|bk| bk.fma(f, va, vb, vc).to_bits());
+                }
+            }
+            check(&|| format!("sqrt({va:e})"), &|bk| bk.sqrt(f, va).to_bits());
+            for to in ALL_KINDS {
+                let what = || format!("cast({va:e}) to {to}");
+                check(&what, &|bk| bk.cast(f, to.format(), va).to_bits());
+            }
+        }
+        // Not vacuous: the sweep raised every flag.
+        assert_eq!(seen, FlagSet::from_bits(0x1F), "{seen}");
     }
 }

@@ -105,18 +105,22 @@ fn isa_streams_are_bit_identical_to_closure_kernels_under_emulated() {
 fn architectural_fflags_match_backend_sticky_flags() {
     for fmt in ALL_KINDS {
         let kernel = conv_kernel(fmt);
-        let backend = Arc::new(SoftFloat::new());
-        Engine::with(backend, || {
-            let mut machine = kernel.machine();
-            machine.run().expect("CONV stream runs to ecall");
-            assert_eq!(
-                machine.fcsr.flag_set(),
-                Engine::flags(),
-                "fcsr diverged from backend flags for {fmt:?}"
-            );
-            // Real arithmetic in a finite grid is at least inexact.
-            assert!(machine.fcsr.flag_set().inexact);
-        });
+        let backends: [Arc<dyn FpBackend>; 2] =
+            [Arc::new(SoftFloat::new()), Arc::new(FpuModel::new())];
+        for backend in backends {
+            let name = backend.name();
+            Engine::with(backend, || {
+                let mut machine = kernel.machine();
+                machine.run().expect("CONV stream runs to ecall");
+                assert_eq!(
+                    machine.fcsr.flag_set(),
+                    Engine::flags(),
+                    "fcsr diverged from {name} flags for {fmt:?}"
+                );
+                // Real arithmetic in a finite grid is at least inexact.
+                assert!(machine.fcsr.flag_set().inexact, "{name} {fmt:?}");
+            });
+        }
     }
 }
 

@@ -21,11 +21,14 @@
 //!
 //! Each case runs with a `Recorder` on, on four legs: nothing installed,
 //! `Emulated`, `SoftFloat` and `FpuModel`, with a fresh backend per run.
-//! Results must be bit-identical and `TraceCounts` equal. Under `SoftFloat`
-//! the architectural `fcsr` flags must equal `Engine::flags()` and the
-//! twin's flags; under `FpuModel` every retired FP instruction must be one
-//! unit operation (`backend_fp_ops == retired_fp_instructions`), as many
-//! as the twin issued.
+//! Results must be bit-identical and `TraceCounts` equal. On every leg the
+//! architectural `fcsr` flags must equal `Engine::flags()` and the twin's
+//! flags: the real flags under `SoftFloat` and `FpuModel`, which raise the
+//! same ones, and 0 with nothing or `Emulated` installed. Under `FpuModel`
+//! every stream's flags must equal those of the same stream under
+//! `SoftFloat`, and every retired FP instruction must be one unit operation
+//! (`backend_fp_ops == retired_fp_instructions`), as many as the twin
+//! issued.
 
 use std::sync::Arc;
 
@@ -146,7 +149,8 @@ fn store(asm: &mut Asm, kind: FormatKind, rs2: u8, index: u32) {
 /// Runs `asm` (an `ecall` is appended) on `inputs`, written as `from`
 /// elements from address 0, and returns the encodings of `outputs` `to`
 /// elements read from [`OUT`] on, the backend FP instruction count and
-/// `x5`/`x6`. `fcsr` must equal `Engine::flags()` under `SoftFloat`.
+/// `x5`/`x6`. `fcsr` must equal `Engine::flags()`; under `FpuModel` the
+/// flags must equal a `SoftFloat` run's.
 fn run_stream(
     leg: Leg,
     mut asm: Asm,
@@ -157,22 +161,25 @@ fn run_stream(
 ) -> Run<(Vec<u64>, u64, [u32; 2])> {
     asm.push(Instr::Ecall);
     let program = asm.assemble();
-    let run = run(leg, || {
-        let mut machine = Machine::new(program, 64);
-        machine.write_fp_slice(from, 0, inputs);
-        let stats = machine.run().expect("stream runs to its ecall");
-        if leg == Leg::SoftFloat {
+    let exec = |leg| {
+        run(leg, || {
+            let mut machine = Machine::new(program.clone(), 64);
+            machine.write_fp_slice(from, 0, inputs);
+            let stats = machine.run().expect("stream runs to its ecall");
             assert_eq!(machine.fcsr.flag_set(), Engine::flags(), "fcsr vs backend");
-        }
-        let out = machine.read_fp_slice(to, OUT, outputs);
-        (
-            encodings(to, &out),
-            stats.backend_fp_ops(),
-            [machine.xreg(x(5)), machine.xreg(x(6))],
-        )
-    });
+            let out = machine.read_fp_slice(to, OUT, outputs);
+            (
+                encodings(to, &out),
+                stats.backend_fp_ops(),
+                [machine.xreg(x(5)), machine.xreg(x(6))],
+            )
+        })
+    };
+    let run = exec(leg);
     if let Some(fpu_ops) = run.fpu_ops {
         assert_eq!(run.out.1, fpu_ops, "backend_fp_ops vs FpuModel");
+        let soft = exec(Leg::SoftFloat);
+        assert_eq!(run.flags, soft.flags, "FpuModel vs SoftFloat flags");
     }
     run
 }
@@ -186,9 +193,7 @@ fn assert_parity<T: std::fmt::Debug + PartialEq>(
 ) {
     assert_eq!(isa.out, twin.out, "{leg:?} {}: results", what());
     assert_eq!(isa.counts, twin.counts, "{leg:?} {}: TraceCounts", what());
-    if leg == Leg::SoftFloat {
-        assert_eq!(isa.flags, twin.flags, "{leg:?} {}: flags", what());
-    }
+    assert_eq!(isa.flags, twin.flags, "{leg:?} {}: flags", what());
     assert_eq!(isa.fpu_ops, twin.fpu_ops, "{leg:?} {}: unit ops", what());
 }
 
@@ -345,9 +350,10 @@ fn check_cmp(leg: Leg) {
                 });
             }
 
-            // FEQ: no Fx twin, so its results come from the backend's own
-            // `eq` (a fresh instance, outside any recording) and its events
-            // from the FLT twin, which has the same shape.
+            // FEQ: no Fx twin, so its results and flags come from the
+            // backend's own `eq` and `bin_op` (a fresh instance, outside any
+            // recording) and its events from the FLT twin, which has the
+            // same shape but signals where FEQ is quiet.
             let isa = run_stream(leg, cmp_stream(kind, CmpOp::Eq), kind, &[a, b], kind, 0);
             let reference: Arc<dyn FpBackend> = match leg {
                 Leg::Native => Engine::current().unwrap_or_else(|| Arc::new(Emulated)),
@@ -356,18 +362,14 @@ fn check_cmp(leg: Leg) {
                 Leg::Fpu => Arc::new(FpuModel::new()),
             };
             let fmt = kind.format();
-            let sum = Emulated.bin_op(fmt, flexfloat::BinOp::Add, a, b);
-            let want = [
-                u32::from(reference.eq(fmt, a, b)),
-                u32::from(reference.eq(fmt, sum, b)),
-            ];
+            let first = u32::from(reference.eq(fmt, a, b));
+            let sum = reference.bin_op(fmt, flexfloat::BinOp::Add, a, b);
+            let want = [first, u32::from(reference.eq(fmt, sum, b))];
             let what = || format!("FEQ {kind:?} ({a:e}, {b:e})");
             assert_eq!(isa.out.2, want, "{leg:?} {}: results", what());
             let shape = run(leg, || cmp_twin(kind, a, b, false));
             assert_eq!(isa.counts, shape.counts, "{leg:?} {}: TraceCounts", what());
-            if leg == Leg::SoftFloat {
-                assert_eq!(isa.flags, shape.flags, "{leg:?} {}: flags", what());
-            }
+            assert_eq!(isa.flags, reference.flags(), "{leg:?} {}: flags", what());
             assert_eq!(isa.fpu_ops, shape.fpu_ops, "{leg:?} {}: unit ops", what());
         }
     }
