@@ -4,11 +4,12 @@
 //! The analytic models in this crate turn *recorded* [`TraceCounts`] into
 //! cycles and energy through closed-form rules (issue cycles, SIMD lane
 //! packing, dependent-pair stalls). The `FpuModel` backend in `tp-fpu`
-//! produces an independent account of the *same* execution: every FP
-//! operation actually issued on the [`SmallFloatUnit`](tp_fpu::SmallFloatUnit)
-//! with its per-instruction latency and energy. Comparing the two is how we
-//! check the analytic model against a microarchitecturally-executed run
-//! instead of trusting it.
+//! produces an independent account of the *same* execution: it computes
+//! every FP operation through `flexfloat`'s `SoftFloat` backend and counts
+//! it, one op at a time, at the latency and energy the
+//! [`SmallFloatUnit`](tp_fpu::SmallFloatUnit) charges for that instruction.
+//! Comparing the two is how we check the analytic model against a
+//! per-instruction account of the run instead of trusting it.
 //!
 //! The two accounts are deliberately *not* expected to be equal:
 //!

@@ -121,26 +121,6 @@ impl MeasuredStats {
             off_grid_ops: self.off_grid_ops,
         }
     }
-
-    /// The statistics accumulated since `baseline` (a snapshot taken from
-    /// the same backend earlier). Counters are cumulative, so this is
-    /// field-wise subtraction — the per-run accounting hook harnesses use
-    /// to attribute measurements to one kernel run on a shared backend.
-    #[must_use]
-    pub fn delta_since(&self, baseline: &MeasuredStats) -> MeasuredStats {
-        MeasuredStats {
-            fpu: crate::unit::FpuStats {
-                instructions: self.fpu.instructions - baseline.fpu.instructions,
-                total_latency: self.fpu.total_latency - baseline.fpu.total_latency,
-                total_energy_pj: self.fpu.total_energy_pj - baseline.fpu.total_energy_pj,
-            },
-            emulated_div: self.emulated_div - baseline.emulated_div,
-            emulated_sqrt: self.emulated_sqrt - baseline.emulated_sqrt,
-            emulated_fma: self.emulated_fma - baseline.emulated_fma,
-            cmp_ops: self.cmp_ops - baseline.cmp_ops,
-            off_grid_ops: self.off_grid_ops - baseline.off_grid_ops,
-        }
-    }
 }
 
 /// Summary energy/cycle totals of a measured run, derived from
@@ -512,13 +492,16 @@ mod tests {
         });
         let end = fpu.stats();
         assert_eq!(end.retired_fp_instructions(), 5);
-        let delta = end.delta_since(&mid);
-        assert_eq!(delta.retired_fp_instructions(), 2);
-        assert_eq!(delta.emulated_sqrt, 1);
-        assert_eq!(delta.fpu.instructions, 1);
-        assert_eq!(delta.emulated_div, 0);
+        // The second run alone: counters are cumulative.
+        assert_eq!(
+            end.retired_fp_instructions() - mid.retired_fp_instructions(),
+            2
+        );
+        assert_eq!(end.emulated_sqrt - mid.emulated_sqrt, 1);
+        assert_eq!(end.fpu.instructions - mid.fpu.instructions, 1);
+        assert_eq!(end.emulated_div - mid.emulated_div, 0);
         // binary8 arithmetic is single-cycle.
-        assert_eq!(delta.fpu.total_latency, 1);
+        assert_eq!(end.fpu.total_latency - mid.fpu.total_latency, 1);
     }
 
     #[test]
@@ -630,14 +613,6 @@ mod tests {
         assert_eq!(s.fpu.instructions, 0);
     }
 
-    fn bin(op: ArithOp) -> BinOp {
-        match op {
-            ArithOp::Add => BinOp::Add,
-            ArithOp::Sub => BinOp::Sub,
-            ArithOp::Mul => BinOp::Mul,
-        }
-    }
-
     #[test]
     fn model_accounts_like_the_unit() {
         let mut all_ops = SmallFloatUnit::new();
@@ -649,8 +624,8 @@ mod tests {
             let (x, y) = (on_grid(1.3), on_grid(-0.7));
             for op in ArithOp::ALL {
                 let fpu = FpuModel::new();
-                let got = fpu.bin_op(f, bin(op), x, y);
-                let _ = all_fpu.bin_op(f, bin(op), x, y);
+                let got = fpu.bin_op(f, op.into(), x, y);
+                let _ = all_fpu.bin_op(f, op.into(), x, y);
                 let mut unit = SmallFloatUnit::new();
                 let issue = unit.scalar(op, kind, f.encode_in_grid(x), f.encode_in_grid(y));
                 let _ = all_ops.scalar(op, kind, f.encode_in_grid(x), f.encode_in_grid(y));

@@ -15,8 +15,13 @@
 //! *operand-silenced* (inputs forced to zero) so only the active slices draw
 //! dynamic energy.
 //!
-//! Arithmetic results are bit-accurate (computed via `tp-softfloat`, our
-//! stand-in for the paper's Synopsys DesignWare blocks). Latencies follow
+//! Every result comes from `flexfloat`'s `SoftFloat` backend (the
+//! bit-exact `tp-softfloat` kernels, our stand-in for the paper's Synopsys
+//! DesignWare blocks): [`SmallFloatUnit`] and [`FpuModel`] both compute
+//! through it, so they agree bit for bit with every other backend. The
+//! FP ↔ int converters of Fig. 3 are modelled by cost only: they appear
+//! in [`operation_modes`] but the unit issues no integer conversion.
+//! Latencies follow
 //! the paper: 32-bit and 16-bit arithmetic is pipelined with one stage
 //! (2-cycle latency, one op per cycle); 8-bit arithmetic and all
 //! conversions take a single cycle. Per-operation energies come from the

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use tp_formats::{FormatKind, FpFormat, RoundingMode};
-use tp_softfloat::ops;
+use flexfloat::backend::BinOp;
+use tp_formats::FormatKind;
 
 /// Arithmetic operations hosted by the computational blocks of each slice
 /// (Fig. 3: one ADD/SUB block and one MULT block per format).
@@ -30,16 +30,15 @@ impl ArithOp {
             ArithOp::Mul => "mul",
         }
     }
+}
 
-    /// Computes the op on encodings of `fmt` with the bit-exact
-    /// `tp-softfloat` kernel the unit's datapath stands for (RNE).
-    #[must_use]
-    pub fn apply(self, fmt: FpFormat, a: u64, b: u64) -> u64 {
-        let rm = RoundingMode::NearestEven;
-        match self {
-            ArithOp::Add => ops::add(fmt, a, b, rm),
-            ArithOp::Sub => ops::sub(fmt, a, b, rm),
-            ArithOp::Mul => ops::mul(fmt, a, b, rm),
+/// The backend operation an arithmetic block computes.
+impl From<ArithOp> for BinOp {
+    fn from(op: ArithOp) -> BinOp {
+        match op {
+            ArithOp::Add => BinOp::Add,
+            ArithOp::Sub => BinOp::Sub,
+            ArithOp::Mul => BinOp::Mul,
         }
     }
 }

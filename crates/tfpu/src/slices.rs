@@ -45,12 +45,6 @@ impl SliceKind {
         }
     }
 
-    /// `true` if this slice hosts arithmetic in `fmt`.
-    #[must_use]
-    pub fn hosts_arith(self, fmt: FormatKind) -> bool {
-        SliceKind::hosting(fmt) == self
-    }
-
     /// Issue latency (in cycles) of arithmetic on this slice: binary32 and
     /// the 16-bit formats are pipelined with one stage (latency 2,
     /// bandwidth one op/cycle); binary8 completes in a single cycle

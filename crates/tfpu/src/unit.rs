@@ -1,7 +1,7 @@
 //! The `SmallFloatUnit`: dispatch, SIMD execution, and accounting.
 
-use tp_formats::{FormatKind, RoundingMode};
-use tp_softfloat::ops;
+use flexfloat::backend::{FpBackend, SoftFloat};
+use tp_formats::FormatKind;
 
 use crate::energy::EnergyTable;
 use crate::op::{ArithOp, FpuOp};
@@ -61,12 +61,15 @@ pub struct FpuStats {
 /// Section IV (Fig. 3): a 32-bit slice, two 16-bit slices and four 8-bit
 /// slices behind shared operand-distribution and output-selection networks.
 ///
-/// Arithmetic is executed bit-accurately through the `tp-softfloat`
-/// datapaths (standing in for the Synopsys DesignWare blocks of the paper);
-/// latency and energy come from the slice model and the [`EnergyTable`].
+/// Every result lane comes from an inner `flexfloat::backend::SoftFloat`
+/// (the bit-exact `tp-softfloat` kernels, standing in for the Synopsys
+/// DesignWare blocks of the paper): the unit decodes the operand lanes,
+/// runs the backend's `bin_op` or `cast`, and encodes the result, exactly
+/// as `FpuModel` computes. Latency and energy come from the slice model
+/// and the [`EnergyTable`].
 ///
 /// ```
-/// use tp_formats::{FormatKind, RoundingMode, BINARY8};
+/// use tp_formats::{FormatKind, RoundingMode, BINARY16, BINARY8};
 /// use tp_fpu::{ArithOp, SmallFloatUnit};
 ///
 /// let mut fpu = SmallFloatUnit::new();
@@ -75,30 +78,29 @@ pub struct FpuStats {
 /// let issue = fpu.scalar(ArithOp::Add, FormatKind::Binary8, a, b);
 /// assert_eq!(BINARY8.decode_to_f64(issue.lanes[0]), 1.75);
 /// assert_eq!(issue.latency, 1); // binary8 arithmetic is single-cycle
+///
+/// // Four binary8 lanes in one issue, on the four 8-bit slices.
+/// let issue = fpu.vector(ArithOp::Mul, FormatKind::Binary8, &[a; 4], &[b; 4]);
+/// assert_eq!(BINARY8.decode_to_f64(issue.lanes[3]), 0.375);
+/// assert_eq!(issue.activity.slice8, 4);
+///
+/// let wide = fpu.convert(FormatKind::Binary8, FormatKind::Binary16, a);
+/// assert_eq!(BINARY16.decode_to_f64(wide.lanes[0]), 1.5);
+/// assert_eq!(fpu.stats().instructions, 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SmallFloatUnit {
     energy: EnergyTable,
     stats: FpuStats,
+    /// Computes every result lane.
+    soft: SoftFloat,
 }
 
 impl SmallFloatUnit {
     /// A unit with the default (paper-calibrated) energy table.
     #[must_use]
     pub fn new() -> Self {
-        SmallFloatUnit {
-            energy: EnergyTable::paper(),
-            stats: FpuStats::default(),
-        }
-    }
-
-    /// A unit with a custom energy table.
-    #[must_use]
-    pub fn with_energy(energy: EnergyTable) -> Self {
-        SmallFloatUnit {
-            energy,
-            stats: FpuStats::default(),
-        }
+        Self::default()
     }
 
     /// The accumulated statistics.
@@ -118,6 +120,15 @@ impl SmallFloatUnit {
         &self.energy
     }
 
+    /// `op` on two encodings of `fmt`, through the backend.
+    fn arith(&self, op: ArithOp, fmt: FormatKind, a: u64, b: u64) -> u64 {
+        let f = fmt.format();
+        let out = self
+            .soft
+            .bin_op(f, op.into(), f.decode_to_f64(a), f.decode_to_f64(b));
+        f.encode_in_grid(out)
+    }
+
     fn account(&mut self, latency: u32, energy: f64) {
         self.stats.instructions += 1;
         self.stats.total_latency += u64::from(latency);
@@ -127,7 +138,7 @@ impl SmallFloatUnit {
     /// Issues a scalar arithmetic operation. Only the hosting slice is
     /// active; all others are operand-silenced.
     pub fn scalar(&mut self, op: ArithOp, fmt: FormatKind, a: u64, b: u64) -> Issue {
-        let bits = op.apply(fmt.format(), a, b);
+        let bits = self.arith(op, fmt, a, b);
         let (latency, energy) = scalar_cost(&self.energy, op, fmt);
         self.account(latency, energy);
         Issue {
@@ -151,8 +162,11 @@ impl SmallFloatUnit {
         assert!(lanes > 1, "{fmt} has no sub-word lanes; use `scalar`");
         assert_eq!(a.len(), lanes, "operand A lane count");
         assert_eq!(b.len(), lanes, "operand B lane count");
-        let f = fmt.format();
-        let out: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| op.apply(f, x, y)).collect();
+        let out: Vec<u64> = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| self.arith(op, fmt, x, y))
+            .collect();
         let latency = SliceKind::hosting(fmt).arith_latency();
         let energy = self.energy.vector_arith(op, fmt);
         self.account(latency, energy);
@@ -166,7 +180,8 @@ impl SmallFloatUnit {
 
     /// Issues an FP → FP conversion (one cycle).
     pub fn convert(&mut self, from: FormatKind, to: FormatKind, bits: u64) -> Issue {
-        let out = ops::convert(from.format(), to.format(), bits, RoundingMode::NearestEven);
+        let (f, t) = (from.format(), to.format());
+        let out = t.encode_in_grid(self.soft.cast(f, t, f.decode_to_f64(bits)));
         let (latency, energy) = conversion_cost(&self.energy, from, to);
         self.account(latency, energy);
         // Conversions ride the wider of the two slices.
@@ -180,101 +195,6 @@ impl SmallFloatUnit {
             latency,
             energy_pj: energy,
             activity: SliceActivity::scalar(host),
-        }
-    }
-
-    /// Issues an FP → int32 conversion (one cycle, RNE).
-    pub fn to_int(&mut self, fmt: FormatKind, bits: u64) -> (i32, Issue) {
-        let v = ops::to_i32(fmt.format(), bits, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(fmt.width_bits(), 32);
-        self.account(latency, energy);
-        (
-            v,
-            Issue {
-                lanes: vec![v as u32 as u64],
-                latency,
-                energy_pj: energy,
-                activity: SliceActivity::scalar(fmt),
-            },
-        )
-    }
-
-    /// Issues an int32 → FP conversion (one cycle, RNE).
-    pub fn from_int(&mut self, fmt: FormatKind, v: i32) -> Issue {
-        let out = ops::from_i32(fmt.format(), v, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(32, fmt.width_bits());
-        self.account(latency, energy);
-        Issue {
-            lanes: vec![out],
-            latency,
-            energy_pj: energy,
-            activity: SliceActivity::scalar(fmt),
-        }
-    }
-
-    /// Issues an FP16/FP16alt → int16 conversion (the Fig. 3 narrow
-    /// conversion block on the 16-bit slices; one cycle, RNE).
-    pub fn to_int16(&mut self, fmt: FormatKind, bits: u64) -> (i16, Issue) {
-        let v = ops::to_i16(fmt.format(), bits, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(fmt.width_bits(), 16);
-        self.account(latency, energy);
-        (
-            v,
-            Issue {
-                lanes: vec![v as u16 as u64],
-                latency,
-                energy_pj: energy,
-                activity: SliceActivity::scalar(fmt),
-            },
-        )
-    }
-
-    /// Issues an int16 → FP conversion (one cycle, RNE).
-    pub fn from_int16(&mut self, fmt: FormatKind, v: i16) -> Issue {
-        let out = ops::from_i16(fmt.format(), v, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(16, fmt.width_bits());
-        self.account(latency, energy);
-        Issue {
-            lanes: vec![out],
-            latency,
-            energy_pj: energy,
-            activity: SliceActivity::scalar(fmt),
-        }
-    }
-
-    /// Issues an FP8 → int8 conversion (the Fig. 3 block on the 8-bit
-    /// slices; one cycle, RNE).
-    pub fn to_int8(&mut self, fmt: FormatKind, bits: u64) -> (i8, Issue) {
-        let v = ops::to_i8(fmt.format(), bits, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(fmt.width_bits(), 8);
-        self.account(latency, energy);
-        (
-            v,
-            Issue {
-                lanes: vec![v as u8 as u64],
-                latency,
-                energy_pj: energy,
-                activity: SliceActivity::scalar(fmt),
-            },
-        )
-    }
-
-    /// Issues an int8 → FP conversion (one cycle, RNE).
-    pub fn from_int8(&mut self, fmt: FormatKind, v: i8) -> Issue {
-        let out = ops::from_i8(fmt.format(), v, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(8, fmt.width_bits());
-        self.account(latency, energy);
-        Issue {
-            lanes: vec![out],
-            latency,
-            energy_pj: energy,
-            activity: SliceActivity::scalar(fmt),
         }
     }
 }
@@ -329,7 +249,8 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
             }
         }
     }
-    // Conversions: FP<->FP pairs and FP<->int32.
+    // Conversions: FP<->FP pairs, and FP<->int32, whose converters the
+    // model charges without computing them.
     for &from in &ALL_KINDS {
         for &to in &ALL_KINDS {
             if from != to {
@@ -367,7 +288,7 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tp_formats::{BINARY16, BINARY32, BINARY8};
+    use tp_formats::{RoundingMode, BINARY32, BINARY8};
     use FormatKind::{Binary16, Binary32, Binary8};
 
     fn enc8(x: f64) -> u64 {
@@ -392,7 +313,6 @@ mod tests {
         assert_eq!(fpu.scalar(ArithOp::Add, Binary16, 0, 0).latency, 2);
         assert_eq!(fpu.scalar(ArithOp::Add, Binary8, 0, 0).latency, 1);
         assert_eq!(fpu.convert(Binary32, Binary8, 0).latency, 1);
-        assert_eq!(fpu.from_int(Binary16, 5).latency, 1);
     }
 
     #[test]
@@ -431,44 +351,6 @@ mod tests {
             .bits;
         let narrow = fpu.convert(Binary32, Binary8, wide);
         assert_eq!(BINARY8.decode_to_f64(narrow.lanes[0]), 3.0);
-        let (i, _) = fpu.to_int(
-            Binary16,
-            BINARY16
-                .round_from_f64(42.6, RoundingMode::NearestEven)
-                .bits,
-        );
-        assert_eq!(i, 43);
-        let f = fpu.from_int(Binary8, 300);
-        assert_eq!(BINARY8.decode_to_f64(f.lanes[0]), 320.0);
-    }
-
-    #[test]
-    fn narrow_int_conversion_blocks() {
-        let mut fpu = SmallFloatUnit::new();
-        let h = BINARY16
-            .round_from_f64(1234.4, RoundingMode::NearestEven)
-            .bits;
-        let (v, issue) = fpu.to_int16(Binary16, h);
-        assert_eq!(v, 1234);
-        assert_eq!(issue.latency, 1);
-        assert_eq!(issue.activity.slice16, 1);
-        let back = fpu.from_int16(Binary16, 1234);
-        assert_eq!(BINARY16.decode_to_f64(back.lanes[0]), 1234.0);
-
-        let b = BINARY8.round_from_f64(96.0, RoundingMode::NearestEven).bits;
-        let (v, issue) = fpu.to_int8(Binary8, b);
-        assert_eq!(v, 96);
-        assert_eq!(issue.activity.slice8, 1);
-        let big = BINARY8
-            .round_from_f64(500.0, RoundingMode::NearestEven)
-            .bits;
-        assert_eq!(fpu.to_int8(Binary8, big).0, i8::MAX); // saturates
-        let back = fpu.from_int8(Binary8, -96);
-        assert_eq!(BINARY8.decode_to_f64(back.lanes[0]), -96.0);
-        // Narrow conversions are cheaper than 32-bit-wide ones.
-        let narrow = fpu.energy_table().conversion(8, 8);
-        let wide = fpu.energy_table().conversion(32, 8);
-        assert!(narrow < wide);
     }
 
     #[test]

@@ -61,8 +61,15 @@ fn main() {
         issue.latency,
         issue.energy_pj
     );
-    let (i, _) = fpu.to_int(FormatKind::Binary16, enc(BINARY16, 42.7));
-    println!("binary16 -> int32:   {i}");
+    let issue = fpu.convert(
+        FormatKind::Binary16,
+        FormatKind::Binary32,
+        enc(BINARY16, 42.7),
+    );
+    println!(
+        "binary16 -> binary32: {} (widening is exact)",
+        tp_formats::BINARY32.decode_to_f64(issue.lanes[0])
+    );
 
     // ----- Ledger -------------------------------------------------------------
     let stats = fpu.stats();
