@@ -37,7 +37,7 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("recorded", app.name()), |bch| {
             bch.iter(|| {
-                let (out, counts) = Recorder::record(|| app.run(&baseline, 0));
+                let (out, counts) = Recorder::scoped(|| app.run(&baseline, 0));
                 black_box((out, counts.total_fp_ops()))
             })
         });

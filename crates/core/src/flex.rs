@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn ops_are_recorded() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Binary8::from(1.0);
             let b = Binary8::from(2.0);
             let c = a + b;

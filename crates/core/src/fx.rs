@@ -646,7 +646,7 @@ mod tests {
 
     #[test]
     fn promotion_records_cast() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.0, BINARY8);
             let b = Fx::new(1.0, BINARY16);
             let _ = a + b;
@@ -658,7 +658,7 @@ mod tests {
 
     #[test]
     fn to_same_format_is_free() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.0, BINARY8);
             let _ = a.to(BINARY8);
         });
@@ -667,7 +667,7 @@ mod tests {
 
     #[test]
     fn dependent_pair_detection_through_values() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             let b = Fx::new(2.5, BINARY32);
             let c = a * b; // producer
@@ -678,7 +678,7 @@ mod tests {
             Some(1)
         );
 
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             let b = Fx::new(2.5, BINARY32);
             let c = a * b;
@@ -690,7 +690,7 @@ mod tests {
 
     #[test]
     fn array_loads_and_stores() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let mut arr = FxArray::from_f64s(BINARY16, &[1.0, 2.0, 3.0]);
             let a = arr.get(0);
             let b = arr.get(1);
@@ -704,7 +704,7 @@ mod tests {
 
     #[test]
     fn store_casts_when_formats_differ() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let mut arr = FxArray::zeros(BINARY8, 1);
             let v = Fx::new(1.0, BINARY32);
             arr.set(0, v);
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn vector_section_marks_array_traffic() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let arr = FxArray::from_f64s(BINARY8, &[1.0, 2.0, 3.0, 4.0]);
             let _v = VectorSection::enter();
             let mut acc = Fx::zero(BINARY8);
@@ -746,7 +746,7 @@ mod tests {
 
     #[test]
     fn comparisons_record_ops() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.0, BINARY8);
             let b = Fx::new(2.0, BINARY8);
             assert!(a.lt(b));

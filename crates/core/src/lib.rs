@@ -61,11 +61,9 @@ mod config;
 mod flex;
 mod fx;
 mod stats;
-mod vector;
 
 pub use backend::{ArrayId, BinOp, Engine, FpBackend, TapeSink, ValueId};
 pub use config::{TypeConfig, VarSpec};
 pub use flex::{Binary16, Binary16Alt, Binary32, Binary8, FlexFloat};
 pub use fx::{fx32, Fx, FxArray};
 pub use stats::{EventId, OpCounts, OpKind, Recorder, TraceCounts, VectorSection};
-pub use vector::{FlexVec, Vec2x16, Vec2x16Alt, Vec4x8};

@@ -449,8 +449,8 @@ impl Live {
 thread_local! {
     /// Whether recording is on — a `const`, destructor-free `Cell` kept
     /// apart from the `LIVE` state, so the check guarding every op is a
-    /// single thread-local load. `start`, `stop`, `scoped` (and its panic
-    /// restore) keep it in sync.
+    /// single thread-local load. `scoped` sets it on entry and restores it
+    /// on exit, also when its closure panics.
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static LIVE: Live = const { Live::new() };
     /// Counts the table does not hold: those of formats that no longer
@@ -498,10 +498,9 @@ impl Saved {
 /// each get a slot), one counter pair per op kind, one for dependent pairs
 /// and one per destination format for casts; per element width up to 64
 /// bits, one for loads and one for stores. The [`TraceCounts`] maps are
-/// built only when counts leave the recorder — [`stop`](Recorder::stop),
-/// the end of a [`scoped`](Recorder::scoped) or [`record`](Recorder::record)
-/// call, [`snapshot`](Recorder::snapshot) — or when they cannot stay in
-/// the table: [`absorb`](Recorder::absorb) merges its counts into an
+/// built only when counts leave the recorder, at the end of a
+/// [`scoped`](Recorder::scoped) call, or when they cannot stay in the
+/// table: [`absorb`](Recorder::absorb) merges its counts into an
 /// overflow map, wider loads and stores are counted there, and a format
 /// met while all eight slots are taken moves the table's counts there
 /// and starts the table afresh.
@@ -524,36 +523,12 @@ impl Saved {
 pub struct Recorder;
 
 impl Recorder {
-    /// Enables recording and clears any previously-collected counts.
-    pub fn start() {
-        Saved::new().swap_with_thread();
-        ENABLED.with(|e| e.set(true));
-    }
-
-    /// Stops recording and returns the collected counts.
-    #[must_use]
-    pub fn stop() -> TraceCounts {
-        ENABLED.with(|e| e.set(false));
-        LIVE.with(Live::take_counts)
-    }
-
-    /// Runs `f` with recording enabled and returns its result together with
-    /// the counts collected during the call.
-    ///
-    /// This clobbers any recording already in progress on the thread; use
-    /// [`Recorder::scoped`] when the call must compose with an enclosing
-    /// recording or run on a worker thread.
-    pub fn record<T>(f: impl FnOnce() -> T) -> (T, TraceCounts) {
-        Recorder::start();
-        let out = f();
-        (out, Recorder::stop())
-    }
-
     /// Runs `f` in an isolated recording scope and returns its result
-    /// together with the counts collected during the call.
+    /// together with the counts collected during the call. This is the only
+    /// way to record.
     ///
-    /// Unlike [`Recorder::record`], the thread's previous recorder state is
-    /// saved first and restored afterwards (also on panic), so scopes nest:
+    /// The thread's previous recorder state is saved first and restored
+    /// afterwards (also on panic), so scopes nest:
     /// an enclosing recording continues unharmed, merely blind to the ops of
     /// the inner scope. The returned [`TraceCounts`] is plain data (`Send`),
     /// which is what makes recording work across threads — each worker
@@ -686,17 +661,6 @@ impl Recorder {
         });
     }
 
-    /// Takes a snapshot of the counts collected so far without stopping.
-    #[must_use]
-    pub fn snapshot() -> TraceCounts {
-        let mut c = OVERFLOW.with_borrow(TraceCounts::clone);
-        LIVE.with(|l| {
-            l.add_table_to(&mut c);
-            c.int_ops += l.int_ops.get();
-        });
-        c
-    }
-
     fn enter_vector() {
         LIVE.with(|l| l.vector_depth.set(l.vector_depth.get() + 1));
     }
@@ -717,12 +681,10 @@ impl Recorder {
 /// ```
 /// use flexfloat::{Recorder, VectorSection};
 ///
-/// Recorder::start();
-/// {
+/// let ((), counts) = Recorder::scoped(|| {
 ///     let _v = VectorSection::enter();
 ///     // ... element-wise loop the compiler could vectorize ...
-/// }
-/// let counts = Recorder::stop();
+/// });
 /// # let _ = counts;
 /// ```
 #[derive(Debug)]
@@ -750,15 +712,15 @@ mod tests {
 
     #[test]
     fn disabled_recorder_counts_nothing() {
-        let _ = Recorder::stop(); // ensure off and clear
+        // Outside every scope recording is off: an event gets no id.
+        assert!(!Recorder::is_enabled());
         let id = Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
         assert_eq!(id, 0);
-        assert_eq!(Recorder::snapshot().total_fp_ops(), 0);
     }
 
     #[test]
     fn records_ops_and_casts() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let a = Recorder::fp_op(BINARY32, OpKind::AddSub, 0, 0);
             let _b = Recorder::fp_op(BINARY32, OpKind::Mul, a, 0); // dependent pair
             Recorder::cast(BINARY32, BINARY8);
@@ -779,7 +741,7 @@ mod tests {
 
     #[test]
     fn dependent_pair_requires_adjacency() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let a = Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
             Recorder::int_ops(1); // intervening instruction fills the slot
             let _ = Recorder::fp_op(BINARY32, OpKind::AddSub, a, 0);
@@ -789,7 +751,7 @@ mod tests {
 
     #[test]
     fn dependent_pair_requires_true_dependency() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let _a = Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
             // Adjacent but independent.
             let _b = Recorder::fp_op(BINARY32, OpKind::AddSub, 0, 0);
@@ -799,7 +761,7 @@ mod tests {
 
     #[test]
     fn vector_sections_split_counters() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY16, OpKind::Mul, 0, 0);
             {
                 let _v = VectorSection::enter();
@@ -818,7 +780,7 @@ mod tests {
 
     #[test]
     fn nested_vector_sections() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let _a = VectorSection::enter();
             {
                 let _b = VectorSection::enter();
@@ -835,7 +797,7 @@ mod tests {
 
     #[test]
     fn small_format_share() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             for _ in 0..9 {
                 Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
             }
@@ -846,11 +808,11 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let ((), a) = Recorder::record(|| {
+        let ((), a) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
             Recorder::int_ops(2);
         });
-        let ((), b) = Recorder::record(|| {
+        let ((), b) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
             Recorder::load(32);
         });
@@ -864,11 +826,11 @@ mod tests {
 
     #[test]
     fn add_and_add_assign_merge() {
-        let ((), a) = Recorder::record(|| {
+        let ((), a) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
             Recorder::int_ops(2);
         });
-        let ((), b) = Recorder::record(|| {
+        let ((), b) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
             Recorder::load(32);
         });
@@ -886,7 +848,7 @@ mod tests {
 
     #[test]
     fn scoped_nests_inside_record() {
-        let ((), outer) = Recorder::record(|| {
+        let ((), outer) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
             let ((), inner) = Recorder::scoped(|| {
                 Recorder::fp_op(BINARY8, OpKind::AddSub, 0, 0);
@@ -902,7 +864,7 @@ mod tests {
 
     #[test]
     fn scoped_counts_cross_threads_and_absorb() {
-        let ((), outer) = Recorder::record(|| {
+        let ((), outer) = Recorder::scoped(|| {
             let merged: TraceCounts = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..4)
                     .map(|_| {
@@ -926,19 +888,19 @@ mod tests {
 
     #[test]
     fn absorb_is_noop_when_disabled() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
         });
         Recorder::absorb(&counts); // recording is off: dropped
-        assert_eq!(Recorder::snapshot().total_fp_ops(), 0);
+        assert!(!Recorder::is_enabled());
     }
 
     #[test]
     fn absorb_breaks_dependent_pair_adjacency() {
-        let ((), batch) = Recorder::record(|| {
+        let ((), batch) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
         });
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let a = Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
             Recorder::absorb(&batch);
             // Adjacent in program order, but a merge intervened.
@@ -950,7 +912,7 @@ mod tests {
 
     #[test]
     fn scoped_restores_on_panic() {
-        let ((), outer) = Recorder::record(|| {
+        let ((), outer) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY32, OpKind::Mul, 0, 0);
             let result = std::panic::catch_unwind(|| {
                 Recorder::scoped(|| panic!("scope dies"));
@@ -963,10 +925,10 @@ mod tests {
 
     #[test]
     fn record_resets_between_runs() {
-        let ((), a) = Recorder::record(|| {
+        let ((), a) = Recorder::scoped(|| {
             Recorder::fp_op(BINARY8, OpKind::Mul, 0, 0);
         });
-        let ((), b) = Recorder::record(|| {});
+        let ((), b) = Recorder::scoped(|| {});
         assert_eq!(a.total_fp_ops(), 1);
         assert_eq!(b.total_fp_ops(), 0);
     }
@@ -1090,7 +1052,7 @@ mod tests {
             Ev::Load(16),
             Ev::Int(3),
         ];
-        let ((), counts) = Recorder::record(|| replay(&ev));
+        let ((), counts) = Recorder::scoped(|| replay(&ev));
         let want = model(&ev);
         assert_eq!(counts, want);
         // Mul→AddSub and AddSub→Fma pair; the cast breaks Fma→Cmp.
@@ -1106,7 +1068,7 @@ mod tests {
     #[test]
     fn more_formats_than_slots_count_exactly() {
         let ev = many_formats();
-        let ((), counts) = Recorder::record(|| replay(&ev));
+        let ((), counts) = Recorder::scoped(|| replay(&ev));
         assert_eq!(counts.ops.len(), 40 * OpKind::ALL.len());
         assert_eq!(counts, model(&ev));
         // The same stream inside a scope, and in a scope on a worker.
@@ -1123,23 +1085,8 @@ mod tests {
             Ev::Store(128),
             Ev::Store(u32::MAX),
         ];
-        let ((), counts) = Recorder::record(|| replay(&ev));
+        let ((), counts) = Recorder::scoped(|| replay(&ev));
         assert_eq!(counts, model(&ev));
-    }
-
-    #[test]
-    fn snapshot_mid_recording_equals_one_recording() {
-        let ev = many_formats();
-        let (head, tail) = ev.split_at(ev.len() / 2);
-        let ((), whole) = Recorder::record(|| {
-            replay(head);
-            let snap = Recorder::snapshot();
-            assert_eq!(snap, model(head));
-            // A snapshot leaves the recording as it was.
-            assert_eq!(Recorder::snapshot(), snap);
-            replay(tail);
-        });
-        assert_eq!(whole, model(&ev));
     }
 
     #[test]
@@ -1151,14 +1098,14 @@ mod tests {
             Ev::Load(16),
             Ev::Int(2),
         ];
-        let ((), batch) = Recorder::record(|| replay(&batch_ev));
+        let ((), batch) = Recorder::scoped(|| replay(&batch_ev));
         let own = [
             Ev::Op(BINARY16, OpKind::Mul, false),
             Ev::Op(BINARY16, OpKind::Mul, true),
             Ev::Cast(BINARY16, BINARY32),
             Ev::Load(16),
         ];
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             replay(&own);
             Recorder::absorb(&batch);
             replay(&own);
@@ -1178,7 +1125,7 @@ mod tests {
             Ev::Op(BINARY8, OpKind::AddSub, true),
             Ev::Store(8),
         ];
-        let ((), outer) = Recorder::record(|| {
+        let ((), outer) = Recorder::scoped(|| {
             replay(&ev);
             let ((), inner) = Recorder::scoped(|| {
                 replay(&ev);
@@ -1200,7 +1147,7 @@ mod tests {
     fn panicking_scope_leaves_enclosing_tallies_intact() {
         let ev = many_formats();
         let (head, tail) = ev.split_at(ev.len() / 2);
-        let ((), outer) = Recorder::record(|| {
+        let ((), outer) = Recorder::scoped(|| {
             replay(head);
             let result = std::panic::catch_unwind(|| {
                 Recorder::scoped(|| {

@@ -71,7 +71,7 @@ proptest! {
         va in -1.0e4f64..1.0e4,
         vb in -1.0e4f64..1.0e4,
     ) {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let a = Fx::new(va, fa);
             let b = Fx::new(vb, fb);
             let _ = a * b;
@@ -102,7 +102,7 @@ proptest! {
         v in -1.0e6f64..1.0e6,
         i in 0usize..8,
     ) {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let mut arr = FxArray::zeros(farr, 8);
             let x = Fx::new(v, fval);
             arr.set(i, x);

@@ -294,7 +294,7 @@ mod tests {
         // The divergence-latch candidate: each option prices two CDFs,
         // each with one recorded sign comparison.
         let app = BlackScholes::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let cmps: u64 = counts
             .ops
             .iter()

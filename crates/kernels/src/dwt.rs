@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn row_passes_are_vectorizable() {
         let app = Dwt::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vector: u64 = counts.ops.values().map(|c| c.vector).sum();
         let scalar: u64 = counts.ops.values().map(|c| c.scalar).sum();
         // Row and column passes do the same op count: ~50/50 split.

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn butterfly_count_and_vector_share() {
         let app = Fft::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let total = counts.total_fp_ops();
         // 10 FP ops per butterfly, n/2·log2(n) butterflies.
         let n = app.n as u64;
@@ -232,7 +232,7 @@ mod tests {
 
     /// Counts recorded comparison ops in one baseline run.
     fn tp_trace_probe(app: &Fft) -> u64 {
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         counts
             .ops
             .iter()

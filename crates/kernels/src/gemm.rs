@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn mac_loops_dominate_and_vectorize() {
         let app = Gemm::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vector: u64 = counts.ops.values().map(|c| c.vector).sum();
         let total = counts.total_fp_ops();
         assert!(vector as f64 / total as f64 > 0.9, "{vector}/{total}");

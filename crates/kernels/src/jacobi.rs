@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn records_no_vector_ops() {
         let app = Jacobi::small();
-        let (_, counts) = Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vec_ops: u64 = counts.ops.values().map(|c| c.vector).sum();
         assert_eq!(vec_ops, 0, "JACOBI must not have vectorizable sections");
         assert!(counts.fp_ops_in(BINARY32) > 0);

@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn most_ops_are_vectorizable() {
         let app = Knn::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vector: u64 = counts.ops.values().map(|c| c.vector).sum();
         let total = counts.total_fp_ops();
         assert!(

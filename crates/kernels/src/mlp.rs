@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn matvec_loops_vectorize() {
         let app = Mlp::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vector: u64 = counts.ops.values().map(|c| c.vector).sum();
         let total = counts.total_fp_ops();
         let share = vector as f64 / total as f64;
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn straight_line_records_no_comparisons() {
         let app = Mlp::small();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let cmps: u64 = counts
             .ops
             .iter()

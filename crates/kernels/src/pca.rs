@@ -303,7 +303,7 @@ mod tests {
             .with("proj", BINARY16)
             .with("cov", BINARY32)
             .with("eig", BINARY32);
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&cfg, 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&cfg, 0));
         let casts = counts.total_casts();
         let ops = counts.total_fp_ops();
         assert!(
@@ -316,11 +316,11 @@ mod tests {
     fn manual_vectorization_tags_loops() {
         let mut app = Pca::small();
         let (_, scalar_counts) =
-            flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+            flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vec_before: u64 = scalar_counts.ops.values().map(|c| c.vector).sum();
         assert_eq!(vec_before, 0);
         app.manual_vectorization = true;
-        let (_, vec_counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, vec_counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vec_after: u64 = vec_counts.ops.values().map(|c| c.vector).sum();
         assert!(vec_after > 0);
         // Totals are unchanged — only the tagging differs.

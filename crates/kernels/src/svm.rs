@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn sixty_percent_of_ops_vectorize() {
         let app = Svm::paper();
-        let (_, counts) = flexfloat::Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (_, counts) = flexfloat::Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         let vector: u64 = counts.ops.values().map(|c| c.vector).sum();
         let total = counts.total_fp_ops();
         let share = vector as f64 / total as f64;

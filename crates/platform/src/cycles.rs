@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn scalar_fp_costs_issue_plus_stall() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             let b = Fx::new(2.5, BINARY32);
             let c = a * b; // producer (2-cycle)
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn binary8_never_stalls() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY8);
             let b = Fx::new(2.5, BINARY8);
             let c = a * b;
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn vector_ops_pack_by_lanes() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let arr = FxArray::from_f64s(BINARY8, &[1.0; 8]);
             let _v = VectorSection::enter();
             let mut acc = Fx::zero(BINARY8);
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn division_blocks_the_pipeline() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             let b = Fx::new(2.5, BINARY32);
             let _ = a / b;
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn casts_are_single_cycle() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             let _ = a.to(BINARY16).to(BINARY8).to(BINARY32);
         });
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn int_weight_scales_integer_cycles() {
-        let (_, counts) = Recorder::record(|| Recorder::int_ops(10));
+        let (_, counts) = Recorder::scoped(|| Recorder::int_ops(10));
         let p = PlatformParams {
             int_weight: 2.5,
             ..PlatformParams::paper()

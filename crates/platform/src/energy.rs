@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn components_are_separated() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let mut arr = FxArray::zeros(BINARY32, 2);
             let a = Fx::new(1.5, BINARY32);
             let b = Fx::new(2.5, BINARY32);
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn narrow_formats_reduce_fp_energy() {
         let run = |fmt| {
-            let (_, counts) = Recorder::record(|| {
+            let (_, counts) = Recorder::scoped(|| {
                 let a = Fx::new(1.5, fmt);
                 let b = Fx::new(0.5, fmt);
                 for _ in 0..100 {
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn vectorization_reduces_energy_further() {
         let run = |vector: bool| {
-            let (_, counts) = Recorder::record(|| {
+            let (_, counts) = Recorder::scoped(|| {
                 let arr = FxArray::from_f64s(BINARY8, &[1.0; 64]);
                 let guard = vector.then(VectorSection::enter);
                 let mut acc = Fx::zero(BINARY8);
@@ -190,13 +190,13 @@ mod tests {
     #[test]
     fn casts_are_not_free() {
         // The PCA effect: heavy casting adds energy on top of the baseline.
-        let (_, no_casts) = Recorder::record(|| {
+        let (_, no_casts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             for _ in 0..10 {
                 let _ = a * a;
             }
         });
-        let (_, with_casts) = Recorder::record(|| {
+        let (_, with_casts) = Recorder::scoped(|| {
             let a = Fx::new(1.5, BINARY32);
             for _ in 0..10 {
                 let _ = (a * a).to(BINARY16).to(BINARY32);

@@ -22,7 +22,7 @@
 //! use tp_formats::BINARY16;
 //! use tp_platform::{evaluate, PlatformParams};
 //!
-//! let (_, counts) = Recorder::record(|| {
+//! let (_, counts) = Recorder::scoped(|| {
 //!     let a = Fx::new(1.5, BINARY16);
 //!     let b = Fx::new(0.25, BINARY16);
 //!     let _ = a * b + a;
@@ -78,7 +78,7 @@ mod tests {
 
     /// A miniature dot-product app, executed in two configurations.
     fn dot(fmt: tp_formats::FpFormat, vectorize: bool) -> TraceCounts {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let a = FxArray::from_f64s(fmt, &[1.0; 32]);
             let b = FxArray::from_f64s(fmt, &[0.5; 32]);
             let guard = vectorize.then(VectorSection::enter);

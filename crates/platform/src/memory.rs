@@ -49,7 +49,7 @@ mod tests {
 
     #[test]
     fn scalar_accesses_do_not_pack() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let arr = FxArray::from_f64s(BINARY8, &[1.0; 8]);
             for i in 0..8 {
                 let _ = arr.get(i);
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn vector_accesses_pack_by_width() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let b8 = FxArray::from_f64s(BINARY8, &[1.0; 8]);
             let b16 = FxArray::from_f64s(BINARY16, &[1.0; 8]);
             let b32 = FxArray::from_f64s(BINARY32, &[1.0; 8]);
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn partial_vectors_round_up() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let b8 = FxArray::from_f64s(BINARY8, &[1.0; 5]);
             let _v = VectorSection::enter();
             for i in 0..5 {
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn stores_count_like_loads() {
-        let (_, counts) = Recorder::record(|| {
+        let (_, counts) = Recorder::scoped(|| {
             let mut arr = FxArray::zeros(BINARY16, 4);
             let v = flexfloat::Fx::new(1.0, BINARY16);
             let _g = VectorSection::enter();

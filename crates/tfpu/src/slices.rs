@@ -19,22 +19,6 @@ pub enum SliceKind {
 }
 
 impl SliceKind {
-    /// Datapath width of this slice in bits.
-    #[must_use]
-    pub const fn width_bits(self) -> u32 {
-        match self {
-            SliceKind::Slice32 => 32,
-            SliceKind::Slice16 => 16,
-            SliceKind::Slice8 => 8,
-        }
-    }
-
-    /// Number of replicas inside the 32-bit unit (sub-word parallelism).
-    #[must_use]
-    pub const fn replicas(self) -> u32 {
-        32 / self.width_bits()
-    }
-
     /// The slice hosting arithmetic for a format.
     #[must_use]
     pub fn hosting(fmt: FormatKind) -> Self {
@@ -102,12 +86,6 @@ impl SliceActivity {
         }
         a
     }
-
-    /// Total active slices.
-    #[must_use]
-    pub fn total(self) -> u32 {
-        self.slice32 + self.slice16 + self.slice8
-    }
 }
 
 #[cfg(test)]
@@ -124,13 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_matches_subword_parallelism() {
-        assert_eq!(SliceKind::Slice32.replicas(), 1);
-        assert_eq!(SliceKind::Slice16.replicas(), 2);
-        assert_eq!(SliceKind::Slice8.replicas(), 4);
-    }
-
-    #[test]
     fn latencies_follow_the_paper() {
         assert_eq!(SliceKind::Slice32.arith_latency(), 2);
         assert_eq!(SliceKind::Slice16.arith_latency(), 2);
@@ -140,12 +111,12 @@ mod tests {
 
     #[test]
     fn activity_and_silencing() {
-        assert_eq!(SliceActivity::scalar(Binary16).total(), 1);
-        assert_eq!(SliceActivity::vector(Binary16).slice16, 2);
-        assert_eq!(SliceActivity::vector(Binary8).slice8, 4);
-        assert_eq!(SliceActivity::vector(Binary32).total(), 1);
+        let active = |a: SliceActivity| (a.slice32, a.slice16, a.slice8);
+        assert_eq!(active(SliceActivity::scalar(Binary16)), (0, 1, 0));
+        assert_eq!(active(SliceActivity::vector(Binary16)), (0, 2, 0));
+        assert_eq!(active(SliceActivity::vector(Binary8)), (0, 0, 4));
+        assert_eq!(active(SliceActivity::vector(Binary32)), (1, 0, 0));
         // Scalar ops silence every other slice.
-        let a = SliceActivity::scalar(Binary8);
-        assert_eq!((a.slice32, a.slice16, a.slice8), (0, 0, 1));
+        assert_eq!(active(SliceActivity::scalar(Binary8)), (0, 0, 1));
     }
 }

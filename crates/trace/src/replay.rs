@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn recording_under_an_enclosing_recorder_counts_nothing() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let _ = Trace::record(&dot_vars(), dot_run).unwrap();
         });
         assert_eq!(counts, TraceCounts::new());

@@ -55,22 +55,22 @@ impl CastAwareOutcome {
 }
 
 /// Modelled energy of one configuration, or `None` if it violates the
-/// quality threshold on any input set.
+/// quality threshold on any input set; `references[set]` is the reference
+/// output of input set `set`.
 fn cost_of(
     app: &dyn Tunable,
     cfg: &TypeConfig,
     threshold: f64,
-    input_sets: usize,
+    references: &[Vec<f64>],
     params: &PlatformParams,
 ) -> Option<(f64, u64)> {
-    for set in 0..input_sets {
-        let reference = app.reference(set);
+    for (set, reference) in references.iter().enumerate() {
         let out = app.run(cfg, set);
-        if relative_rms_error(&reference, &out) > threshold {
+        if relative_rms_error(reference, &out) > threshold {
             return None;
         }
     }
-    let ((), counts) = Recorder::record(|| {
+    let ((), counts) = Recorder::scoped(|| {
         let _ = app.run(cfg, 0);
     });
     Some((
@@ -97,8 +97,10 @@ pub fn cast_aware_refine(
 ) -> CastAwareOutcome {
     let input_sets = input_sets.max(1);
     let mut cfg = validated_storage_config(app, outcome, ts, input_sets);
-    let (initial_energy, initial_casts) = cost_of(app, &cfg, outcome.threshold, input_sets, params)
-        .expect("validated starting configuration meets the threshold");
+    let references: Vec<Vec<f64>> = (0..input_sets).map(|set| app.reference(set)).collect();
+    let (initial_energy, initial_casts) =
+        cost_of(app, &cfg, outcome.threshold, &references, params)
+            .expect("validated starting configuration meets the threshold");
 
     let mut best_energy = initial_energy;
     let mut casts = initial_casts;
@@ -122,7 +124,7 @@ pub fn cast_aware_refine(
                 let mut candidate = cfg.clone();
                 candidate.set(v.spec.name, kind.format());
                 if let Some((energy, n_casts)) =
-                    cost_of(app, &candidate, outcome.threshold, input_sets, params)
+                    cost_of(app, &candidate, outcome.threshold, &references, params)
                 {
                     let improves =
                         energy < round_best.as_ref().map_or(best_energy, |(_, e, _, _)| *e);
@@ -163,7 +165,7 @@ mod tests {
     use super::*;
     use crate::search::{distributed_search, SearchParams};
     use flexfloat::{Fx, FxArray, VarSpec};
-    use tp_formats::BINARY32;
+    use tp_formats::{BINARY16, BINARY32};
 
     /// A program engineered to fool a precision-only tuner: `weights` can
     /// drop to binary8 precision-wise, but every use multiplies a binary32
@@ -231,9 +233,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refinement_stays_inside_the_type_system() {
-        let tuned = TuningOutcome {
+    /// `Square` tuned to binary16 precision in `TypeSystem::V1`.
+    fn square_outcome() -> TuningOutcome {
+        TuningOutcome {
             app: "SQUARE".into(),
             threshold: 1e-2,
             type_system: TypeSystem::V1,
@@ -244,14 +246,38 @@ mod tests {
             }],
             evaluations: 0,
             replay: crate::search::ReplaySummary::default(),
-        };
-        let refined =
-            cast_aware_refine(&Square, &tuned, TypeSystem::V1, &PlatformParams::paper(), 1);
+        }
+    }
+
+    #[test]
+    fn refinement_stays_inside_the_type_system() {
+        let refined = cast_aware_refine(
+            &Square,
+            &square_outcome(),
+            TypeSystem::V1,
+            &PlatformParams::paper(),
+            1,
+        );
         let kind = FormatKind::of_format(refined.config.format_of("x")).expect("a storage format");
         assert!(TypeSystem::V1.kinds().contains(&kind), "{kind}");
         for (name, _, to) in &refined.moves {
             assert!(TypeSystem::V1.kinds().contains(to), "{name}: {to}");
         }
+    }
+
+    #[test]
+    fn refinement_composes_with_an_enclosing_recording() {
+        let tuned = square_outcome();
+        let half = |v| Fx::new(v, BINARY16);
+        let (on_after, counts) = Recorder::scoped(|| {
+            let _ = half(1.5) * half(2.0);
+            let _ = cast_aware_refine(&Square, &tuned, TypeSystem::V1, &PlatformParams::paper(), 1);
+            let on_after = Recorder::is_enabled();
+            let _ = half(1.5) * half(2.0);
+            on_after
+        });
+        assert!(on_after, "the refinement turned recording off");
+        assert!(counts.fp_ops_in(BINARY16) >= 2, "{counts:?}");
     }
 
     #[test]

@@ -837,7 +837,7 @@ mod tests {
         use flexfloat::Recorder;
         let run = |workers: usize| {
             let app = Counted::new(TwoVars);
-            let (outcome, counts) = Recorder::record(|| {
+            let (outcome, counts) = Recorder::scoped(|| {
                 distributed_search(
                     &app,
                     SearchParams {

@@ -28,10 +28,10 @@ fn main() {
         let outcome = distributed_search(app.as_ref(), SearchParams::paper(threshold));
         let storage = storage_config(&outcome, TypeSystem::V2);
 
-        let ((), base) = flexfloat::Recorder::record(|| {
+        let ((), base) = flexfloat::Recorder::scoped(|| {
             let _ = app.run(&flexfloat::TypeConfig::baseline(), 0);
         });
-        let ((), tuned) = flexfloat::Recorder::record(|| {
+        let ((), tuned) = flexfloat::Recorder::scoped(|| {
             let _ = app.run(&storage, 0);
         });
         let b = evaluate(&base, &params);

@@ -71,7 +71,7 @@ fn main() {
     assert!(err <= threshold);
 
     // Step 4: per-format operation statistics.
-    let ((), counts) = Recorder::record(|| {
+    let ((), counts) = Recorder::scoped(|| {
         let _ = app.run(&storage, 0);
     });
     println!("\nstep 4: operation statistics");
@@ -85,7 +85,7 @@ fn main() {
 
     // Step 5: deploy on the platform model and compare with the baseline.
     let params = PlatformParams::paper();
-    let ((), base_counts) = Recorder::record(|| {
+    let ((), base_counts) = Recorder::scoped(|| {
         let _ = app.run(&TypeConfig::baseline(), 0);
     });
     let baseline = evaluate(&base_counts, &params);

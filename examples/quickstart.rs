@@ -62,7 +62,7 @@ fn main() {
 
     // ----- Statistics -------------------------------------------------------
     println!("Operation statistics (programming-flow step 4):");
-    let (dot, counts) = Recorder::record(|| {
+    let (dot, counts) = Recorder::scoped(|| {
         let xs = [0.5f64, 1.5, 2.5, 3.5];
         let ws = [1.0f64, -1.0, 0.5, -0.5];
         let mut acc = Binary32::from(0.0);

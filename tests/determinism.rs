@@ -83,7 +83,7 @@ fn full_suite_workers_1_4_8() {
 fn parallel_sets_keep_formats_and_recorded_totals() {
     for app in all_kernels_small() {
         let run = |workers: usize| {
-            Recorder::record(|| {
+            Recorder::scoped(|| {
                 distributed_search(
                     app.as_ref(),
                     SearchParams {

@@ -107,7 +107,7 @@ fn tighter_thresholds_need_no_less_precision() {
 fn platform_reports_are_self_consistent() {
     let params = PlatformParams::paper();
     for app in tp_kernels::all_kernels_small() {
-        let ((), counts) = Recorder::record(|| {
+        let ((), counts) = Recorder::scoped(|| {
             let _ = app.run(&TypeConfig::baseline(), 0);
         });
         let report = evaluate(&counts, &params);
@@ -140,7 +140,7 @@ fn platform_reports_are_self_consistent() {
 fn recording_does_not_perturb_results() {
     for app in tp_kernels::all_kernels_small() {
         let plain = app.run(&TypeConfig::baseline(), 0);
-        let (recorded, counts) = Recorder::record(|| app.run(&TypeConfig::baseline(), 0));
+        let (recorded, counts) = Recorder::scoped(|| app.run(&TypeConfig::baseline(), 0));
         assert_eq!(plain, recorded, "{}", app.name());
         assert!(counts.total_fp_ops() > 0, "{}", app.name());
     }

@@ -91,8 +91,8 @@ proptest! {
     #[test]
     fn recording_and_models_are_deterministic(prog in mini_strategy()) {
         let cfg = TypeConfig::baseline();
-        let ((), c1) = Recorder::record(|| { let _ = prog.run(&cfg, 0); });
-        let ((), c2) = Recorder::record(|| { let _ = prog.run(&cfg, 0); });
+        let ((), c1) = Recorder::scoped(|| { let _ = prog.run(&cfg, 0); });
+        let ((), c2) = Recorder::scoped(|| { let _ = prog.run(&cfg, 0); });
         prop_assert_eq!(&c1, &c2);
         let params = PlatformParams::paper();
         prop_assert_eq!(evaluate(&c1, &params), evaluate(&c2, &params));
@@ -105,7 +105,7 @@ proptest! {
         let params = PlatformParams::paper();
         let run = |fmt: FpFormat| {
             let cfg = TypeConfig::uniform(fmt);
-            let ((), counts) = Recorder::record(|| { let _ = prog.run(&cfg, 0); });
+            let ((), counts) = Recorder::scoped(|| { let _ = prog.run(&cfg, 0); });
             evaluate(&counts, &params)
         };
         let r32 = run(BINARY32);
@@ -123,8 +123,8 @@ proptest! {
     #[test]
     fn trace_merge_is_additive(prog in mini_strategy()) {
         let cfg = TypeConfig::baseline();
-        let ((), once) = Recorder::record(|| { let _ = prog.run(&cfg, 0); });
-        let ((), twice) = Recorder::record(|| {
+        let ((), once) = Recorder::scoped(|| { let _ = prog.run(&cfg, 0); });
+        let ((), twice) = Recorder::scoped(|| {
             let _ = prog.run(&cfg, 0);
             let _ = prog.run(&cfg, 0);
         });

@@ -344,7 +344,7 @@ fn divergence_guard_and_fallback_on_value_dependent_kernel() {
 }
 
 /// A search under an installed `SoftFloat` or `FpuModel`, or inside
-/// `Recorder::record`, returns the formats and evaluation count of the
+/// `Recorder::scoped`, returns the formats and evaluation count of the
 /// unobserved search, and no replay summary.
 #[test]
 fn observed_searches_run_live() {
@@ -363,7 +363,7 @@ fn observed_searches_run_live() {
                     Engine::with(Arc::new(SoftFloat::new()), search),
                 ),
                 ("fpu", Engine::with(Arc::new(FpuModel::new()), search)),
-                ("recorder", Recorder::record(search).0),
+                ("recorder", Recorder::scoped(search).0),
             ];
             for (how, got) in observed {
                 let at = format!("{name} workers={workers} {how}");
