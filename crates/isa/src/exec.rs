@@ -622,7 +622,7 @@ fn int_op(stats: &mut RunStats) {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::decode::{f, x, MemWidth};
+    use crate::decode::{encode, f, x, MemWidth};
 
     fn run_asm(build: impl FnOnce(&mut Asm)) -> Machine {
         let mut asm = Asm::new();
@@ -852,6 +852,83 @@ mod tests {
         let mut machine = Machine::new(asm.assemble(), 0);
         machine.set_fuel(1000);
         assert_eq!(machine.run(), Err(ExecError::OutOfFuel));
+    }
+
+    /// EBREAK's slot: outside the implemented subset, so it never decodes.
+    const EBREAK: u32 = 0x0010_0073;
+
+    fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
+        Instr::Addi { rd, rs1, imm }
+    }
+
+    #[test]
+    fn illegal_word_after_ecall_never_faults() {
+        let mut asm = Asm::new();
+        asm.push(addi(x(1), x(0), 7));
+        asm.push(Instr::Ecall);
+        let mut program = asm.assemble();
+        assert!(decode(EBREAK).is_err());
+        program.code.extend([EBREAK, 0xFFFF_FFFF]);
+        let mut machine = Machine::new(program, 0);
+        let stats = machine.run().expect("junk after ecall is never reached");
+        assert_eq!(stats.retired, 2);
+        assert_eq!(machine.xreg(x(1)), 7);
+    }
+
+    #[test]
+    fn illegal_word_faults_where_it_is_reached() {
+        let mut asm = Asm::new();
+        asm.push(addi(x(1), x(0), 1));
+        asm.push(addi(x(1), x(1), 1));
+        let mut program = asm.assemble();
+        program.code.push(EBREAK);
+        program.code.push(encode(&Instr::Ecall));
+        let mut machine = Machine::new(program, 0);
+        assert_eq!(
+            machine.run(),
+            Err(ExecError::Illegal {
+                pc: 2,
+                word: EBREAK
+            })
+        );
+        assert_eq!(machine.pc, 2, "pc stays at the faulting word");
+        assert_eq!(machine.xreg(x(1)), 2, "everything before it retired");
+    }
+
+    #[test]
+    fn leaving_the_code_region_is_pc_out_of_range() {
+        // A jump two words past the last one.
+        let mut asm = Asm::new();
+        asm.push(addi(x(1), x(0), 1));
+        asm.push(Instr::Jal {
+            rd: x(0),
+            offset: 12,
+        });
+        let mut machine = Machine::new(asm.assemble(), 0);
+        assert_eq!(machine.run(), Err(ExecError::PcOutOfRange { pc: 4 }));
+        assert_eq!(machine.pc, 4);
+
+        // Falling off the end without an ecall.
+        let mut asm = Asm::new();
+        asm.push(addi(x(1), x(0), 1));
+        let mut machine = Machine::new(asm.assemble(), 0);
+        assert_eq!(machine.run(), Err(ExecError::PcOutOfRange { pc: 1 }));
+    }
+
+    #[test]
+    fn fuel_is_checked_before_fetch() {
+        // An empty budget stops before the illegal word is fetched.
+        let mut machine = Machine::new(Program { code: vec![EBREAK] }, 0);
+        machine.set_fuel(0);
+        assert_eq!(machine.run(), Err(ExecError::OutOfFuel));
+
+        // The budget runs out exactly as pc leaves the code region.
+        let mut asm = Asm::new();
+        asm.push(addi(x(1), x(0), 1));
+        let mut machine = Machine::new(asm.assemble(), 0);
+        machine.set_fuel(1);
+        assert_eq!(machine.run(), Err(ExecError::OutOfFuel));
+        assert_eq!(machine.pc, 1);
     }
 
     #[test]
