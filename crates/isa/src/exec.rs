@@ -4,7 +4,11 @@
 //! registers, 32 FP registers holding *raw format-encoded bit patterns*, a
 //! flat little-endian data memory, the [`Fcsr`] — and retires one decoded
 //! instruction per step. Code lives in its own space (`pc` is a word index
-//! into [`Program::code`], decoded at fetch), Harvard-style.
+//! into [`Program::code`]), Harvard-style, so it never changes while the
+//! machine runs: [`Machine::new`] decodes every word once, and each step
+//! fetches the decoded instruction. A word that does not decode is kept as
+//! its [`IllegalInstruction`] and faults only when the pc reaches it, so
+//! junk after the halting `ecall` is harmless, as it is on hardware.
 //!
 //! Two contracts make the executor useful rather than just plausible:
 //!
@@ -149,7 +153,8 @@ pub const DEFAULT_FUEL: u64 = 1 << 26;
 
 /// The architectural state of the platform core plus its data memory.
 pub struct Machine {
-    program: Program,
+    /// [`Program::code`] decoded once, one entry per word: `pc` indexes it.
+    code: Box<[Result<Instr, IllegalInstruction>]>,
     /// Integer register file (`x0` reads as zero; writes to it are
     /// discarded).
     xregs: [u32; 32],
@@ -169,11 +174,12 @@ pub struct Machine {
 
 impl Machine {
     /// Creates a machine for `program` with `mem_bytes` of zeroed data
-    /// memory, pc at 0 and [`DEFAULT_FUEL`].
+    /// memory, pc at 0 and [`DEFAULT_FUEL`]. Decodes the whole program
+    /// here; an undecodable word faults only if it is reached.
     #[must_use]
     pub fn new(program: Program, mem_bytes: usize) -> Machine {
         Machine {
-            program,
+            code: program.code.iter().map(|&word| decode(word)).collect(),
             xregs: [0; 32],
             fregs: [0; 32],
             fp_prod: [0; 32],
@@ -257,18 +263,18 @@ impl Machine {
 
     fn load_raw(&self, addr: u32, len: u32) -> Result<u32, ExecError> {
         let at = self.check_access(addr, len)?;
-        let mut v = 0u32;
-        for i in (0..len as usize).rev() {
-            v = v << 8 | u32::from(self.mem[at + i]);
-        }
-        Ok(v)
+        let m = &self.mem[at..];
+        Ok(match len {
+            1 => u32::from(m[0]),
+            2 => u32::from(u16::from_le_bytes([m[0], m[1]])),
+            _ => u32::from_le_bytes([m[0], m[1], m[2], m[3]]),
+        })
     }
 
     fn store_raw(&mut self, addr: u32, len: u32, value: u32) -> Result<(), ExecError> {
         let at = self.check_access(addr, len)?;
-        for i in 0..len as usize {
-            self.mem[at + i] = (value >> (8 * i)) as u8;
-        }
+        let len = len as usize;
+        self.mem[at..at + len].copy_from_slice(&value.to_le_bytes()[..len]);
         Ok(())
     }
 
@@ -347,15 +353,13 @@ impl Machine {
                 return Err(ExecError::OutOfFuel);
             }
             self.fuel -= 1;
-            let word = *self
-                .program
-                .code
-                .get(self.pc)
-                .ok_or(ExecError::PcOutOfRange { pc: self.pc })?;
-            let instr = decode(word).map_err(|IllegalInstruction(w)| ExecError::Illegal {
-                pc: self.pc,
-                word: w,
-            })?;
+            let instr = match self.code.get(self.pc) {
+                Some(Ok(instr)) => *instr,
+                Some(&Err(IllegalInstruction(word))) => {
+                    return Err(ExecError::Illegal { pc: self.pc, word })
+                }
+                None => return Err(ExecError::PcOutOfRange { pc: self.pc }),
+            };
             stats.retired += 1;
             if self.step(instr, backend.as_ref(), &mut stats)? {
                 return Ok(stats);
