@@ -16,6 +16,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The writer's
+/// documents (records, STATS payloads, span rows) nest a few levels; the
+/// cap keeps the recursive descent from overflowing the stack on hostile
+/// input such as a million `[`.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value in the store's subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
@@ -169,11 +175,14 @@ impl Value {
     /// anything outside the subset (floats as bare numbers, `null`,
     /// negative numbers, duplicate keys are *not* rejected — the writer
     /// never produces them, and the parser's job is round-tripping, not
-    /// validation of foreign documents).
+    /// validation of foreign documents). Arrays and objects nested deeper
+    /// than [`MAX_DEPTH`] are an error too, so no input panics the parser.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -227,8 +236,11 @@ fn write_json_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -264,14 +276,29 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, ParseError> {
@@ -337,11 +364,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 character. `pos` only ever advances
+                    // by ASCII bytes and whole characters, so it is on a
+                    // character boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("not at a character boundary"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -473,6 +503,30 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        const DEEP: usize = 1_000_000;
+        assert!(Value::parse(&"[".repeat(DEEP)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(DEEP)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Each character is consumed without rescanning the rest of the
+        // input, so a megabyte string parses at once.
+        let long = "é".repeat(1 << 20);
+        let v = Value::Str(long);
+        assert_eq!(Value::parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]
